@@ -47,27 +47,23 @@ from .model import (
     build_encoder,
     build_head,
     classify,
-    count_tunable_params,
-    cross_entropy_masked,
-    hgnn_forward,
+    hgnn_forward_operator,
 )
 from .pretrain import (
     MaskTokens,
     PretrainConfig,
-    apply_input_mask,
     pretrain,
-    remask_latent,
     sample_mask,
     sce_loss,
 )
 from .prompt import (
-    PromptSet,
+    STRATEGIES,
     TuneConfig,
     TuneResult,
     build_prompt_structure,
+    count_tunable_params,
     evaluate_snapshot,
     insert_prompt,
-    prompt_tune,
     tune_with_strategy,
 )
 

@@ -19,6 +19,7 @@ __all__ = ["checkpoint_bytes", "save_checkpoint", "load_checkpoint"]
 
 FORMAT_NAME = "hglearn-checkpoint"
 FORMAT_VERSION = 1
+_LAYER_KEYS = ("activation", "bias", "weight", "weight_shape")
 
 
 def _layer_record(layer: HGNNLayer) -> dict:
@@ -53,12 +54,19 @@ def load_checkpoint(path):
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ValidationError(f"unreadable checkpoint {path}: {e}") from None
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValidationError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported version {doc.get('version')!r}")
+    missing = [key for key in ("seed", "config_digest", "frozen", "layers") if key not in doc]
+    if missing:
+        raise ValidationError(f"{path}: missing {', '.join(missing)}")
+    if not isinstance(doc["layers"], list):
+        raise ValidationError(f"{path}: layers must be a list")
     layers = []
     for i, rec in enumerate(doc["layers"]):
+        if not isinstance(rec, dict) or not all(key in rec for key in _LAYER_KEYS):
+            raise ValidationError(f"{path}: layer {i} needs {', '.join(_LAYER_KEYS)}")
         w = np.array(rec["weight"], dtype=np.float64)
         if list(w.shape) != rec["weight_shape"]:
             raise ValidationError(f"{path}: layer {i} shape mismatch")

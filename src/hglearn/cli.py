@@ -5,15 +5,18 @@ compare-strategies. All are non-interactive. Exit codes: 0 success,
 1 validation error, 2 runtime failure.
 
 Every report embeds the sha256 digest of the resolved run configuration;
-reruns under an identical configuration and seed are byte-identical. Files
-are staged and atomically renamed, never partially overwritten.
+reruns under an identical configuration and seed are byte-identical. Each
+command writes into a staging directory that replaces `--out` only when the
+command succeeds, so a failed run leaves `--out` as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -41,26 +44,49 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+@contextlib.contextmanager
+def _staged_out(path: str, force: bool, inputs):
+    """Yield `<out>.tmp-<pid>`; on success it replaces `out` whole.
 
-
-def _prepare_out(path: str, force: bool) -> Path:
-    out = Path(path)
+    Refuses an `out` that is the working directory, one of its ancestors,
+    or equal to or above any of the `inputs` the command reads.
+    """
+    out = Path(os.path.abspath(path))  # names "." and ".." without following links
     if out.exists() and not force:
-        raise ValidationError(f"output path {out} exists; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        raise ValidationError(f"output path {path} exists; pass --force to replace it")
+    real = out.parent.resolve() / out.name  # a link at `out` itself is only unlinked
+    for kept in (Path.cwd(), *(Path(p) for p in inputs if p)):
+        kept = kept.resolve()
+        if real == kept or real in kept.parents:
+            raise ValidationError(f"output path {path} would replace {kept}")
+    stage = out.with_name(f"{out.name}.tmp-{os.getpid()}")
+    old = out.with_name(f"{out.name}.old-{os.getpid()}")
+    # a killed run with the same pid may have left its stage behind
+    shutil.rmtree(stage, ignore_errors=True)
+    stage.mkdir(parents=True)
+    try:
+        yield stage
+        if out.is_symlink() or out.exists():
+            out.rename(old)
+        stage.rename(out)
+        if old.is_symlink() or old.is_file():
+            old.unlink()
+        elif old.exists():
+            shutil.rmtree(old)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_record(path: Path, cfg: RunConfig, **fields):
+    """JSON report headed by the resolved config and its digest."""
+    record = {"config": cfg.as_dict(), "config_digest": cfg.digest(), **fields}
+    path.write_text(_dump_json(record))
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _report_dict(report) -> dict:
-    return report.as_dict()
+    # metric reports serialize through their as_dict()
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=lambda o: o.as_dict()) + "\n"
 
 
 def _resolve_config(args) -> RunConfig:
@@ -93,16 +119,14 @@ def _load_inputs(cfg: RunConfig, need_checkpoint=True):
     return dataset, encoder
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args.out, args.force)
+def cmd_gen_data(args, cfg: RunConfig, out: Path) -> int:
     dataset = generate_synthetic(
         cfg.n, cfg.m, cfg.dims, cfg.class_sep, cfg.missing_rate,
         noise_std=cfg.noise_std, seed=cfg.seed, name=cfg.dataset_name,
     )
     save_dataset(dataset, out, extra_meta={"config_digest": cfg.digest()})
     positives = int(dataset.labels.sum())
-    print(f"wrote dataset {dataset.name!r} to {out}")
+    print(f"wrote dataset {dataset.name!r} to {Path(args.out)}")
     print(f"subjects: {dataset.num_subjects}  modalities: {dataset.num_modalities}  dims: {list(dataset.dims)}")
     print(f"positives: {positives}  negatives: {dataset.num_subjects - positives}")
     for i, mod in enumerate(dataset.modalities):
@@ -110,118 +134,87 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_pretrain(args, cfg: RunConfig, out: Path) -> int:
     dataset, _ = _load_inputs(cfg, need_checkpoint=False)
-    out = _prepare_out(args.out, args.force)
     result, G, X = run_pretrain(dataset, cfg)
     result.encoder.freeze()
     save_checkpoint(
         out / "encoder.json", result.encoder, cfg.seed, cfg.digest(),
         meta={"fused_dim": X.shape[1], "num_nodes": G.num_nodes, "num_edges": G.num_edges},
     )
-    _write_atomic(
-        out / "loss_curve.txt",
-        "".join(f"{i} {loss!r}\n" for i, loss in enumerate(result.losses)),
+    (out / "loss_curve.txt").write_text(
+        "".join(f"{i} {loss!r}\n" for i, loss in enumerate(result.losses))
     )
-    run_record = {
-        "config": cfg.as_dict(),
-        "config_digest": cfg.digest(),
-        "epochs": cfg.pretrain_epochs,
-        "final_loss": result.losses[-1] if result.losses else None,
-        "fused_dim": X.shape[1],
-        "num_edges": G.num_edges,
-        "num_nodes": G.num_nodes,
-    }
-    _write_atomic(out / "run.json", _dump_json(run_record))
+    _write_record(
+        out / "run.json", cfg,
+        epochs=cfg.pretrain_epochs,
+        final_loss=result.losses[-1] if result.losses else None,
+        fused_dim=X.shape[1],
+        num_edges=G.num_edges,
+        num_nodes=G.num_nodes,
+    )
     last = f"{result.losses[-1]:.6f}" if result.losses else "n/a"
     print(f"pretrained {cfg.pretrain_epochs} epochs on {G.num_nodes} nodes; final loss {last}")
-    print(f"checkpoint: {out / 'encoder.json'}")
+    print(f"checkpoint: {Path(args.out) / 'encoder.json'}")
     return 0
 
 
-def _fold_record(r, cfg) -> dict:
-    return {
-        "config": cfg.as_dict(),
-        "config_digest": cfg.digest(),
-        "strategy": r.strategy,
-        "best_epoch": r.best_epoch,
-        "best_metrics": _report_dict(r.best_metrics),
-        "param_counts": r.param_counts,
-        "tunable_total": r.tunable_total,
-        "train_losses": r.train_losses,
-        "val_bacc": r.val_bacc,
-    }
-
-
-def cmd_tune(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
     dataset, encoder = _load_inputs(cfg)
-    out = _prepare_out(args.out, args.force)
     res = run_tune(dataset, encoder, cfg)
-    for f, fold_result in enumerate(res["fold_results"]):
-        _write_atomic(out / f"fold_{f}.json", _dump_json(_fold_record(fold_result, cfg)))
-        snapshot = snapshot_to_doc(fold_result)
+    for f, r in enumerate(res["fold_results"]):
+        _write_record(
+            out / f"fold_{f}.json", cfg,
+            strategy=r.strategy,
+            best_epoch=r.best_epoch,
+            best_metrics=r.best_metrics,
+            param_counts=r.param_counts,
+            tunable_total=r.tunable_total,
+            train_losses=r.train_losses,
+            val_bacc=r.val_bacc,
+        )
+        snapshot = snapshot_to_doc(r)
         snapshot["config_digest"] = cfg.digest()
-        _write_atomic(out / f"fold_{f}_snapshot.json", _dump_json(snapshot))
+        (out / f"fold_{f}_snapshot.json").write_text(_dump_json(snapshot))
     row = format_metric_row(res["strategy"], res["aggregate"])
-    text = (
+    (out / "summary.txt").write_text(
         f"# config_digest: {cfg.digest()}\n"
         "# positive class: label 1; cells are percent, mean±std over folds\n"
         f"{row}\n"
         f"tunable_params: {res['tunable_total']}\n"
     )
-    _write_atomic(out / "summary.txt", text)
-    summary = {
-        "config": cfg.as_dict(),
-        "config_digest": cfg.digest(),
-        "strategy": res["strategy"],
-        "aggregate": _report_dict(res["aggregate"]),
-        "param_counts": res["param_counts"],
-        "tunable_total": res["tunable_total"],
-    }
-    _write_atomic(out / "summary.json", _dump_json(summary))
+    _write_record(
+        out / "summary.json", cfg,
+        strategy=res["strategy"],
+        aggregate=res["aggregate"],
+        param_counts=res["param_counts"],
+        tunable_total=res["tunable_total"],
+    )
     print(row)
     print(f"tunable_params: {res['tunable_total']}")
     return 0
 
 
-def cmd_ablate_prompts(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_ablate_prompts(args, cfg: RunConfig, out: Path) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(","))
     if not sizes:
         raise ValidationError("--sizes must list at least one prompt-set size")
     dataset, encoder = _load_inputs(cfg)
-    out = _prepare_out(args.out, args.force)
     rows = run_ablate_prompts(dataset, encoder, cfg, sizes)
     header = "|P|  " + "  ".join(str(r["num_prompts"]) for r in rows)
     auc_line = "AUC  " + "  ".join(f"{r['aggregate'].auc * 100:.1f}" for r in rows)
     params_line = "params  " + "  ".join(str(r["tunable_total"]) for r in rows)
     text = f"# config_digest: {cfg.digest()}\n{header}\n{auc_line}\n{params_line}\n"
-    _write_atomic(out / "prompt_ablation.txt", text)
-    record = {
-        "config": cfg.as_dict(),
-        "config_digest": cfg.digest(),
-        "rows": [
-            {
-                "num_prompts": r["num_prompts"],
-                "aggregate": _report_dict(r["aggregate"]),
-                "tunable_total": r["tunable_total"],
-            }
-            for r in rows
-        ],
-    }
-    _write_atomic(out / "prompt_ablation.json", _dump_json(record))
+    (out / "prompt_ablation.txt").write_text(text)
+    _write_record(out / "prompt_ablation.json", cfg, rows=rows)
     print(header)
     print(auc_line)
     print(params_line)
     return 0
 
 
-def cmd_ablate_modalities(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_ablate_modalities(args, cfg: RunConfig, out: Path) -> int:
     dataset, _ = _load_inputs(cfg, need_checkpoint=False)
-    out = _prepare_out(args.out, args.force)
     rows = run_ablate_modalities(dataset, cfg)
     marks = []
     for subset, row in zip(MODALITY_SUBSETS, rows):
@@ -231,29 +224,14 @@ def cmd_ablate_modalities(args) -> int:
         f"# config_digest: {cfg.digest()}\n"
         "m0 m1 m2  BACC  SEN  SPE  AUC\n" + "\n".join(marks) + "\n"
     )
-    _write_atomic(out / "modality_ablation.txt", text)
-    record = {
-        "config": cfg.as_dict(),
-        "config_digest": cfg.digest(),
-        "rows": [
-            {
-                "modalities": r["modalities"],
-                "aggregate": _report_dict(r["aggregate"]),
-                "num_hyperedges": r["num_hyperedges"],
-                "fused_dim": r["fused_dim"],
-            }
-            for r in rows
-        ],
-    }
-    _write_atomic(out / "modality_ablation.json", _dump_json(record))
+    (out / "modality_ablation.txt").write_text(text)
+    _write_record(out / "modality_ablation.json", cfg, rows=rows)
     print(text, end="")
     return 0
 
 
-def cmd_compare_strategies(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_compare_strategies(args, cfg: RunConfig, out: Path) -> int:
     dataset, encoder = _load_inputs(cfg)
-    out = _prepare_out(args.out, args.force)
     rows = run_compare_strategies(dataset, encoder, cfg)
     lines = [f"# config_digest: {cfg.digest()}"]
     for r in rows:
@@ -264,21 +242,8 @@ def cmd_compare_strategies(args) -> int:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(r["param_counts"].items()))
         lines.append(f"{r['strategy']}: total={r['tunable_total']} ({parts})")
     text = "\n".join(lines) + "\n"
-    _write_atomic(out / "strategy_comparison.txt", text)
-    record = {
-        "config": cfg.as_dict(),
-        "config_digest": cfg.digest(),
-        "rows": [
-            {
-                "strategy": r["strategy"],
-                "aggregate": _report_dict(r["aggregate"]),
-                "param_counts": r["param_counts"],
-                "tunable_total": r["tunable_total"],
-            }
-            for r in rows
-        ],
-    }
-    _write_atomic(out / "strategy_comparison.json", _dump_json(record))
+    (out / "strategy_comparison.txt").write_text(text)
+    _write_record(out / "strategy_comparison.json", cfg, rows=rows)
     print(text, end="")
     return 0
 
@@ -287,7 +252,8 @@ def _add_common(sub, data=False, checkpoint=False):
     sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    sub.add_argument("--force", action="store_true",
+                     help="replace an existing --out directory whole")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override any config field (repeatable)")
     if data:
@@ -331,7 +297,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        cfg = _resolve_config(args)
+        inputs = [args.config]
+        if hasattr(args, "data"):
+            inputs.append(cfg.data_dir)
+        if hasattr(args, "checkpoint"):
+            inputs.append(cfg.checkpoint)
+        with _staged_out(args.out, args.force, inputs) as out:
+            return args.func(args, cfg, out)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .autodiff import ValidationError
-from .model import STRATEGIES
+from .prompt import STRATEGIES
 
 __all__ = ["RunConfig", "load_config", "parse_override"]
 
@@ -67,8 +67,10 @@ class RunConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
-        if self.pretrain_epochs < 0 or self.tune_epochs < 0:
-            raise ValidationError("epoch counts must be >= 0")
+        if self.pretrain_epochs < 0:
+            raise ValidationError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        if self.tune_epochs < 1:
+            raise ValidationError(f"tune_epochs must be >= 1, got {self.tune_epochs}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValidationError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if not 0.0 <= self.missing_rate < 1.0:

@@ -176,8 +176,13 @@ def load_dataset(path) -> MultimodalDataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise ValidationError(f"unparseable meta file {meta_path}: {e}") from None
-    n, m = int(meta["n"]), int(meta["m"])
-    dims = [int(d) for d in meta["dims"]]
+    try:
+        n, m = int(meta["n"]), int(meta["m"])
+        dims = [int(d) for d in meta["dims"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"{meta_path}: needs integer n, m and dims ({e!r})") from None
+    if len(dims) != m or any(d < 1 for d in dims):
+        raise ValidationError(f"{meta_path}: dims must list {m} positive sizes, got {dims}")
     modalities = []
     for i in range(m):
         feat_path = root / f"modality_{i}.csv"

@@ -1,4 +1,4 @@
-"""Hypergraph convolution stacks, classification head, parameter accounting."""
+"""Hypergraph convolution stacks and the classification head."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, ShapeError, Tensor, ValidationError
-from .hypergraph import Hypergraph, propagation_operator
 
 __all__ = [
     "ACTIVATIONS",
-    "STRATEGIES",
     "HGNNLayer",
     "HGNNStack",
     "ClassifierHead",
@@ -20,16 +18,11 @@ __all__ = [
     "build_encoder",
     "build_decoder",
     "build_head",
-    "hgnn_forward",
     "hgnn_forward_operator",
     "classify",
-    "cross_entropy_masked",
-    "count_tunable_params",
 ]
 
 ACTIVATIONS = ("relu", "identity")
-
-STRATEGIES = ("finetune", "linear_probe", "phgnn", "phgnn_no_structure", "gpf", "gpf_plus")
 
 
 @dataclass
@@ -170,12 +163,12 @@ def hgnn_forward_operator(operator: np.ndarray, X, stack: HGNNStack) -> Tensor:
     h = ad.const(X)
     if h.value.shape[1] != stack.input_dim:
         raise ShapeError(
-            f"hgnn_forward: input dim {h.value.shape[1]} does not match "
+            f"hgnn_forward_operator: input dim {h.value.shape[1]} does not match "
             f"stack input dim {stack.input_dim}"
         )
     if operator.shape[0] != h.value.shape[0]:
         raise ShapeError(
-            f"hgnn_forward: operator is {operator.shape[0]}-node, features have "
+            f"hgnn_forward_operator: operator is {operator.shape[0]}-node, features have "
             f"{h.value.shape[0]} rows"
         )
     op = ad.const(operator)
@@ -187,10 +180,6 @@ def hgnn_forward_operator(operator: np.ndarray, X, stack: HGNNStack) -> Tensor:
     return h
 
 
-def hgnn_forward(G: Hypergraph, X, stack: HGNNStack) -> Tensor:
-    return hgnn_forward_operator(propagation_operator(G), X, stack)
-
-
 def classify(Z, head: ClassifierHead) -> Tensor:
     """Affine logits; no softmax (consumers take logits or probabilities)."""
     z = ad.const(Z)
@@ -200,39 +189,3 @@ def classify(Z, head: ClassifierHead) -> Tensor:
             f"input dim {head.weight.value.shape[0]}"
         )
     return ad.broadcast_add_row(ad.matmul(z, head.weight.leaf()), head.bias.leaf())
-
-
-def cross_entropy_masked(logits, labels, mask) -> Tensor:
-    """Mean negative log-likelihood over the masked rows."""
-    return ad.softmax_cross_entropy(logits, labels, mask)
-
-
-def count_tunable_params(strategy, encoder: HGNNStack, head: ClassifierHead, *,
-                         feature_dim=None, num_prompts=None, gpf_basis=None):
-    """Per-component trainable parameter counts for a tuning strategy.
-
-    Returns (per_component dict, total). The classifier head is trainable,
-    and counted, under every strategy.
-    """
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r}")
-    head_count = sum(p.size for p in head.parameters())
-    counts = {}
-    if strategy == "finetune":
-        counts["encoder"] = sum(p.size for p in encoder.parameters())
-    elif strategy == "linear_probe":
-        pass
-    elif strategy in ("phgnn", "phgnn_no_structure"):
-        if num_prompts is None or feature_dim is None:
-            raise ValidationError(f"{strategy}: needs num_prompts and feature_dim")
-        counts["prompt_tokens"] = int(num_prompts) * int(feature_dim)
-    elif strategy == "gpf":
-        if feature_dim is None:
-            raise ValidationError("gpf: needs feature_dim")
-        counts["prompt_vector"] = int(feature_dim)
-    elif strategy == "gpf_plus":
-        if gpf_basis is None or feature_dim is None:
-            raise ValidationError("gpf_plus: needs gpf_basis and feature_dim")
-        counts["prompt_basis"] = int(gpf_basis) * int(feature_dim)
-    counts["head"] = head_count
-    return counts, sum(counts.values())

@@ -11,9 +11,9 @@ from .autodiff import ValidationError
 from .config import RunConfig
 from .data import MultimodalDataset, build_fused_hypergraph, split_folds, subset_modalities
 from .metrics import aggregate_folds
-from .model import STRATEGIES, HGNNStack
+from .model import HGNNStack
 from .pretrain import PretrainConfig, pretrain
-from .prompt import TuneConfig, tune_with_strategy
+from .prompt import STRATEGIES, TuneConfig, tune_with_strategy
 
 __all__ = [
     "pretrain_config",

@@ -23,8 +23,6 @@ __all__ = [
     "PretrainConfig",
     "PretrainResult",
     "sample_mask",
-    "apply_input_mask",
-    "remask_latent",
     "sce_loss",
     "pretrain",
 ]
@@ -80,16 +78,6 @@ def sample_mask(num_nodes: int, mask_ratio: float, rng) -> np.ndarray:
     return np.sort(picked.astype(np.intp))
 
 
-def apply_input_mask(X, masked_nodes, token: Parameter) -> Tensor:
-    """Replace the masked feature rows with the learnable input token."""
-    return ad.mask_rows(X, masked_nodes, token.leaf())
-
-
-def remask_latent(Z, masked_nodes, token: Parameter) -> Tensor:
-    """Replace the masked latent rows with the learnable latent token."""
-    return ad.mask_rows(Z, masked_nodes, token.leaf())
-
-
 def sce_loss(X_orig, X_recon, masked_nodes, gamma: float) -> Tensor:
     """Mean over masked rows of (1 - cos(x, x'))**gamma.
 
@@ -134,9 +122,9 @@ def pretrain(G: Hypergraph, X, config: PretrainConfig) -> PretrainResult:
     losses = []
     for _ in range(config.epochs):
         masked = sample_mask(n, config.mask_ratio, rng)
-        x_masked = apply_input_mask(X, masked, tokens.input_token)
+        x_masked = ad.mask_rows(X, masked, tokens.input_token.leaf())
         z = hgnn_forward_operator(operator, x_masked, encoder)
-        z_masked = remask_latent(z, masked, tokens.latent_token)
+        z_masked = ad.mask_rows(z, masked, tokens.latent_token.leaf())
         recon = hgnn_forward_operator(operator, z_masked, decoder)
         loss = sce_loss(X, recon, masked, config.gamma)
         losses.append(forward_backward(loss))

@@ -9,13 +9,15 @@ pretrained encoder stays frozen.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
-a basis with per-node softmax attention).
+a basis with per-node softmax attention). `_STRATEGY_TABLE` is the one
+place a strategy is defined; everything else reads it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,24 +25,16 @@ from . import autodiff as ad
 from .autodiff import AdamWState, Parameter, ValidationError, adamw_step, forward_backward
 from .hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from .metrics import MetricsReport, evaluate_logits
-from .model import (
-    STRATEGIES,
-    HGNNStack,
-    build_head,
-    classify,
-    count_tunable_params,
-    cross_entropy_masked,
-    hgnn_forward_operator,
-)
+from .model import HGNNStack, build_head, classify, hgnn_forward_operator
 
 __all__ = [
-    "PromptSet",
+    "STRATEGIES",
+    "count_tunable_params",
     "TuneConfig",
     "TuneResult",
     "default_prompt_k",
     "build_prompt_structure",
     "insert_prompt",
-    "prompt_tune",
     "tune_with_strategy",
     "evaluate_snapshot",
     "snapshot_to_doc",
@@ -48,23 +42,98 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class _ExtraParam:
+    """The one parameter a strategy adds next to the encoder and head."""
+
+    count_key: str  # its entry in the reported parameter counts
+    name: str  # parameter and snapshot name
+    rows: str | None  # TuneConfig field holding the row count; None is one row
+    init: Callable  # (rng, shape) -> initial value
+
+
+@dataclass(frozen=True)
+class _Strategy:
+    trains_encoder: bool = False
+    extra: _ExtraParam | None = None
+    # (features, extra parameter leaf or None) -> encoder input
+    transform: Callable = lambda X, extra: X
+    # the extra rows are token nodes attached to the hypergraph
+    prompt_tokens: bool = False
+    # the tokens get k-NN hyperedges among themselves
+    structured: bool = False
+
+
+def _small_normal(rng, shape):
+    return rng.normal(0.0, 0.02, size=shape)
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _attend_basis(X, basis):
+    attn = ad.row_softmax(ad.matmul(X, ad.transpose(basis)))
+    return ad.add(ad.const(X), ad.matmul(attn, basis))
+
+
+_TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", _small_normal)
+
+_STRATEGY_TABLE = {
+    "finetune": _Strategy(trains_encoder=True),
+    "linear_probe": _Strategy(),
+    "phgnn": _Strategy(extra=_TOKENS, transform=ad.concat_rows, prompt_tokens=True,
+                      structured=True),
+    "phgnn_no_structure": _Strategy(extra=_TOKENS, transform=ad.concat_rows,
+                                   prompt_tokens=True),
+    "gpf": _Strategy(extra=_ExtraParam("prompt_vector", "gpf.vector", None, _zeros),
+                    transform=ad.broadcast_add_row),
+    "gpf_plus": _Strategy(extra=_ExtraParam("prompt_basis", "gpf.basis", "gpf_basis",
+                                          _small_normal),
+                         transform=_attend_basis),
+}
+
+STRATEGIES = tuple(_STRATEGY_TABLE)
+
+
+def _strategy_spec(name) -> _Strategy:
+    try:
+        return _STRATEGY_TABLE[name]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown strategy {name!r}") from None
+
+
+def _extra_rows(extra: _ExtraParam, num_prompts, gpf_basis):
+    """Rows of a strategy's extra parameter: one, or the size it names."""
+    return {None: 1, "num_prompts": num_prompts, "gpf_basis": gpf_basis}[extra.rows]
+
+
+def _size(params) -> int:
+    return sum(p.size for p in params)
+
+
+def count_tunable_params(strategy, encoder: HGNNStack, head, *,
+                         feature_dim=None, num_prompts=None, gpf_basis=None):
+    """Per-component trainable parameter counts for a tuning strategy.
+
+    Returns (per_component dict, total). The classifier head is trainable,
+    and counted, under every strategy.
+    """
+    spec = _strategy_spec(strategy)
+    counts = {"encoder": _size(encoder.parameters())} if spec.trains_encoder else {}
+    if spec.extra is not None:
+        rows = _extra_rows(spec.extra, num_prompts, gpf_basis)
+        missing = [k for k, v in (("feature_dim", feature_dim), (spec.extra.rows, rows))
+                   if v is None]
+        if missing:
+            raise ValidationError(f"{strategy}: needs {' and '.join(missing)}")
+        counts[spec.extra.count_key] = int(rows) * int(feature_dim)
+    counts["head"] = _size(head.parameters())
+    return counts, sum(counts.values())
+
+
 def default_prompt_k(num_prompts: int) -> int:
     return min(3, num_prompts - 1)
-
-
-@dataclass
-class PromptSet:
-    tokens: Parameter
-    k_p: int
-    structured: bool = True
-
-    def __post_init__(self):
-        if self.tokens.value.shape[0] < 1:
-            raise ValidationError("prompt set needs at least one token")
-
-    @property
-    def size(self) -> int:
-        return self.tokens.value.shape[0]
 
 
 @dataclass
@@ -80,10 +149,12 @@ class TuneConfig:
     num_classes: int = 2
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy {self.strategy!r}")
+        _strategy_spec(self.strategy)
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("num_prompts", "gpf_basis"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.prompt_k is None:
             self.prompt_k = default_prompt_k(self.num_prompts)
 
@@ -162,85 +233,61 @@ def _validate_masks(labels, train_mask, val_mask):
 
 
 class _StrategyState:
-    """Owns the per-strategy extra parameters and the logits builder."""
+    """One strategy's head, extra parameter, and forward pass on a fixed graph.
 
-    def __init__(self, strategy, G, X, encoder, head, config, rng):
-        self.strategy = strategy
+    The head is built first and the extra parameter then draws from the
+    seeded rng; changing that order changes every tuned output.
+    """
+
+    def __init__(self, spec: _Strategy, G, X, encoder: HGNNStack, config: TuneConfig):
+        self.spec = spec
         self.G = G
         self.X = X
         self.encoder = encoder
-        self.head = head
         self.config = config
-        self.n = X.shape[0]
-        d = X.shape[1]
-        self.prompt = None
-        self.gpf_vector = None
-        self.gpf_basis = None
-        if strategy in ("phgnn", "phgnn_no_structure"):
-            tokens = rng.normal(0.0, 0.02, size=(config.num_prompts, d))
-            self.prompt = PromptSet(
-                Parameter(tokens, "prompt.tokens"),
-                config.prompt_k,
-                structured=strategy == "phgnn",
+        rng = np.random.default_rng(config.seed)
+        self.head = build_head(encoder.output_dim, config.num_classes, rng)
+        self.extra = None
+        if spec.extra is not None:
+            rows = _extra_rows(spec.extra, config.num_prompts, config.gpf_basis)
+            self.extra = Parameter(
+                spec.extra.init(rng, (rows, X.shape[1])), spec.extra.name
             )
-            if config.num_prompts * 2 > self.n:
-                warnings.warn(
-                    f"{config.num_prompts} prompt tokens is large for {self.n} nodes"
-                )
-            if config.num_prompts >= encoder.output_dim:
-                warnings.warn(
-                    f"{config.num_prompts} prompt tokens is not small next to the "
-                    f"latent dim {encoder.output_dim}"
-                )
-        elif strategy == "gpf":
-            self.gpf_vector = Parameter(np.zeros((1, d)), "gpf.vector")
-        elif strategy == "gpf_plus":
-            basis = rng.normal(0.0, 0.02, size=(config.gpf_basis, d))
-            self.gpf_basis = Parameter(basis, "gpf.basis")
-        if strategy in ("phgnn", "phgnn_no_structure"):
-            self.base_operator = None
-        else:
-            self.base_operator = propagation_operator(G)
+        self.params = ((encoder.parameters() if spec.trains_encoder else [])
+                       + ([] if self.extra is None else [self.extra])
+                       + self.head.parameters())
+        self.prompt_rows = self.extra.value.shape[0] if spec.prompt_tokens else 0
+        n, p = X.shape[0], self.prompt_rows
+        if p * 2 > n:
+            warnings.warn(f"{p} prompt tokens is large for {n} nodes")
+        if p >= encoder.output_dim:
+            warnings.warn(
+                f"{p} prompt tokens is not small next to the "
+                f"latent dim {encoder.output_dim}"
+            )
+        self.base_operator = None if spec.prompt_tokens else propagation_operator(G)
 
-    def trainables(self):
-        params = []
-        if self.strategy == "finetune":
-            params.extend(self.encoder.parameters())
-        if self.prompt is not None:
-            params.append(self.prompt.tokens)
-        if self.gpf_vector is not None:
-            params.append(self.gpf_vector)
-        if self.gpf_basis is not None:
-            params.append(self.gpf_basis)
-        params.extend(self.head.parameters())
-        return params
+    def operator(self, G_p):
+        """Propagation matrix with the prompt structure G_p attached, if any."""
+        if G_p is None:
+            return self.base_operator
+        G_m, _ = insert_prompt(self.G, self.X, G_p, self.extra.value)
+        return propagation_operator(G_m)
 
     def epoch_structure(self):
         """Prompt-internal hyperedges from the latest token values."""
-        if self.prompt is None:
-            return None, self.base_operator
-        G_p = build_prompt_structure(
-            self.prompt.tokens.value, self.prompt.k_p, self.prompt.structured
-        )
-        G_m, _ = insert_prompt(self.G, self.X, G_p, self.prompt.tokens.value)
-        return G_p, propagation_operator(G_m)
+        G_p = None
+        if self.spec.prompt_tokens:
+            G_p = build_prompt_structure(
+                self.extra.value, self.config.prompt_k, self.spec.structured
+            )
+        return G_p, self.operator(G_p)
 
     def logits(self, operator):
         """Forward pass; rows beyond the first n belong to prompt tokens."""
-        if self.prompt is not None:
-            x_m = ad.concat_rows(self.X, self.prompt.tokens.leaf())
-            z = hgnn_forward_operator(operator, x_m, self.encoder)
-        elif self.strategy == "gpf":
-            x = ad.broadcast_add_row(self.X, self.gpf_vector.leaf())
-            z = hgnn_forward_operator(operator, x, self.encoder)
-        elif self.strategy == "gpf_plus":
-            basis = self.gpf_basis.leaf()
-            attn = ad.row_softmax(ad.matmul(self.X, ad.transpose(basis)))
-            x = ad.add(ad.const(self.X), ad.matmul(attn, basis))
-            z = hgnn_forward_operator(operator, x, self.encoder)
-        else:
-            z = hgnn_forward_operator(operator, self.X, self.encoder)
-        return classify(z, self.head)
+        extra = None if self.extra is None else self.extra.leaf()
+        x = self.spec.transform(self.X, extra)
+        return classify(hgnn_forward_operator(operator, x, self.encoder), self.head)
 
 
 def _snapshot_params(params) -> dict:
@@ -257,30 +304,21 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     validation mask, and keep the best-validation snapshot (strictly better
     balanced accuracy; ties keep the earlier epoch).
     """
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r}")
+    spec = _strategy_spec(strategy)
     X = ad.as_matrix(X, "features")
     y, mt, mv = _validate_masks(labels, train_mask, val_mask)
     if y.shape[0] != G.num_nodes or X.shape[0] != G.num_nodes:
         raise ValidationError("labels/features do not match the hypergraph node count")
-    if strategy == "finetune":
-        encoder = pretrained.copy(trainable=True)
-    else:
-        if not pretrained.frozen:
-            raise ValidationError(f"{strategy}: encoder must be frozen")
-        encoder = pretrained
-    rng = np.random.default_rng(config.seed)
-    head = build_head(encoder.output_dim, config.num_classes, rng)
-    run = _StrategyState(strategy, G, X, encoder, head, config, rng)
+    if not (spec.trains_encoder or pretrained.frozen):
+        raise ValidationError(f"{strategy}: encoder must be frozen")
+    encoder = pretrained.copy(trainable=True) if spec.trains_encoder else pretrained
+    run = _StrategyState(spec, G, X, encoder, config)
     counts, total = count_tunable_params(
-        strategy, encoder, head,
-        feature_dim=X.shape[1],
-        num_prompts=config.num_prompts,
-        gpf_basis=config.gpf_basis,
+        strategy, encoder, run.head, feature_dim=X.shape[1],
+        num_prompts=config.num_prompts, gpf_basis=config.gpf_basis,
     )
-    params = run.trainables()
-    assert total == sum(p.size for p in params)
-    n, p_rows = X.shape[0], (config.num_prompts if run.prompt is not None else 0)
+    params = run.params
+    n, p_rows = X.shape[0], run.prompt_rows
     y_pad = np.concatenate([y, np.zeros(p_rows, dtype=np.int64)])
     mt_pad = np.concatenate([mt, np.zeros(p_rows, dtype=bool)])
     state = AdamWState()
@@ -297,7 +335,7 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     best_bacc = -1.0
     for epoch in range(config.epochs):
         G_p, operator = run.epoch_structure()
-        loss = cross_entropy_masked(run.logits(operator), y_pad, mt_pad)
+        loss = ad.softmax_cross_entropy(run.logits(operator), y_pad, mt_pad)
         result.train_losses.append(forward_backward(loss))
         adamw_step(params, state, config.lr, config.weight_decay)
         # post-update predictions on the same structure, per the tuning loop
@@ -314,15 +352,6 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     return result
 
 
-def prompt_tune(G, X, labels, train_mask, val_mask, encoder: HGNNStack,
-                config: TuneConfig, structured: bool = True) -> TuneResult:
-    """Prompt-token tuning against a frozen encoder."""
-    strategy = "phgnn" if structured else "phgnn_no_structure"
-    if not encoder.frozen:
-        raise ValidationError("prompt_tune: encoder must be frozen")
-    return tune_with_strategy(strategy, G, X, labels, train_mask, val_mask, encoder, config)
-
-
 def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
                       pretrained: HGNNStack, config: TuneConfig) -> MetricsReport:
     """Re-evaluate a stored snapshot on a mask, reproducing its metrics.
@@ -331,24 +360,17 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
     loop evaluates post-update token values under the structure built from
     the pre-update ones, so the structure is part of the snapshot).
     """
+    spec = _strategy_spec(result.strategy)
     X = ad.as_matrix(X, "features")
-    n = X.shape[0]
-    encoder = pretrained.copy(trainable=(result.strategy == "finetune"))
-    rng = np.random.default_rng(config.seed)
-    head = build_head(encoder.output_dim, config.num_classes, rng)
-    run = _StrategyState(result.strategy, G, X, encoder, head, config, rng)
-    for p in run.trainables():
+    encoder = pretrained.copy(trainable=spec.trains_encoder)
+    run = _StrategyState(spec, G, X, encoder, config)
+    for p in run.params:
         if p.name in result.snapshot:
             p.value[:] = result.snapshot[p.name]
-    if run.prompt is not None:
-        G_p = Hypergraph(
-            config.num_prompts, result.prompt_incidence, result.prompt_edge_weights
-        )
-        G_m, _ = insert_prompt(G, X, G_p, run.prompt.tokens.value)
-        operator = propagation_operator(G_m)
-    else:
-        operator = run.base_operator
-    return evaluate_logits(run.logits(operator).value[:n], labels, mask)
+    G_p = None
+    if spec.prompt_tokens:
+        G_p = Hypergraph(run.prompt_rows, result.prompt_incidence, result.prompt_edge_weights)
+    return evaluate_logits(run.logits(run.operator(G_p)).value[: X.shape[0]], labels, mask)
 
 
 def snapshot_to_doc(result: TuneResult) -> dict:

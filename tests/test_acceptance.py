@@ -19,10 +19,10 @@ from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph, propagation_operator
 from hglearn.metrics import auc, confusion, metrics_from_confusion
-from hglearn.model import build_decoder, build_encoder, build_head, classify, count_tunable_params, hgnn_forward_operator
+from hglearn.model import build_decoder, build_encoder, build_head, classify, hgnn_forward_operator
 from hglearn.pipeline import run_ablate_modalities, run_tune
 from hglearn.pretrain import PretrainConfig, pretrain, sample_mask, sce_loss
-from hglearn.prompt import TuneConfig, build_prompt_structure, insert_prompt, tune_with_strategy
+from hglearn.prompt import TuneConfig, build_prompt_structure, count_tunable_params, insert_prompt, tune_with_strategy
 
 from oracles import brute_force_operator, pair_count_auc
 

@@ -59,6 +59,24 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("layers"),
+        lambda doc: doc["layers"][1].pop("weight"),
+        lambda doc: doc["layers"][1].pop("bias"),
+        lambda doc: doc["layers"][1].pop("weight_shape"),
+        lambda doc: doc["layers"][1].pop("activation"),
+        lambda doc: doc.update(layers=3),
+    ], ids=["no-layers", "no-weight", "no-bias", "no-weight-shape", "no-activation",
+            "layers-not-list"])
+    def test_malformed_layers_rejected(self, tmp_path, edit):
+        path = tmp_path / "enc.json"
+        save_checkpoint(path, self.make_stack(), 0, "x")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="layer"):
+            load_checkpoint(path)
+
     def test_unreadable_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -60,8 +60,24 @@ class TestGenData:
 
     def test_existing_path_requires_force(self, tmp_path, dataset_dir):
         assert run("gen-data", "--out", str(dataset_dir), *FAST) == 1
+        (dataset_dir / "stale.txt").write_text("from an earlier run\n")
         assert run("gen-data", "--out", str(dataset_dir), "--seed", "1",
                    "--force", *FAST) == 0
+        # --force replaces the directory whole, leaving no stage or old copy
+        assert not (dataset_dir / "stale.txt").exists()
+        assert (dataset_dir / "meta").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+    def test_force_refuses_working_directory(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "keep.txt").write_text("not an output\n")
+        monkeypatch.chdir(work)
+        for out in (".", ".."):
+            assert run("gen-data", "--out", out, "--force", *FAST) == 1
+            assert "would replace" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert [p.name for p in work.iterdir()] == ["keep.txt"]
 
 
 class TestPretrain:
@@ -121,6 +137,29 @@ class TestTune:
                    "--checkpoint", str(checkpoint_dir / "encoder.json"),
                    "--out", str(tmp_path / "t2"), *FAST)
         assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d2", "data", "pre"]
+
+    def test_force_refuses_to_replace_an_input(self, tmp_path, dataset_dir,
+                                               checkpoint_dir, capsys):
+        encoder = checkpoint_dir / "encoder.json"
+        before = encoder.read_bytes()
+        for out in (checkpoint_dir, tmp_path):
+            code = run("tune", "--data", str(dataset_dir), "--checkpoint", str(encoder),
+                       "--out", str(out), "--force", *FAST)
+            assert code == 1
+            assert "would replace" in capsys.readouterr().err
+        assert encoder.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre"]
+
+    def test_zero_tune_epochs_exits_one_and_leaves_no_output(self, tmp_path, dataset_dir,
+                                                             checkpoint_dir, capsys):
+        out = tmp_path / "t0"
+        argv = ["tune", "--data", str(dataset_dir),
+                "--checkpoint", str(checkpoint_dir / "encoder.json"), "--out", str(out), *FAST]
+        assert run(*argv, "--set", "tune_epochs=0") == 1
+        assert "tune_epochs" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(*argv) == 0
 
     def test_rerun_identical_bytes(self, tmp_path, dataset_dir, checkpoint_dir):
         outs = []

@@ -1,5 +1,7 @@
 """Synthetic generation, dataset disk format, fusion with dropouts, folds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ class TestDiskFormat:
         save_dataset(ds, tmp_path / "d")
         (tmp_path / "d" / "present_1.csv").unlink()
         with pytest.raises(ValidationError, match="present_1.csv"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("n"),
+        lambda meta: meta.pop("m"),
+        lambda meta: meta.pop("dims"),
+        lambda meta: meta.update(dims=[3]),
+        lambda meta: meta.update(n="many"),
+    ], ids=["no-n", "no-m", "no-dims", "dims-shorter-than-m", "non-integer-n"])
+    def test_malformed_meta_rejected(self, tmp_path, edit):
+        ds = generate_synthetic(12, 2, (3, 3), 1.0, 0.0, seed=0)
+        save_dataset(ds, tmp_path / "d")
+        meta_path = tmp_path / "d" / "meta"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValidationError, match="meta"):
             load_dataset(tmp_path / "d")
 
     def test_absent_subject_round_trips(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hglearn import autodiff as ad
 from hglearn.autodiff import Parameter, ShapeError, ValidationError, finite_difference_check
-from hglearn.hypergraph import Hypergraph, knn_hyperedges
+from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.model import (
     ClassifierHead,
     HGNNLayer,
@@ -18,10 +18,9 @@ from hglearn.model import (
     build_encoder,
     build_head,
     classify,
-    count_tunable_params,
-    cross_entropy_masked,
-    hgnn_forward,
+    hgnn_forward_operator,
 )
+from hglearn.prompt import count_tunable_params
 
 
 def identity_layer(d, activation="identity"):
@@ -34,13 +33,13 @@ class TestHGNNForward:
     def test_identity_pipeline_returns_input(self):
         G = Hypergraph(4, np.eye(4))
         X = np.random.default_rng(0).standard_normal((4, 3))
-        out = hgnn_forward(G, X, HGNNStack([identity_layer(3)]))
+        out = hgnn_forward_operator(propagation_operator(G), X, HGNNStack([identity_layer(3)]))
         assert np.allclose(out.value, X, atol=1e-15)
 
     def test_single_hyperedge_averages_rows(self):
         G = Hypergraph(2, np.array([[1.0], [1.0]]))
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = hgnn_forward(G, X, HGNNStack([identity_layer(2)]))
+        out = hgnn_forward_operator(propagation_operator(G), X, HGNNStack([identity_layer(2)]))
         assert np.allclose(out.value, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
@@ -51,7 +50,7 @@ class TestHGNNForward:
         readout = rng.standard_normal((9, 3))
 
         def loss_fn(params):
-            out = hgnn_forward(G, X, stack)
+            out = hgnn_forward_operator(propagation_operator(G), X, stack)
             return ad.sum_all(ad.mul(out, ad.const(readout)))
 
         assert finite_difference_check(loss_fn, stack.parameters(), 1e-6) <= 1e-4
@@ -62,16 +61,17 @@ class TestHGNNForward:
             X = rng.standard_normal((8, 4))
             G = knn_hyperedges(X, 2)
             stack = build_encoder(4, (6,), 3, np.random.default_rng(1))
-            out = hgnn_forward(G, X, stack).value
+            out = hgnn_forward_operator(propagation_operator(G), X, stack).value
             perm = rng.permutation(8)
             Gp = Hypergraph(8, G.incidence[perm], G.edge_weights)
-            out_p = hgnn_forward(Gp, X[perm], stack).value
+            out_p = hgnn_forward_operator(propagation_operator(Gp), X[perm], stack).value
             assert np.allclose(out_p, out[perm], atol=1e-10)
 
     def test_dimension_mismatch_rejected(self):
         G = Hypergraph(3, np.eye(3))
         with pytest.raises(ShapeError):
-            hgnn_forward(G, np.ones((3, 5)), HGNNStack([identity_layer(3)]))
+            hgnn_forward_operator(propagation_operator(G), np.ones((3, 5)),
+                                  HGNNStack([identity_layer(3)]))
 
     def test_stack_dims_must_chain(self):
         with pytest.raises(ShapeError, match="chain"):
@@ -118,24 +118,24 @@ class TestClassify:
 
 class TestCrossEntropyMasked:
     def test_uniform_logits_give_log_two(self):
-        loss = cross_entropy_masked(np.zeros((3, 2)), [0, 1, 0], np.ones(3, bool))
+        loss = ad.softmax_cross_entropy(np.zeros((3, 2)), [0, 1, 0], np.ones(3, bool))
         assert float(loss) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_saturated_correct_prediction_no_overflow(self):
-        loss = cross_entropy_masked(np.array([[50.0, -50.0]]), [0], np.ones(1, bool))
+        loss = ad.softmax_cross_entropy(np.array([[50.0, -50.0]]), [0], np.ones(1, bool))
         assert 0.0 <= float(loss) < 1e-20
 
     def test_hand_computed_value(self):
-        loss = cross_entropy_masked(np.array([[1.0, 2.0]]), [1], np.ones(1, bool))
+        loss = ad.softmax_cross_entropy(np.array([[1.0, 2.0]]), [1], np.ones(1, bool))
         assert float(loss) == pytest.approx(0.31326168751822286, abs=1e-12)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="no rows"):
-            cross_entropy_masked(np.zeros((2, 2)), [0, 1], np.zeros(2, bool))
+            ad.softmax_cross_entropy(np.zeros((2, 2)), [0, 1], np.zeros(2, bool))
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValidationError, match="label"):
-            cross_entropy_masked(np.zeros((2, 2)), [0, 2], np.ones(2, bool))
+            ad.softmax_cross_entropy(np.zeros((2, 2)), [0, 2], np.ones(2, bool))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -147,8 +147,8 @@ class TestCrossEntropyMasked:
         logits = rng.standard_normal((5, 2))
         labels = rng.integers(0, 2, 5)
         mask = np.ones(5, bool)
-        base = float(cross_entropy_masked(logits, labels, mask))
-        shifted = float(cross_entropy_masked(logits + shift, labels, mask))
+        base = float(ad.softmax_cross_entropy(logits, labels, mask))
+        shifted = float(ad.softmax_cross_entropy(logits + shift, labels, mask))
         assert abs(base - shifted) <= 1e-10
 
 

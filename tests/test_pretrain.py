@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hglearn.autodiff import Parameter, ValidationError, forward_backward
+from hglearn.autodiff import Parameter, ValidationError, forward_backward, mask_rows
 from hglearn.hypergraph import knn_hyperedges
-from hglearn.pretrain import (
-    PretrainConfig,
-    apply_input_mask,
-    pretrain,
-    remask_latent,
-    sample_mask,
-    sce_loss,
-)
+from hglearn.pretrain import PretrainConfig, pretrain, sample_mask, sce_loss
 
 
 class TestSampleMask:
@@ -54,37 +47,37 @@ class TestMaskingOps:
         self.token = Parameter(np.full((1, 4), 9.0), "tok")
 
     def test_empty_mask_leaves_input(self):
-        out = apply_input_mask(self.X, np.array([], dtype=int), self.token)
+        out = mask_rows(self.X, np.array([], dtype=int), self.token.leaf())
         assert np.array_equal(out.value, self.X)
 
     def test_full_mask_replaces_every_row(self):
-        out = apply_input_mask(self.X, [0, 1, 2], self.token)
+        out = mask_rows(self.X, [0, 1, 2], self.token.leaf())
         assert np.array_equal(out.value, np.tile(self.token.value, (3, 1)))
 
     def test_single_row_replaced_others_bit_identical(self):
-        out = apply_input_mask(self.X, [1], self.token)
+        out = mask_rows(self.X, [1], self.token.leaf())
         assert np.array_equal(out.value[0], self.X[0])
         assert np.array_equal(out.value[2], self.X[2])
         assert np.array_equal(out.value[1], self.token.value[0])
 
     def test_remask_latent_rows(self):
         Z = np.random.default_rng(1).standard_normal((4, 4))
-        out = remask_latent(Z, [0, 2], self.token)
+        out = mask_rows(Z, [0, 2], self.token.leaf())
         assert np.array_equal(out.value[1], Z[1])
         assert np.array_equal(out.value[3], Z[3])
         assert np.array_equal(out.value[0], self.token.value[0])
 
     def test_idempotent_for_same_mask_and_token(self):
-        once = apply_input_mask(self.X, [1], self.token)
-        twice = apply_input_mask(once.value, [1], self.token)
+        once = mask_rows(self.X, [1], self.token.leaf())
+        twice = mask_rows(once.value, [1], self.token.leaf())
         assert np.array_equal(once.value, twice.value)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValidationError, match="range"):
-            apply_input_mask(self.X, [5], self.token)
+            mask_rows(self.X, [5], self.token.leaf())
 
     def test_gradient_reaches_token(self):
-        out = apply_input_mask(self.X, [0, 2], self.token)
+        out = mask_rows(self.X, [0, 2], self.token.leaf())
         loss = sce_loss(self.X, out, [0, 2], 2.0)
         forward_backward(loss)
         assert self.token.grad_populated

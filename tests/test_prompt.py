@@ -6,15 +6,16 @@ import pytest
 from hglearn.autodiff import ValidationError
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph
-from hglearn.model import STRATEGIES
+from hglearn.model import build_head
 from hglearn.pretrain import PretrainConfig, pretrain
 from hglearn.prompt import (
+    STRATEGIES,
     TuneConfig,
     build_prompt_structure,
+    count_tunable_params,
     default_prompt_k,
     evaluate_snapshot,
     insert_prompt,
-    prompt_tune,
     tune_with_strategy,
 )
 
@@ -134,8 +135,8 @@ class TestInsertPrompt:
 class TestPromptTune:
     def test_zero_epochs_returns_initial_state(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
-        result = prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                             encoder, small_config(epochs=0))
+        result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                                    folds.val_mask(0), encoder, small_config(epochs=0))
         assert result.train_losses == [] and result.val_bacc == []
         assert result.best_epoch == -1
         assert result.best_metrics is None
@@ -144,8 +145,8 @@ class TestPromptTune:
     def test_encoder_bit_identical_after_run(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
         before = [p.value.copy() for p in encoder.parameters()]
-        prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                    encoder, small_config(epochs=50))
+        tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
+                           encoder, small_config(epochs=50))
         for p, b in zip(encoder.parameters(), before):
             assert np.array_equal(p.value, b)
 
@@ -153,44 +154,46 @@ class TestPromptTune:
         ds, G, X, encoder, folds = tuning_setup
         thawed = encoder.copy(trainable=True)
         with pytest.raises(ValidationError, match="frozen"):
-            prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                        thawed, small_config())
+            tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                               folds.val_mask(0), thawed, small_config())
 
     def test_empty_or_overlapping_masks_rejected(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
         n = ds.num_subjects
         with pytest.raises(ValidationError, match="training mask"):
-            prompt_tune(G, X, ds.labels, np.zeros(n, bool), folds.val_mask(0),
-                        encoder, small_config())
+            tune_with_strategy("phgnn", G, X, ds.labels, np.zeros(n, bool),
+                               folds.val_mask(0), encoder, small_config())
         with pytest.raises(ValidationError, match="validation mask"):
-            prompt_tune(G, X, ds.labels, folds.train_mask(0), np.zeros(n, bool),
-                        encoder, small_config())
+            tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                               np.zeros(n, bool), encoder, small_config())
         with pytest.raises(ValidationError, match="overlap"):
-            prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.train_mask(0),
-                        encoder, small_config())
+            tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                               folds.train_mask(0), encoder, small_config())
 
     def test_learns_separable_data(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
-        result = prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                             encoder, small_config(epochs=120, num_prompts=8, prompt_k=3))
+        result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                                    folds.val_mask(0), encoder,
+                                    small_config(epochs=120, num_prompts=8, prompt_k=3))
         assert result.best_metrics.bacc >= 0.8
 
     def test_structure_recorded_with_snapshot(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
-        result = prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                             encoder, small_config(epochs=10))
+        result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                                    folds.val_mask(0), encoder, small_config(epochs=10))
         assert result.prompt_incidence.shape == (4, 4)
-        unstructured = prompt_tune(G, X, ds.labels, folds.train_mask(0),
-                                   folds.val_mask(0), encoder,
-                                   small_config(epochs=10), structured=False)
+        unstructured = tune_with_strategy("phgnn_no_structure", G, X, ds.labels,
+                                          folds.train_mask(0), folds.val_mask(0), encoder,
+                                          small_config(epochs=10))
         assert unstructured.prompt_incidence.shape == (4, 0)
         assert unstructured.strategy == "phgnn_no_structure"
 
     def test_large_prompt_sets_warn(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
         with pytest.warns(UserWarning):
-            prompt_tune(G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                        encoder, small_config(epochs=1, num_prompts=48, prompt_k=3))
+            tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
+                               folds.val_mask(0), encoder,
+                               small_config(epochs=1, num_prompts=48, prompt_k=3))
 
 
 class TestTuneWithStrategy:
@@ -217,6 +220,22 @@ class TestTuneWithStrategy:
                                         folds.val_mask(0), encoder,
                                         small_config(epochs=1, strategy=strategy))
             assert result.tunable_total == count, strategy
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_counts_come_from_the_trainable_set(self, tuning_setup, strategy):
+        ds, G, X, encoder, folds = tuning_setup
+        cfg = small_config(epochs=1, strategy=strategy)
+        result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+                                    folds.val_mask(0), encoder, cfg)
+        snapshot_total = sum(v.size for v in result.snapshot.values())
+        assert snapshot_total == result.tunable_total == sum(result.param_counts.values())
+        head = build_head(encoder.output_dim, cfg.num_classes)
+        counts, total = count_tunable_params(
+            strategy, encoder, head, feature_dim=X.shape[1],
+            num_prompts=cfg.num_prompts, gpf_basis=cfg.gpf_basis,
+        )
+        assert counts == result.param_counts
+        assert total == result.tunable_total
 
     @pytest.mark.parametrize("strategy",
                              ["linear_probe", "gpf", "gpf_plus", "phgnn", "phgnn_no_structure"])
