@@ -51,14 +51,12 @@ from .model import (
 )
 from .pretrain import (
     MaskTokens,
-    PretrainConfig,
     pretrain,
     sample_mask,
     sce_loss,
 )
 from .prompt import (
     STRATEGIES,
-    TuneConfig,
     TuneResult,
     build_prompt_structure,
     count_tunable_params,

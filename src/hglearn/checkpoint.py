@@ -63,22 +63,25 @@ def load_checkpoint(path):
         raise ValidationError(f"{path}: missing {', '.join(missing)}")
     if not isinstance(doc["layers"], list):
         raise ValidationError(f"{path}: layers must be a list")
-    layers = []
-    for i, rec in enumerate(doc["layers"]):
-        if not isinstance(rec, dict) or not all(key in rec for key in _LAYER_KEYS):
-            raise ValidationError(f"{path}: layer {i} needs {', '.join(_LAYER_KEYS)}")
-        w = np.array(rec["weight"], dtype=np.float64)
-        if list(w.shape) != rec["weight_shape"]:
-            raise ValidationError(f"{path}: layer {i} shape mismatch")
-        b = np.array(rec["bias"], dtype=np.float64).reshape(1, -1)
-        layers.append(
-            HGNNLayer(
-                Parameter(w, f"encoder.layer{i}.weight"),
-                Parameter(b, f"encoder.layer{i}.bias"),
-                rec["activation"],
+    try:
+        layers = []
+        for i, rec in enumerate(doc["layers"]):
+            if not isinstance(rec, dict) or not all(key in rec for key in _LAYER_KEYS):
+                raise ValueError(f"layer {i} needs {', '.join(_LAYER_KEYS)}")
+            w = np.array(rec["weight"], dtype=np.float64)
+            if list(w.shape) != rec["weight_shape"]:
+                raise ValueError(f"layer {i} shape mismatch")
+            b = np.array(rec["bias"], dtype=np.float64).reshape(1, -1)
+            layers.append(
+                HGNNLayer(
+                    Parameter(w, f"encoder.layer{i}.weight"),
+                    Parameter(b, f"encoder.layer{i}.bias"),
+                    rec["activation"],
+                )
             )
-        )
-    stack = HGNNStack(layers, frozen=doc["frozen"])
+        stack = HGNNStack(layers, frozen=doc["frozen"])
+    except (TypeError, ValueError) as e:  # shape errors are ValueErrors too
+        raise ValidationError(f"{path}: malformed layers: {e}") from None
     info = {
         "seed": doc["seed"],
         "config_digest": doc["config_digest"],

@@ -62,15 +62,17 @@ class RunConfig:
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        for name in ("n", "m", "k_folds", "num_prompts", "gpf_basis", "latent_dim"):
+        for name in ("n", "m", "k_folds", "num_prompts", "gpf_basis", "latent_dim",
+                     "tune_epochs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.k < 0:
-            raise ValidationError(f"k must be >= 0, got {self.k}")
-        if self.pretrain_epochs < 0:
-            raise ValidationError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        if self.tune_epochs < 1:
-            raise ValidationError(f"tune_epochs must be >= 1, got {self.tune_epochs}")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValidationError(
+                f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}"
+            )
+        for name in ("k", "prompt_k", "pretrain_epochs"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValidationError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if not 0.0 <= self.missing_rate < 1.0:
@@ -100,37 +102,35 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
-_LIST_FIELDS = {"dims", "hidden_dims"}
-_BOOL_FIELDS = {"pairwise"}
+def _parse_bool(raw: str) -> bool:
+    value = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}.get(raw.lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
+
+
+# a field's parser and what it expects, by the type of the field's default
+_PARSERS = {
+    bool: (_parse_bool, "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "a string"),
+    tuple: (lambda raw: tuple(int(v) for v in raw.split(",") if v != ""),
+            "comma-separated integers"),
+}
+_FIELD_PARSERS = {f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(RunConfig)}
 
 
 def parse_override(key: str, raw: str):
     """Coerce a `--set key=value` string to the field's type."""
-    if key not in _FIELD_TYPES:
+    if key not in _FIELD_PARSERS:
         raise ValidationError(f"unknown config field {key!r}")
-    if key in _LIST_FIELDS:
-        return tuple(int(v) for v in raw.split(",") if v != "")
-    if key in _BOOL_FIELDS:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValidationError(f"{key}: expected a boolean, got {raw!r}")
-    default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"{key}: expected an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"{key}: expected a number, got {raw!r}") from None
-    return raw
+    parse, expected = _FIELD_PARSERS[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValidationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -147,7 +147,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValidationError(f"config {p} must hold a JSON object")
         for key, value in raw.items():
-            if key not in _FIELD_TYPES:
+            if key not in _FIELD_PARSERS:
                 raise ValidationError(f"unknown config field {key!r} in {p}")
             values[key] = value
     if overrides:

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamWState, Parameter, Tensor, ValidationError, adamw_step, forward_backward
+from .config import RunConfig
 from .hypergraph import Hypergraph, propagation_operator
 from .model import HGNNStack, build_decoder, build_encoder, hgnn_forward_operator
 
 __all__ = [
     "MaskTokens",
-    "PretrainConfig",
     "PretrainResult",
     "sample_mask",
     "sce_loss",
@@ -35,30 +35,6 @@ class MaskTokens:
 
     def parameters(self) -> list[Parameter]:
         return [self.input_token, self.latent_token]
-
-
-@dataclass
-class PretrainConfig:
-    mask_ratio: float = 0.75
-    gamma: float = 2.0
-    epochs: int = 200
-    lr: float = 3e-4
-    weight_decay: float = 1e-4
-    seed: int = 0
-    hidden_dims: tuple = (128,)
-    latent_dim: int = 64
-
-    def __post_init__(self):
-        if not 0.0 <= self.mask_ratio < 1.0:
-            raise ValidationError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        if self.gamma < 1.0:
-            raise ValidationError(f"gamma must be >= 1, got {self.gamma}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -99,34 +75,38 @@ def sce_loss(X_orig, X_recon, masked_nodes, gamma: float) -> Tensor:
     return ad.masked_mean(err, mask)
 
 
-def pretrain(G: Hypergraph, X, config: PretrainConfig) -> PretrainResult:
-    """Train encoder, decoder, and mask tokens; returns them with the loss curve."""
+def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
+    """Train encoder, decoder, and mask tokens; returns them with the loss curve.
+
+    Reads the model sizes, `mask_ratio`, `sce_gamma`, `pretrain_epochs`,
+    `pretrain_lr`, `pretrain_weight_decay` and `seed` of `cfg`.
+    """
     X = ad.as_matrix(X, "features")
     n, d = X.shape
     if n != G.num_nodes:
         raise ValidationError(f"pretrain: {n} feature rows for {G.num_nodes} nodes")
-    if config.epochs > 0 and math.floor(config.mask_ratio * n) < 1:
+    if cfg.pretrain_epochs > 0 and math.floor(cfg.mask_ratio * n) < 1:
         raise ValidationError(
-            f"pretrain: mask_ratio {config.mask_ratio} masks no nodes out of {n}"
+            f"pretrain: mask_ratio {cfg.mask_ratio} masks no nodes out of {n}"
         )
-    rng = np.random.default_rng(config.seed)
-    encoder = build_encoder(d, config.hidden_dims, config.latent_dim, rng)
-    decoder = build_decoder(config.latent_dim, d, rng)
+    rng = np.random.default_rng(cfg.seed)
+    encoder = build_encoder(d, cfg.hidden_dims, cfg.latent_dim, rng)
+    decoder = build_decoder(cfg.latent_dim, d, rng)
     tokens = MaskTokens(
         Parameter(np.zeros((1, d)), "mask.input_token"),
-        Parameter(np.zeros((1, config.latent_dim)), "mask.latent_token"),
+        Parameter(np.zeros((1, cfg.latent_dim)), "mask.latent_token"),
     )
     params = encoder.parameters() + decoder.parameters() + tokens.parameters()
     state = AdamWState()
     operator = propagation_operator(G)
     losses = []
-    for _ in range(config.epochs):
-        masked = sample_mask(n, config.mask_ratio, rng)
+    for _ in range(cfg.pretrain_epochs):
+        masked = sample_mask(n, cfg.mask_ratio, rng)
         x_masked = ad.mask_rows(X, masked, tokens.input_token.leaf())
         z = hgnn_forward_operator(operator, x_masked, encoder)
         z_masked = ad.mask_rows(z, masked, tokens.latent_token.leaf())
         recon = hgnn_forward_operator(operator, z_masked, decoder)
-        loss = sce_loss(X, recon, masked, config.gamma)
+        loss = sce_loss(X, recon, masked, cfg.sce_gamma)
         losses.append(forward_backward(loss))
-        adamw_step(params, state, config.lr, config.weight_decay)
+        adamw_step(params, state, cfg.pretrain_lr, cfg.pretrain_weight_decay)
     return PretrainResult(encoder, decoder, tokens, losses)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -27,12 +27,13 @@ from .hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from .metrics import MetricsReport, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator
 
+if TYPE_CHECKING:  # config imports STRATEGIES from here
+    from .config import RunConfig
+
 __all__ = [
     "STRATEGIES",
     "count_tunable_params",
-    "TuneConfig",
     "TuneResult",
-    "default_prompt_k",
     "build_prompt_structure",
     "insert_prompt",
     "tune_with_strategy",
@@ -48,7 +49,7 @@ class _ExtraParam:
 
     count_key: str  # its entry in the reported parameter counts
     name: str  # parameter and snapshot name
-    rows: str | None  # TuneConfig field holding the row count; None is one row
+    rows: str | None  # RunConfig field holding the row count; None is one row
     init: Callable  # (rng, shape) -> initial value
 
 
@@ -132,33 +133,6 @@ def count_tunable_params(strategy, encoder: HGNNStack, head, *,
     return counts, sum(counts.values())
 
 
-def default_prompt_k(num_prompts: int) -> int:
-    return min(3, num_prompts - 1)
-
-
-@dataclass
-class TuneConfig:
-    strategy: str = "phgnn"
-    epochs: int = 200
-    lr: float = 3e-4
-    weight_decay: float = 1e-4
-    seed: int = 0
-    num_prompts: int = 16
-    prompt_k: int = None
-    gpf_basis: int = 32
-    num_classes: int = 2
-
-    def __post_init__(self):
-        _strategy_spec(self.strategy)
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("num_prompts", "gpf_basis"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.prompt_k is None:
-            self.prompt_k = default_prompt_k(self.num_prompts)
-
-
 @dataclass
 class TuneResult:
     strategy: str
@@ -239,17 +213,17 @@ class _StrategyState:
     seeded rng; changing that order changes every tuned output.
     """
 
-    def __init__(self, spec: _Strategy, G, X, encoder: HGNNStack, config: TuneConfig):
+    def __init__(self, spec: _Strategy, G, X, encoder: HGNNStack, cfg: RunConfig):
         self.spec = spec
         self.G = G
         self.X = X
         self.encoder = encoder
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.head = build_head(encoder.output_dim, config.num_classes, rng)
+        self.prompt_k = cfg.prompt_k
+        rng = np.random.default_rng(cfg.seed)
+        self.head = build_head(encoder.output_dim, cfg.num_classes, rng)
         self.extra = None
         if spec.extra is not None:
-            rows = _extra_rows(spec.extra, config.num_prompts, config.gpf_basis)
+            rows = _extra_rows(spec.extra, cfg.num_prompts, cfg.gpf_basis)
             self.extra = Parameter(
                 spec.extra.init(rng, (rows, X.shape[1])), spec.extra.name
             )
@@ -278,9 +252,9 @@ class _StrategyState:
         """Prompt-internal hyperedges from the latest token values."""
         G_p = None
         if self.spec.prompt_tokens:
-            G_p = build_prompt_structure(
-                self.extra.value, self.config.prompt_k, self.spec.structured
-            )
+            # P tokens have at most P - 1 neighbours each
+            k_p = min(self.prompt_k, self.prompt_rows - 1)
+            G_p = build_prompt_structure(self.extra.value, k_p, self.spec.structured)
         return G_p, self.operator(G_p)
 
     def logits(self, operator):
@@ -295,8 +269,12 @@ def _snapshot_params(params) -> dict:
 
 
 def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
-                       pretrained: HGNNStack, config: TuneConfig) -> TuneResult:
+                       pretrained: HGNNStack, cfg: RunConfig) -> TuneResult:
     """Shared epoch loop for every tuning strategy.
+
+    Reads `tune_epochs`, `tune_lr`, `tune_weight_decay`, `num_prompts`,
+    `prompt_k`, `gpf_basis`, `num_classes` and `seed` of `cfg`; the
+    strategy is the `strategy` argument, not `cfg.strategy`.
 
     Per epoch: (re)build the prompt structure where applicable, compute the
     training loss on the train mask, step AdamW over the strategy's trainable
@@ -312,10 +290,10 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     if not (spec.trains_encoder or pretrained.frozen):
         raise ValidationError(f"{strategy}: encoder must be frozen")
     encoder = pretrained.copy(trainable=True) if spec.trains_encoder else pretrained
-    run = _StrategyState(spec, G, X, encoder, config)
+    run = _StrategyState(spec, G, X, encoder, cfg)
     counts, total = count_tunable_params(
         strategy, encoder, run.head, feature_dim=X.shape[1],
-        num_prompts=config.num_prompts, gpf_basis=config.gpf_basis,
+        num_prompts=cfg.num_prompts, gpf_basis=cfg.gpf_basis,
     )
     params = run.params
     n, p_rows = X.shape[0], run.prompt_rows
@@ -333,11 +311,11 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
         tunable_total=total,
     )
     best_bacc = -1.0
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.tune_epochs):
         G_p, operator = run.epoch_structure()
         loss = ad.softmax_cross_entropy(run.logits(operator), y_pad, mt_pad)
         result.train_losses.append(forward_backward(loss))
-        adamw_step(params, state, config.lr, config.weight_decay)
+        adamw_step(params, state, cfg.tune_lr, cfg.tune_weight_decay)
         # post-update predictions on the same structure, per the tuning loop
         report = evaluate_logits(run.logits(operator).value[:n], y, mv)
         result.val_bacc.append(report.bacc)
@@ -353,7 +331,7 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
 
 
 def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
-                      pretrained: HGNNStack, config: TuneConfig) -> MetricsReport:
+                      pretrained: HGNNStack, cfg: RunConfig) -> MetricsReport:
     """Re-evaluate a stored snapshot on a mask, reproducing its metrics.
 
     The prompt structure saved with the snapshot is reused as-is (the epoch
@@ -363,7 +341,7 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
     spec = _strategy_spec(result.strategy)
     X = ad.as_matrix(X, "features")
     encoder = pretrained.copy(trainable=spec.trains_encoder)
-    run = _StrategyState(spec, G, X, encoder, config)
+    run = _StrategyState(spec, G, X, encoder, cfg)
     for p in run.params:
         if p.name in result.snapshot:
             p.value[:] = result.snapshot[p.name]

@@ -21,8 +21,8 @@ from hglearn.hypergraph import Hypergraph, propagation_operator
 from hglearn.metrics import auc, confusion, metrics_from_confusion
 from hglearn.model import build_decoder, build_encoder, build_head, classify, hgnn_forward_operator
 from hglearn.pipeline import run_ablate_modalities, run_tune
-from hglearn.pretrain import PretrainConfig, pretrain, sample_mask, sce_loss
-from hglearn.prompt import TuneConfig, build_prompt_structure, count_tunable_params, insert_prompt, tune_with_strategy
+from hglearn.pretrain import pretrain, sample_mask, sce_loss
+from hglearn.prompt import build_prompt_structure, count_tunable_params, insert_prompt, tune_with_strategy
 
 from oracles import brute_force_operator, pair_count_auc
 
@@ -225,7 +225,7 @@ def test_criterion_05_pretraining_progress(fused):
     start = time.time()
     ratios = []
     for seed in (0, 1, 2):
-        result = pretrain(G, X, PretrainConfig(epochs=200, seed=seed))
+        result = pretrain(G, X, RunConfig(pretrain_epochs=200, seed=seed))
         ratios.append(result.losses[-1] / result.losses[0])
     elapsed = time.time() - start
     mean_ratio = float(np.mean(ratios))
@@ -240,7 +240,7 @@ def test_criterion_05_pretraining_progress(fused):
 def test_criterion_06_frozen_encoder_checkpoint_bytes(tmp_path, default_dataset, fused):
     G, X = fused
     ds = default_dataset
-    result = pretrain(G, X, PretrainConfig(epochs=40, seed=0))
+    result = pretrain(G, X, RunConfig(pretrain_epochs=40, seed=0))
     result.encoder.freeze()
     path = tmp_path / "encoder.json"
     save_checkpoint(path, result.encoder, 0, "digest")
@@ -250,7 +250,7 @@ def test_criterion_06_frozen_encoder_checkpoint_bytes(tmp_path, default_dataset,
     for strategy in ("phgnn", "gpf", "gpf_plus", "linear_probe", "phgnn_no_structure"):
         tune_with_strategy(
             strategy, G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-            encoder, TuneConfig(strategy=strategy, epochs=10, num_prompts=8, seed=0),
+            encoder, RunConfig(strategy=strategy, tune_epochs=10, num_prompts=8, seed=0),
         )
     unchanged_file = path.read_bytes() == before
     unchanged_params = checkpoint_bytes(encoder, 0, "digest") == before
@@ -266,15 +266,11 @@ def test_criterion_07_end_to_end_quality(default_dataset):
     start = time.time()
     baccs, aucs = [], []
     for seed in (0, 1, 2):
-        cfg = RunConfig(seed=seed)
+        cfg = RunConfig(strategy="phgnn", seed=seed)
         G, X = build_fused_hypergraph(ds, cfg.k)
-        result = pretrain(
-            G, X,
-            PretrainConfig(epochs=cfg.pretrain_epochs, seed=seed,
-                           hidden_dims=cfg.hidden_dims, latent_dim=cfg.latent_dim),
-        )
+        result = pretrain(G, X, cfg)
         result.encoder.freeze()
-        res = run_tune(ds, result.encoder, cfg, strategy="phgnn", seed=seed)
+        res = run_tune(ds, result.encoder, cfg)
         baccs.append(res["aggregate"].bacc)
         aucs.append(res["aggregate"].auc)
     elapsed = time.time() - start
@@ -342,7 +338,7 @@ def test_criterion_09_ablation_harnesses(tmp_path):
     for seed in (0, 1, 2):
         cfg = RunConfig(class_sep=2.5, pretrain_epochs=150, tune_epochs=150, seed=seed)
         ds = generate_synthetic(200, 3, (16, 16, 16), 2.5, 0.0, seed=seed)
-        for row in run_ablate_modalities(ds, cfg, seed=seed):
+        for row in run_ablate_modalities(ds, cfg):
             key = tuple(row["modalities"])
             mean_auc.setdefault(key, []).append(row["aggregate"].auc)
     averages = {k: float(np.mean(v)) for k, v in mean_auc.items()}

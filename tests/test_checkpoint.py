@@ -11,6 +11,12 @@ from hglearn.config import RunConfig, load_config, parse_override
 from hglearn.model import build_encoder
 
 
+def _drop_weight_row(doc):
+    layer = doc["layers"][1]
+    layer["weight"].pop()
+    layer["weight_shape"][0] -= 1
+
+
 class TestCheckpoint:
     def make_stack(self, seed=0):
         return build_encoder(6, (5,), 4, np.random.default_rng(seed))
@@ -66,8 +72,11 @@ class TestCheckpoint:
         lambda doc: doc["layers"][1].pop("weight_shape"),
         lambda doc: doc["layers"][1].pop("activation"),
         lambda doc: doc.update(layers=3),
+        lambda doc: doc["layers"][1]["bias"].pop(),
+        lambda doc: doc["layers"][1]["weight"][0].__setitem__(0, "x"),
+        _drop_weight_row,
     ], ids=["no-layers", "no-weight", "no-bias", "no-weight-shape", "no-activation",
-            "layers-not-list"])
+            "layers-not-list", "short-bias", "string-in-weight", "dims-do-not-chain"])
     def test_malformed_layers_rejected(self, tmp_path, edit):
         path = tmp_path / "enc.json"
         save_checkpoint(path, self.make_stack(), 0, "x")
@@ -104,6 +113,13 @@ class TestRunConfig:
             RunConfig(mask_ratio=1.5)
         with pytest.raises(ValidationError):
             RunConfig(n=0)
+        with pytest.raises(ValidationError, match="tune_epochs"):
+            RunConfig(tune_epochs=0)
+        with pytest.raises(ValidationError, match="prompt_k"):
+            RunConfig(prompt_k=-1)
+        for hidden in ((-2,), (0,), (8, 0)):
+            with pytest.raises(ValidationError, match="hidden_dims"):
+                RunConfig(hidden_dims=hidden)
 
     def test_load_config_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -128,3 +144,5 @@ class TestRunConfig:
             parse_override("nope", "1")
         with pytest.raises(ValidationError):
             parse_override("k", "abc")
+        with pytest.raises(ValidationError, match="boolean"):
+            parse_override("pairwise", "maybe")

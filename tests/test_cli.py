@@ -103,6 +103,14 @@ class TestPretrain:
         assert run("pretrain", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o"), *FAST) == 1
 
+    def test_negative_hidden_dims_exits_one_and_leaves_no_output(self, tmp_path, dataset_dir,
+                                                                 capsys):
+        out = tmp_path / "o"
+        assert run("pretrain", "--data", str(dataset_dir), "--out", str(out),
+                   *FAST, "--set", "hidden_dims=-2") == 1
+        assert "hidden_dims" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
 
 class TestTune:
     def test_outputs_and_row_format(self, tmp_path, dataset_dir, checkpoint_dir):

@@ -1,5 +1,6 @@
 """Pipeline orchestration: fold sweeps, checkpoint-dimension guards, subsets."""
 
+import numpy as np
 import pytest
 
 from hglearn.autodiff import ValidationError
@@ -10,7 +11,6 @@ from hglearn.pipeline import (
     run_ablate_prompts,
     run_pretrain,
     run_tune,
-    tune_config,
 )
 
 
@@ -41,6 +41,15 @@ def test_run_tune_rejects_dimension_mismatch(setup):
         run_tune(other, encoder, cfg)
 
 
+def test_tune_config_clamps_prompt_k(setup):
+    cfg, ds, encoder = setup
+    for num_prompts in (2, 1):
+        res = run_tune(ds, encoder, cfg.replace(num_prompts=num_prompts, prompt_k=3,
+                                                tune_epochs=1))
+        for fold in res["fold_results"]:
+            assert np.array_equal(fold.prompt_incidence, np.ones((num_prompts, num_prompts)))
+
+
 def test_ablate_prompts_counts_increase(setup):
     cfg, ds, encoder = setup
     rows = run_ablate_prompts(ds, encoder, cfg, sizes=(2, 3, 5))
@@ -52,10 +61,3 @@ def test_ablate_prompts_counts_increase(setup):
 def test_modality_subset_order_matches_report_layout():
     assert MODALITY_SUBSETS == ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
-
-def test_tune_config_clamps_prompt_k():
-    cfg = RunConfig(num_prompts=2, prompt_k=3)
-    tc = tune_config(cfg)
-    assert tc.prompt_k == 1
-    tc_single = tune_config(cfg, num_prompts=1)
-    assert tc_single.prompt_k == 0

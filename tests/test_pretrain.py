@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hglearn.autodiff import Parameter, ValidationError, forward_backward, mask_rows
+from hglearn.config import RunConfig
 from hglearn.hypergraph import knn_hyperedges
-from hglearn.pretrain import PretrainConfig, pretrain, sample_mask, sce_loss
+from hglearn.pretrain import pretrain, sample_mask, sce_loss
 
 
 class TestSampleMask:
@@ -141,29 +142,29 @@ class TestPretrain:
         self.G = knn_hyperedges(self.X, 3)
 
     def test_zero_epochs_returns_initialized_state(self):
-        cfg = PretrainConfig(epochs=0, hidden_dims=(8,), latent_dim=4)
+        cfg = RunConfig(pretrain_epochs=0, hidden_dims=(8,), latent_dim=4)
         result = pretrain(self.G, self.X, cfg)
         assert result.losses == []
         assert result.encoder.input_dim == 6
         assert result.decoder.output_dim == 6
 
     def test_loss_curve_length_equals_epochs(self):
-        cfg = PretrainConfig(epochs=7, hidden_dims=(8,), latent_dim=4, seed=3)
+        cfg = RunConfig(pretrain_epochs=7, hidden_dims=(8,), latent_dim=4, seed=3)
         result = pretrain(self.G, self.X, cfg)
         assert len(result.losses) == 7
 
     def test_default_loss_settings_wired(self):
-        cfg = PretrainConfig()
-        assert cfg.gamma == 2.0
+        cfg = RunConfig()
+        assert cfg.sce_gamma == 2.0
         assert cfg.mask_ratio == 0.75
 
     def test_zero_mask_ratio_rejected_when_training(self):
-        cfg = PretrainConfig(mask_ratio=0.0, epochs=5, hidden_dims=(8,), latent_dim=4)
+        cfg = RunConfig(mask_ratio=0.0, pretrain_epochs=5, hidden_dims=(8,), latent_dim=4)
         with pytest.raises(ValidationError, match="mask"):
             pretrain(self.G, self.X, cfg)
 
     def test_deterministic_per_seed(self):
-        cfg = PretrainConfig(epochs=5, hidden_dims=(8,), latent_dim=4, seed=11)
+        cfg = RunConfig(pretrain_epochs=5, hidden_dims=(8,), latent_dim=4, seed=11)
         a = pretrain(self.G, self.X, cfg)
         b = pretrain(self.G, self.X, cfg)
         assert a.losses == b.losses
@@ -171,12 +172,13 @@ class TestPretrain:
             assert np.array_equal(pa.value, pb.value)
 
     def test_loss_decreases_on_trainable_signal(self):
-        cfg = PretrainConfig(epochs=60, hidden_dims=(8,), latent_dim=4, seed=2, lr=3e-3)
+        cfg = RunConfig(pretrain_epochs=60, hidden_dims=(8,), latent_dim=4, seed=2,
+                        pretrain_lr=3e-3)
         result = pretrain(self.G, self.X, cfg)
         assert result.losses[-1] < 0.7 * result.losses[0]
 
     def test_mask_tokens_trainable_during_pretraining(self):
-        cfg = PretrainConfig(epochs=3, hidden_dims=(8,), latent_dim=4)
+        cfg = RunConfig(pretrain_epochs=3, hidden_dims=(8,), latent_dim=4)
         result = pretrain(self.G, self.X, cfg)
         assert result.mask_tokens.input_token.trainable
         assert np.abs(result.mask_tokens.input_token.value).sum() > 0

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from hglearn.autodiff import ValidationError
+from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph
 from hglearn.model import build_head
-from hglearn.pretrain import PretrainConfig, pretrain
+from hglearn.pretrain import pretrain
 from hglearn.prompt import (
     STRATEGIES,
-    TuneConfig,
     build_prompt_structure,
     count_tunable_params,
-    default_prompt_k,
     evaluate_snapshot,
     insert_prompt,
     tune_with_strategy,
@@ -26,7 +25,7 @@ def tuning_setup():
     ds = generate_synthetic(60, 2, (6, 6), 3.0, 0.0, seed=4)
     G, X = build_fused_hypergraph(ds, 5)
     result = pretrain(
-        G, X, PretrainConfig(epochs=40, hidden_dims=(16,), latent_dim=8, seed=0)
+        G, X, RunConfig(pretrain_epochs=40, hidden_dims=(16,), latent_dim=8, seed=0)
     )
     result.encoder.freeze()
     folds = split_folds(ds.labels, 5, seed=0)
@@ -34,9 +33,9 @@ def tuning_setup():
 
 
 def small_config(**kwargs):
-    defaults = dict(epochs=30, num_prompts=4, prompt_k=2, gpf_basis=6, seed=0)
+    defaults = dict(tune_epochs=30, num_prompts=4, prompt_k=2, gpf_basis=6, seed=0)
     defaults.update(kwargs)
-    return TuneConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class TestBuildPromptStructure:
@@ -73,10 +72,17 @@ class TestBuildPromptStructure:
         b = build_prompt_structure(tokens.copy(), 3)
         assert np.array_equal(a.incidence, b.incidence)
 
-    def test_default_prompt_k(self):
-        assert default_prompt_k(16) == 3
-        assert default_prompt_k(2) == 1
-        assert default_prompt_k(1) == 0
+    @pytest.mark.filterwarnings("ignore:16 prompt tokens")
+    def test_default_prompt_k(self, tuning_setup):
+        # tuning uses k_p = min(prompt_k, P - 1): every column sums to k_p + 1
+        ds, G, X, encoder, folds = tuning_setup
+        for num_prompts, k_p in ((16, 3), (2, 1), (1, 0)):
+            result = tune_with_strategy(
+                "phgnn", G, X, ds.labels, folds.train_mask(0), folds.val_mask(0), encoder,
+                small_config(tune_epochs=1, num_prompts=num_prompts, prompt_k=3),
+            )
+            assert result.prompt_incidence.shape == (num_prompts, num_prompts)
+            assert np.all(result.prompt_incidence.sum(axis=0) == k_p + 1)
 
 
 class TestInsertPrompt:
@@ -133,20 +139,11 @@ class TestInsertPrompt:
 
 
 class TestPromptTune:
-    def test_zero_epochs_returns_initial_state(self, tuning_setup):
-        ds, G, X, encoder, folds = tuning_setup
-        result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
-                                    folds.val_mask(0), encoder, small_config(epochs=0))
-        assert result.train_losses == [] and result.val_bacc == []
-        assert result.best_epoch == -1
-        assert result.best_metrics is None
-        assert "prompt.tokens" in result.snapshot
-
     def test_encoder_bit_identical_after_run(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
         before = [p.value.copy() for p in encoder.parameters()]
         tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
-                           encoder, small_config(epochs=50))
+                           encoder, small_config(tune_epochs=50))
         for p, b in zip(encoder.parameters(), before):
             assert np.array_equal(p.value, b)
 
@@ -174,17 +171,17 @@ class TestPromptTune:
         ds, G, X, encoder, folds = tuning_setup
         result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder,
-                                    small_config(epochs=120, num_prompts=8, prompt_k=3))
+                                    small_config(tune_epochs=120, num_prompts=8, prompt_k=3))
         assert result.best_metrics.bacc >= 0.8
 
     def test_structure_recorded_with_snapshot(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
         result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
-                                    folds.val_mask(0), encoder, small_config(epochs=10))
+                                    folds.val_mask(0), encoder, small_config(tune_epochs=10))
         assert result.prompt_incidence.shape == (4, 4)
         unstructured = tune_with_strategy("phgnn_no_structure", G, X, ds.labels,
                                           folds.train_mask(0), folds.val_mask(0), encoder,
-                                          small_config(epochs=10))
+                                          small_config(tune_epochs=10))
         assert unstructured.prompt_incidence.shape == (4, 0)
         assert unstructured.strategy == "phgnn_no_structure"
 
@@ -193,7 +190,7 @@ class TestPromptTune:
         with pytest.warns(UserWarning):
             tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
                                folds.val_mask(0), encoder,
-                               small_config(epochs=1, num_prompts=48, prompt_k=3))
+                               small_config(tune_epochs=1, num_prompts=48, prompt_k=3))
 
 
 class TestTuneWithStrategy:
@@ -218,13 +215,13 @@ class TestTuneWithStrategy:
         for strategy, count in expected.items():
             result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
                                         folds.val_mask(0), encoder,
-                                        small_config(epochs=1, strategy=strategy))
+                                        small_config(tune_epochs=1, strategy=strategy))
             assert result.tunable_total == count, strategy
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_counts_come_from_the_trainable_set(self, tuning_setup, strategy):
         ds, G, X, encoder, folds = tuning_setup
-        cfg = small_config(epochs=1, strategy=strategy)
+        cfg = small_config(tune_epochs=1, strategy=strategy)
         result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder, cfg)
         snapshot_total = sum(v.size for v in result.snapshot.values())
@@ -244,7 +241,7 @@ class TestTuneWithStrategy:
         before = [p.value.copy() for p in encoder.parameters()]
         tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
                            folds.val_mask(0), encoder,
-                           small_config(epochs=8, strategy=strategy))
+                           small_config(tune_epochs=8, strategy=strategy))
         for p, b in zip(encoder.parameters(), before):
             assert np.array_equal(p.value, b)
         assert all(not p.trainable for p in encoder.parameters())
@@ -254,7 +251,7 @@ class TestTuneWithStrategy:
         before = [p.value.copy() for p in encoder.parameters()]
         result = tune_with_strategy("finetune", G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder,
-                                    small_config(epochs=8, strategy="finetune"))
+                                    small_config(tune_epochs=8, strategy="finetune"))
         # the caller's encoder is untouched; the tuned copy lives in the snapshot
         for p, b in zip(encoder.parameters(), before):
             assert np.array_equal(p.value, b)
@@ -267,7 +264,7 @@ class TestTuneWithStrategy:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_snapshot_restores_best_metrics_exactly(self, tuning_setup, strategy):
         ds, G, X, encoder, folds = tuning_setup
-        cfg = small_config(epochs=12, strategy=strategy)
+        cfg = small_config(tune_epochs=12, strategy=strategy)
         result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder, cfg)
         replay = evaluate_snapshot(result, G, X, ds.labels, folds.val_mask(0),
@@ -283,7 +280,7 @@ class TestTuneWithStrategy:
         from hglearn.prompt import snapshot_from_doc, snapshot_to_doc
 
         ds, G, X, encoder, folds = tuning_setup
-        cfg = small_config(epochs=10)
+        cfg = small_config(tune_epochs=10)
         result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder, cfg)
         wire = json.loads(json.dumps(snapshot_to_doc(result)))
@@ -299,7 +296,7 @@ class TestTuneWithStrategy:
         ds, G, X, encoder, folds = tuning_setup
         result = tune_with_strategy("linear_probe", G, X, ds.labels,
                                     folds.train_mask(0), folds.val_mask(0), encoder,
-                                    small_config(epochs=40, strategy="linear_probe"))
+                                    small_config(tune_epochs=40, strategy="linear_probe"))
         best = result.best_metrics.bacc
         first_hit = result.val_bacc.index(best)
         assert result.best_epoch == first_hit
@@ -310,5 +307,5 @@ class TestTuneWithStrategy:
         ds, G, X, encoder, folds = tuning_setup
         result = tune_with_strategy("linear_probe", G, X, ds.labels,
                                     folds.train_mask(0), folds.val_mask(0), encoder,
-                                    small_config(epochs=1, strategy="linear_probe"))
+                                    small_config(tune_epochs=1, strategy="linear_probe"))
         assert result.val_bacc[0] != 0.5 or result.best_metrics.auc != 0.5
