@@ -1,8 +1,15 @@
-"""Versioned model checkpoints with bit-exact round-trips.
+"""Versioned JSON documents of named parameter matrices, read back bit-exactly.
 
-Plain JSON with shortest-round-trip float formatting: serializing the same
-parameter values always yields identical bytes, and loading restores every
-float64 exactly.
+Checkpoints and tuning snapshots share one layout: `format`, `version` (2),
+`params` mapping each parameter name to its rows (a 2-D array of finite
+floats), and the document's own fields. A checkpoint holds the encoder's
+`encoder.layer{i}.weight` and `encoder.layer{i}.bias` and adds `seed`,
+`config_digest`, `frozen`, `activations` (one per layer) and `meta`. A
+snapshot holds one fold's best tuned parameters, plus `prompt.incidence` and
+`prompt.edge_weights` for the prompt strategies, and adds `strategy`,
+`best_epoch` and `config_digest`. Floats are written in shortest round-trip
+form, so the same values always give the same bytes and loading restores
+every float64 exactly. Version 1 files are not read.
 """
 
 from __future__ import annotations
@@ -14,34 +21,60 @@ import numpy as np
 
 from .autodiff import Parameter, ValidationError
 from .model import HGNNLayer, HGNNStack
+from .prompt import TuneResult
 
-__all__ = ["checkpoint_bytes", "save_checkpoint", "load_checkpoint"]
+__all__ = ["checkpoint_bytes", "save_checkpoint", "load_checkpoint", "save_snapshot",
+           "load_snapshot"]
 
-FORMAT_NAME = "hglearn-checkpoint"
-FORMAT_VERSION = 1
-_LAYER_KEYS = ("activation", "bias", "weight", "weight_shape")
+CHECKPOINT_FORMAT = "hglearn-checkpoint"
+SNAPSHOT_FORMAT = "hglearn-snapshot"
+FORMAT_VERSION = 2
 
 
-def _layer_record(layer: HGNNLayer) -> dict:
-    return {
-        "activation": layer.activation,
-        "weight": [[float(v) for v in row] for row in layer.weight.value],
-        "bias": [float(v) for v in layer.bias.value[0]],
-        "weight_shape": list(layer.weight.value.shape),
-    }
+def _document_bytes(fmt: str, params: dict, **fields) -> bytes:
+    """The one writer of named parameter matrices."""
+    params = {name: np.asarray(v, dtype=np.float64).tolist() for name, v in params.items()}
+    doc = {"format": fmt, "version": FORMAT_VERSION, "params": params, **fields}
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
+    return (text + "\n").encode()
+
+
+def _read_document(path, fmt: str, fields) -> tuple[dict, dict]:
+    """(document, params as float64 matrices) of a `fmt` file holding `fields`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"unreadable {fmt} file {path}: {e}") from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValidationError(f"{path}: not a {fmt} file")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported version {doc.get('version')!r}")
+    missing = [key for key in ("params", *fields) if key not in doc]
+    if missing:
+        raise ValidationError(f"{path}: missing {', '.join(missing)}")
+    if not isinstance(doc["params"], dict):
+        raise ValidationError(f"{path}: params must be an object")
+    params = {}
+    for name, rows in doc["params"].items():
+        try:
+            value = np.array(rows)  # ragged rows raise ValueError
+            if value.ndim != 2 or value.dtype.kind not in "if" or not np.isfinite(value).all():
+                raise ValueError
+        except ValueError:
+            raise ValidationError(f"{path}: {name} is not a matrix of finite numbers") from None
+        params[name] = value.astype(np.float64)
+    return doc, params
 
 
 def checkpoint_bytes(stack: HGNNStack, seed: int, config_digest: str, meta=None) -> bytes:
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "seed": int(seed),
-        "config_digest": config_digest,
-        "frozen": stack.frozen,
-        "layers": [_layer_record(l) for l in stack.layers],
-        "meta": meta or {},
-    }
-    return (json.dumps(doc, sort_keys=True, allow_nan=False) + "\n").encode()
+    return _document_bytes(
+        CHECKPOINT_FORMAT, {p.name: p.value for p in stack.parameters()},
+        seed=int(seed),
+        config_digest=config_digest,
+        frozen=stack.frozen,
+        activations=[layer.activation for layer in stack.layers],
+        meta=meta or {},
+    )
 
 
 def save_checkpoint(path, stack: HGNNStack, seed: int, config_digest: str, meta=None):
@@ -50,41 +83,49 @@ def save_checkpoint(path, stack: HGNNStack, seed: int, config_digest: str, meta=
 
 def load_checkpoint(path):
     """Returns (stack, info dict with seed/config_digest/meta)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValidationError(f"unreadable checkpoint {path}: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise ValidationError(f"{path}: not a {FORMAT_NAME} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported version {doc.get('version')!r}")
-    missing = [key for key in ("seed", "config_digest", "frozen", "layers") if key not in doc]
-    if missing:
-        raise ValidationError(f"{path}: missing {', '.join(missing)}")
-    if not isinstance(doc["layers"], list):
-        raise ValidationError(f"{path}: layers must be a list")
+    doc, params = _read_document(path, CHECKPOINT_FORMAT,
+                                 ("seed", "config_digest", "frozen", "activations"))
     try:
         layers = []
-        for i, rec in enumerate(doc["layers"]):
-            if not isinstance(rec, dict) or not all(key in rec for key in _LAYER_KEYS):
-                raise ValueError(f"layer {i} needs {', '.join(_LAYER_KEYS)}")
-            w = np.array(rec["weight"], dtype=np.float64)
-            if list(w.shape) != rec["weight_shape"]:
-                raise ValueError(f"layer {i} shape mismatch")
-            b = np.array(rec["bias"], dtype=np.float64).reshape(1, -1)
-            layers.append(
-                HGNNLayer(
-                    Parameter(w, f"encoder.layer{i}.weight"),
-                    Parameter(b, f"encoder.layer{i}.bias"),
-                    rec["activation"],
-                )
-            )
+        for i, activation in enumerate(doc["activations"]):
+            w, b = f"encoder.layer{i}.weight", f"encoder.layer{i}.bias"
+            layers.append(HGNNLayer(Parameter(params[w], w), Parameter(params[b], b),
+                                    activation))
         stack = HGNNStack(layers, frozen=doc["frozen"])
+    except KeyError as e:
+        raise ValidationError(f"{path}: malformed layers: missing param {e}") from None
     except (TypeError, ValueError) as e:  # shape errors are ValueErrors too
         raise ValidationError(f"{path}: malformed layers: {e}") from None
-    info = {
-        "seed": doc["seed"],
-        "config_digest": doc["config_digest"],
-        "meta": doc.get("meta", {}),
-    }
-    return stack, info
+    return stack, {"seed": doc["seed"], "config_digest": doc["config_digest"],
+                   "meta": doc.get("meta", {})}
+
+
+def save_snapshot(path, result: TuneResult, config_digest: str):
+    """Write a tuning result's best parameters and prompt structure."""
+    params = dict(result.snapshot)
+    if result.prompt_incidence is not None:
+        params["prompt.incidence"] = result.prompt_incidence
+        params["prompt.edge_weights"] = result.prompt_edge_weights.reshape(1, -1)
+    Path(path).write_bytes(_document_bytes(
+        SNAPSHOT_FORMAT, params,
+        strategy=result.strategy,
+        best_epoch=result.best_epoch,
+        config_digest=config_digest,
+    ))
+
+
+def load_snapshot(path):
+    """Returns (TuneResult restorable by `evaluate_snapshot`, info dict with config_digest)."""
+    doc, params = _read_document(path, SNAPSHOT_FORMAT,
+                                 ("strategy", "best_epoch", "config_digest"))
+    incidence = params.pop("prompt.incidence", None)
+    weights = params.pop("prompt.edge_weights", None)
+    result = TuneResult(
+        strategy=doc["strategy"],
+        snapshot=params,
+        prompt_incidence=incidence,
+        prompt_edge_weights=None if weights is None else weights.reshape(-1),
+        best_metrics=None,
+        best_epoch=doc["best_epoch"],
+    )
+    return result, {"config_digest": doc["config_digest"]}

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .autodiff import ValidationError
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, save_snapshot
 from .config import RunConfig, load_config, parse_override
 from .data import generate_synthetic, load_dataset, save_dataset
 from .metrics import format_metric_row
@@ -33,7 +33,6 @@ from .pipeline import (
     run_pretrain,
     run_tune,
 )
-from .prompt import snapshot_to_doc
 
 __all__ = ["main"]
 
@@ -80,13 +79,9 @@ def _staged_out(path: str, force: bool, inputs):
 def _write_record(path: Path, cfg: RunConfig, **fields):
     """JSON report headed by the resolved config and its digest."""
     record = {"config": cfg.as_dict(), "config_digest": cfg.digest(), **fields}
-    path.write_text(_dump_json(record))
-
-
-def _dump_json(obj) -> str:
     # metric reports serialize through their as_dict()
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      default=lambda o: o.as_dict()) + "\n"
+    path.write_text(json.dumps(record, sort_keys=True, indent=2, allow_nan=False,
+                               default=lambda o: o.as_dict()) + "\n")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -173,9 +168,7 @@ def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
             train_losses=r.train_losses,
             val_bacc=r.val_bacc,
         )
-        snapshot = snapshot_to_doc(r)
-        snapshot["config_digest"] = cfg.digest()
-        (out / f"fold_{f}_snapshot.json").write_text(_dump_json(snapshot))
+        save_snapshot(out / f"fold_{f}_snapshot.json", r, cfg.digest())
     row = format_metric_row(res["strategy"], res["aggregate"])
     (out / "summary.txt").write_text(
         f"# config_digest: {cfg.digest()}\n"
@@ -196,11 +189,8 @@ def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_ablate_prompts(args, cfg: RunConfig, out: Path) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    if not sizes:
-        raise ValidationError("--sizes must list at least one prompt-set size")
     dataset, encoder = _load_inputs(cfg)
-    rows = run_ablate_prompts(dataset, encoder, cfg, sizes)
+    rows = run_ablate_prompts(dataset, encoder, cfg, args.sizes)
     header = "|P|  " + "  ".join(str(r["num_prompts"]) for r in rows)
     auc_line = "AUC  " + "  ".join(f"{r['aggregate'].auc * 100:.1f}" for r in rows)
     params_line = "params  " + "  ".join(str(r["tunable_total"]) for r in rows)
@@ -248,6 +238,13 @@ def cmd_compare_strategies(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+def _sizes(raw: str) -> tuple:
+    try:
+        return tuple(int(s) for s in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {raw!r}") from None
+
+
 def _add_common(sub, data=False, checkpoint=False):
     sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -280,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("ablate-prompts", help="sweep the prompt-set size")
     _add_common(p, data=True, checkpoint=True)
-    p.add_argument("--sizes", default="8,16,32,64", help="comma-separated prompt counts")
+    p.add_argument("--sizes", type=_sizes, default="8,16,32,64",
+                   help="comma-separated prompt counts")
     p.set_defaults(func=cmd_ablate_prompts)
 
     p = commands.add_parser("ablate-modalities", help="pipeline per modality subset")

@@ -110,14 +110,15 @@ def _parse_bool(raw: str) -> bool:
     return value
 
 
-# a field's parser and what it expects, by the type of the field's default
+# by the type of the field's default: the `--set` parser, what the field
+# expects, and whether a config-file (JSON) value has the right type
 _PARSERS = {
-    bool: (_parse_bool, "a boolean"),
-    int: (int, "an integer"),
-    float: (float, "a number"),
-    str: (str, "a string"),
-    tuple: (lambda raw: tuple(int(v) for v in raw.split(",") if v != ""),
-            "comma-separated integers"),
+    bool: (_parse_bool, "a boolean", lambda v: type(v) is bool),
+    int: (int, "an integer", lambda v: type(v) is int),
+    float: (float, "a number", lambda v: type(v) in (int, float)),
+    str: (str, "a string", lambda v: type(v) is str),
+    tuple: (lambda raw: tuple(int(v) for v in raw.split(",") if v != ""), "a list of integers",
+            lambda v: type(v) is list and all(type(d) is int for d in v)),
 }
 _FIELD_PARSERS = {f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(RunConfig)}
 
@@ -126,7 +127,7 @@ def parse_override(key: str, raw: str):
     """Coerce a `--set key=value` string to the field's type."""
     if key not in _FIELD_PARSERS:
         raise ValidationError(f"unknown config field {key!r}")
-    parse, expected = _FIELD_PARSERS[key]
+    parse, expected, _ = _FIELD_PARSERS[key]
     try:
         return parse(raw)
     except ValueError:
@@ -138,17 +139,18 @@ def load_config(path=None, overrides=None) -> RunConfig:
     values = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ValidationError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"unparseable config {p}: {e}") from None
+        except (OSError, ValueError) as e:  # missing, a directory, not UTF-8, not JSON
+            raise ValidationError(f"unreadable config {p}: {e}") from None
         if not isinstance(raw, dict):
             raise ValidationError(f"config {p} must hold a JSON object")
         for key, value in raw.items():
             if key not in _FIELD_PARSERS:
                 raise ValidationError(f"unknown config field {key!r} in {p}")
+            _, expected, accepts = _FIELD_PARSERS[key]
+            if not accepts(value):
+                raise ValidationError(f"{key} in {p}: expected {expected}, got {value!r}")
             values[key] = value
     if overrides:
         values.update(overrides)

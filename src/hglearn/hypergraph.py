@@ -96,18 +96,15 @@ def knn_hyperedges(features, k: int, pairwise: bool = False) -> Hypergraph:
     X = as_matrix(features, "features")
     n = X.shape[0]
     neighbors = knn_neighbor_lists(X, k)
+    centroids = np.repeat(np.arange(n), k)  # node i once per neighbor, as in neighbors.ravel()
     if pairwise:
+        cols = np.arange(n * k)
         inc = np.zeros((n, n * k))
-        for i in range(n):
-            for r in range(k):
-                col = i * k + r
-                inc[i, col] = 1.0
-                inc[neighbors[i, r], col] = 1.0
+        inc[centroids, cols] = 1.0
+        inc[neighbors.ravel(), cols] = 1.0
     else:
-        inc = np.zeros((n, n))
-        inc[np.arange(n), np.arange(n)] = 1.0
-        for i in range(n):
-            inc[neighbors[i], i] = 1.0
+        inc = np.eye(n)
+        inc[neighbors.ravel(), centroids] = 1.0
     return Hypergraph(n, inc)
 
 

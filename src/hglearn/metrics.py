@@ -118,16 +118,10 @@ def auc(scores, labels, mask) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC undefined: mask holds a single class")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        # tie group occupies ranks i+1 .. j+1; assign the midpoint
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    ordered = np.sort(s)
+    left, right = np.searchsorted(ordered, s, "left"), np.searchsorted(ordered, s, "right")
+    # the tie group at sorted positions left .. right - 1 shares its midrank
+    ranks = (left + right + 1) / 2.0
     rank_sum = ranks[y == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

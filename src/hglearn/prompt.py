@@ -38,8 +38,6 @@ __all__ = [
     "insert_prompt",
     "tune_with_strategy",
     "evaluate_snapshot",
-    "snapshot_to_doc",
-    "snapshot_from_doc",
 ]
 
 
@@ -350,43 +348,3 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
         G_p = Hypergraph(run.prompt_rows, result.prompt_incidence, result.prompt_edge_weights)
     return evaluate_logits(run.logits(run.operator(G_p)).value[: X.shape[0]], labels, mask)
 
-
-def snapshot_to_doc(result: TuneResult) -> dict:
-    """JSON-serializable form of a tuning snapshot (values plus structure)."""
-    doc = {
-        "format": "hglearn-snapshot",
-        "version": 1,
-        "strategy": result.strategy,
-        "best_epoch": result.best_epoch,
-        "params": {
-            name: [[float(v) for v in row] for row in value]
-            for name, value in sorted(result.snapshot.items())
-        },
-    }
-    if result.prompt_incidence is not None:
-        doc["prompt_incidence"] = [
-            [int(v) for v in row] for row in result.prompt_incidence
-        ]
-        doc["prompt_edge_weights"] = [float(v) for v in result.prompt_edge_weights]
-    return doc
-
-
-def snapshot_from_doc(doc: dict) -> TuneResult:
-    """Rebuild a restorable TuneResult from its serialized snapshot."""
-    if doc.get("format") != "hglearn-snapshot" or doc.get("version") != 1:
-        raise ValidationError("not a recognized tuning snapshot")
-    incidence = None
-    weights = None
-    if "prompt_incidence" in doc:
-        incidence = np.array(doc["prompt_incidence"], dtype=np.float64)
-        if incidence.size == 0:
-            incidence = incidence.reshape(len(doc["prompt_incidence"]), 0)
-        weights = np.array(doc["prompt_edge_weights"], dtype=np.float64)
-    return TuneResult(
-        strategy=doc["strategy"],
-        snapshot={k: np.array(v, dtype=np.float64) for k, v in doc["params"].items()},
-        prompt_incidence=incidence,
-        prompt_edge_weights=weights,
-        best_metrics=None,
-        best_epoch=doc["best_epoch"],
-    )

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from hglearn.autodiff import ValidationError
-from hglearn.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from hglearn.checkpoint import (
+    checkpoint_bytes,
+    load_checkpoint,
+    load_snapshot,
+    save_checkpoint,
+    save_snapshot,
+)
 from hglearn.config import RunConfig, load_config, parse_override
 from hglearn.model import build_encoder
-
-
-def _drop_weight_row(doc):
-    layer = doc["layers"][1]
-    layer["weight"].pop()
-    layer["weight_shape"][0] -= 1
+from hglearn.prompt import TuneResult
 
 
 class TestCheckpoint:
@@ -64,26 +65,35 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format": "hglearn-checkpoint", "version": 99}))
         with pytest.raises(ValidationError, match="version"):
             load_checkpoint(path)
+        # a version-1 document (per-layer records) is no longer read
+        save_checkpoint(path, self.make_stack(), 0, "x")
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="unsupported version 1"):
+            load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc.pop("layers"),
-        lambda doc: doc["layers"][1].pop("weight"),
-        lambda doc: doc["layers"][1].pop("bias"),
-        lambda doc: doc["layers"][1].pop("weight_shape"),
-        lambda doc: doc["layers"][1].pop("activation"),
-        lambda doc: doc.update(layers=3),
-        lambda doc: doc["layers"][1]["bias"].pop(),
-        lambda doc: doc["layers"][1]["weight"][0].__setitem__(0, "x"),
-        _drop_weight_row,
-    ], ids=["no-layers", "no-weight", "no-bias", "no-weight-shape", "no-activation",
-            "layers-not-list", "short-bias", "string-in-weight", "dims-do-not-chain"])
-    def test_malformed_layers_rejected(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("params"), "missing params"),
+        (lambda doc: doc["params"].pop("encoder.layer1.weight"), "missing param"),
+        (lambda doc: doc["params"].pop("encoder.layer1.bias"), "missing param"),
+        (lambda doc: doc.pop("activations"), "missing activations"),
+        (lambda doc: doc.update(params=3), "params must be an object"),
+        (lambda doc: doc["params"]["encoder.layer1.bias"][0].pop(), "bias shape"),
+        (lambda doc: doc["params"]["encoder.layer1.weight"][0].__setitem__(0, "x"),
+         "encoder.layer1.weight"),
+        (lambda doc: doc["params"]["encoder.layer1.weight"].pop(), "do not chain"),
+        (lambda doc: doc["params"]["encoder.layer0.weight"][0].__setitem__(0, float("nan")),
+         "encoder.layer0.weight is not a matrix of finite numbers"),
+    ], ids=["no-params", "no-weight", "no-bias", "no-activation", "params-not-object",
+            "short-bias", "string-in-weight", "dims-do-not-chain", "nan-weight"])
+    def test_malformed_layers_rejected(self, tmp_path, edit, message):
         path = tmp_path / "enc.json"
         save_checkpoint(path, self.make_stack(), 0, "x")
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="layer"):
+        with pytest.raises(ValidationError, match=message):
             load_checkpoint(path)
 
     def test_unreadable_file_rejected(self, tmp_path):
@@ -91,6 +101,41 @@ class TestCheckpoint:
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="unreadable"):
             load_checkpoint(path)
+
+
+class TestSnapshot:
+    def make_result(self):
+        rng = np.random.default_rng(1)
+        return TuneResult(
+            strategy="phgnn",
+            snapshot={"prompt.tokens": rng.standard_normal((3, 4)),
+                      "head.weight": rng.standard_normal((4, 2))},
+            prompt_incidence=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+            prompt_edge_weights=np.array([1.0, 2.5]),
+            best_metrics=None,
+            best_epoch=4,
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(format="hglearn-checkpoint"), "not a hglearn-snapshot"),
+        (lambda doc: doc.update(version=1), "unsupported version 1"),
+        (lambda doc: doc.pop("best_epoch"), "missing best_epoch"),
+        (lambda doc: doc.update(params=[]), "params must be an object"),
+        (lambda doc: doc["params"]["prompt.tokens"][1].pop(), "prompt.tokens"),
+        (lambda doc: doc["params"]["head.weight"][0].__setitem__(1, float("inf")),
+         "head.weight is not a matrix of finite numbers"),
+        (lambda doc: doc["params"]["prompt.incidence"][0].__setitem__(0, None),
+         "prompt.incidence"),
+    ], ids=["wrong-format", "version-1", "no-best-epoch", "params-not-object",
+            "ragged-param", "infinite-param", "null-in-incidence"])
+    def test_malformed_snapshot_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "s.json"
+        save_snapshot(path, self.make_result(), "abc")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
+            load_snapshot(path)
 
 
 class TestRunConfig:

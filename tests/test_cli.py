@@ -147,6 +147,19 @@ class TestTune:
         assert code == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d2", "data", "pre"]
 
+    def test_non_finite_checkpoint_exits_one(self, tmp_path, dataset_dir, checkpoint_dir,
+                                             capsys):
+        encoder = checkpoint_dir / "encoder.json"
+        doc = json.loads(encoder.read_text())
+        doc["params"]["encoder.layer0.weight"][0][0] = float("nan")
+        encoder.write_text(json.dumps(doc))
+        out = tmp_path / "t"
+        for strategy in ("linear_probe", "gpf", "finetune"):
+            assert run("tune", "--data", str(dataset_dir), "--checkpoint", str(encoder),
+                       "--out", str(out), *FAST, "--set", f"strategy={strategy}") == 1
+            assert "not a matrix of finite numbers" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre"]
+
     def test_force_refuses_to_replace_an_input(self, tmp_path, dataset_dir,
                                                checkpoint_dir, capsys):
         encoder = checkpoint_dir / "encoder.json"
@@ -194,6 +207,15 @@ class TestAblatePrompts:
         record = json.loads((out / "prompt_ablation.json").read_text())
         counts = [r["tunable_total"] for r in record["rows"]]
         assert counts == sorted(counts) and len(set(counts)) == 4
+
+    @pytest.mark.parametrize("sizes", ["8,x", ""])
+    def test_bad_sizes_exit_one(self, tmp_path, dataset_dir, checkpoint_dir, capsys, sizes):
+        out = tmp_path / "ap"
+        assert run("ablate-prompts", "--data", str(dataset_dir),
+                   "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                   "--out", str(out), "--sizes", sizes, *FAST) == 1
+        assert "--sizes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareStrategies:
@@ -257,3 +279,30 @@ class TestArgumentHandling:
                    "--set", "n=44") == 0
         meta = json.loads((out / "meta").read_text())
         assert meta["n"] == 44
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe{"),
+        lambda path: path.write_bytes(b"{"),
+    ], ids=["missing", "directory", "not-utf8", "not-json"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, make):
+        cfg = tmp_path / "cfg.json"
+        make(cfg)
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 1
+        assert "unreadable config" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("values, field", [
+        ({"dims": ["a", 4, 4]}, "dims"),
+        ({"n": 40.0, "k": 3}, "n"),
+        ({"n": 40, "k": 3.5}, "k"),
+        ({"n": 40, "k": 3, "pairwise": "false"}, "pairwise"),
+    ], ids=["string-in-dims", "float-n", "float-k", "string-pairwise"])
+    def test_config_value_of_wrong_type_exits_one(self, tmp_path, capsys, values, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "d"
+        assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"error: {field} in {cfg}: expected" in capsys.readouterr().err
+        assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hglearn.autodiff import ValidationError
+from hglearn.checkpoint import load_snapshot, save_snapshot
 from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph
@@ -274,23 +275,23 @@ class TestTuneWithStrategy:
         assert replay.spe == result.best_metrics.spe
         assert replay.auc == result.best_metrics.auc
 
-    def test_snapshot_serialization_round_trip(self, tuning_setup):
-        import json
-
-        from hglearn.prompt import snapshot_from_doc, snapshot_to_doc
-
+    def test_snapshot_serialization_round_trip(self, tuning_setup, tmp_path):
         ds, G, X, encoder, folds = tuning_setup
-        cfg = small_config(tune_epochs=10)
-        result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
-                                    folds.val_mask(0), encoder, cfg)
-        wire = json.loads(json.dumps(snapshot_to_doc(result)))
-        restored = snapshot_from_doc(wire)
-        assert np.array_equal(restored.snapshot["prompt.tokens"],
-                              result.snapshot["prompt.tokens"])
-        replay = evaluate_snapshot(restored, G, X, ds.labels, folds.val_mask(0),
-                                   encoder, cfg)
-        assert replay.bacc == result.best_metrics.bacc
-        assert replay.auc == result.best_metrics.auc
+        for strategy in STRATEGIES:
+            cfg = small_config(tune_epochs=10, strategy=strategy)
+            result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+                                        folds.val_mask(0), encoder, cfg)
+            first, second = tmp_path / f"{strategy}_1.json", tmp_path / f"{strategy}_2.json"
+            save_snapshot(first, result, cfg.digest())
+            restored, info = load_snapshot(first)
+            assert info["config_digest"] == cfg.digest()
+            save_snapshot(second, restored, info["config_digest"])
+            assert second.read_bytes() == first.read_bytes(), strategy
+            for name, value in result.snapshot.items():
+                assert np.array_equal(restored.snapshot[name], value), (strategy, name)
+            replay = evaluate_snapshot(restored, G, X, ds.labels, folds.val_mask(0),
+                                       encoder, cfg)
+            assert replay == result.best_metrics, strategy
 
     def test_ties_keep_the_earlier_epoch(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
