@@ -60,6 +60,10 @@ class RunConfig:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
+        # an int given for a float field (3 for 3.0) must not change the digest
+        for f in dataclasses.fields(self):
+            if type(f.default) is float and type(getattr(self, f.name)) is int:
+                setattr(self, f.name, float(getattr(self, f.name)))
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         for name in ("n", "m", "k_folds", "num_prompts", "gpf_basis", "latent_dim",

@@ -160,20 +160,21 @@ def save_dataset(dataset: MultimodalDataset, path, extra_meta=None):
     _write_int_csv(root / "labels.csv", dataset.labels)
 
 
-def _read_rows(path: Path):
+def _read_text(path: Path) -> str:
     if not path.exists():
         raise ValidationError(f"missing dataset file: {path}")
-    return path.read_text().splitlines()
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable, not UTF-8
+        raise ValidationError(f"unreadable dataset file {path}: {e}") from None
 
 
 def load_dataset(path) -> MultimodalDataset:
     """Parse and validate a dataset directory; rejects non-finite values."""
     root = Path(path)
     meta_path = root / "meta"
-    if not meta_path.exists():
-        raise ValidationError(f"missing dataset file: {meta_path}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as e:
         raise ValidationError(f"unparseable meta file {meta_path}: {e}") from None
     try:
@@ -186,7 +187,7 @@ def load_dataset(path) -> MultimodalDataset:
     modalities = []
     for i in range(m):
         feat_path = root / f"modality_{i}.csv"
-        rows = _read_rows(feat_path)
+        rows = _read_text(feat_path).splitlines()
         if len(rows) != n:
             raise ValidationError(f"{feat_path}: expected {n} rows, found {len(rows)}")
         feats = np.empty((n, dims[i]))
@@ -203,7 +204,7 @@ def load_dataset(path) -> MultimodalDataset:
             if not np.isfinite(feats[r]).all():
                 raise ValidationError(f"{feat_path}: row {r} has a non-finite value")
         present_path = root / f"present_{i}.csv"
-        prows = _read_rows(present_path)
+        prows = _read_text(present_path).splitlines()
         if len(prows) != n:
             raise ValidationError(f"{present_path}: expected {n} rows, found {len(prows)}")
         present = np.empty(n, dtype=bool)
@@ -213,7 +214,7 @@ def load_dataset(path) -> MultimodalDataset:
             present[r] = line.strip() == "1"
         modalities.append(Modality(feats, present))
     labels_path = root / "labels.csv"
-    lrows = _read_rows(labels_path)
+    lrows = _read_text(labels_path).splitlines()
     if len(lrows) != n:
         raise ValidationError(f"{labels_path}: expected {n} rows, found {len(lrows)}")
     labels = np.empty(n, dtype=np.int64)

@@ -143,13 +143,17 @@ def propagation_operator(G: Hypergraph) -> np.ndarray:
     hyperedge weights and D_e the hyperedge cardinalities. Zero degrees map
     to zero (isolated nodes get all-zero rows).
     """
-    H = G.incidence
-    w = G.edge_weights
-    dv = H @ w
-    de = H.sum(axis=0)
+    M, dv = _edge_gram(G)
     with np.errstate(divide="ignore"):
         s = np.where(dv > 0, dv**-0.5, 0.0)
-        inv_de = np.where(de > 0, 1.0 / de, 0.0)
-    scaled = H * (w * inv_de)
-    M = scaled @ H.T
     return s[:, None] * M * s[None, :]
+
+
+def _edge_gram(G: Hypergraph):
+    """(H W D_e^{-1} H^T, H w): the operator before degree normalization."""
+    H = G.incidence
+    w = G.edge_weights
+    de = H.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        inv_de = np.where(de > 0, 1.0 / de, 0.0)
+    return (H * (w * inv_de)) @ H.T, H @ w

@@ -7,6 +7,21 @@ attached to the data hypergraph through one hyperedge covering all data
 nodes. Tuning optimizes only the tokens and the classification head; the
 pretrained encoder stays frozen.
 
+Tuning builds the propagation operator of that manipulated hypergraph from
+blocks, not from its dense incidence. Each insertion hyperedge has N+1
+members and adds one to every data node's degree. So with N data nodes,
+P tokens, data incidence H (edge weights w, W = diag(w), edge sizes D_e),
+prompt incidence H_p (w_p, W_p, D_e,p), s_d = (H w + P)^{-1/2} and
+s_t = (H_p w_p + 1)^{-1/2}, the blocks are (s scales rows and columns):
+
+    data x data     s_d (H W D_e^{-1} H^T + P/(N+1)) s_d^T
+    data x token    s_d s_t^T / (N+1)                  (rank one)
+    token x token   s_t (H_p W_p D_e,p^{-1} H_p^T + I/(N+1)) s_t^T
+
+The data block is built once per fold; the border and the P x P token block
+only when the token k-NN structure changes. `insert_prompt` keeps the dense
+construction, which the tests use as the oracle for this one.
+
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
 a basis with per-node softmax attention). `_STRATEGY_TABLE` is the one
@@ -23,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamWState, Parameter, ValidationError, adamw_step, forward_backward
-from .hypergraph import Hypergraph, knn_hyperedges, propagation_operator
+from .hypergraph import Hypergraph, _edge_gram, knn_hyperedges, propagation_operator
 from .metrics import MetricsReport, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator
 
@@ -160,6 +175,18 @@ def build_prompt_structure(tokens, k_p: int, structured: bool = True) -> Hypergr
     return knn_hyperedges(t, k_p)
 
 
+def _check_prompt(feature_dim, tokens, G_p: Hypergraph):
+    """The shape checks of attaching the tokens and their structure G_p."""
+    if tokens.shape[1] != feature_dim:
+        raise ValidationError(
+            f"token dim {tokens.shape[1]} does not match feature dim {feature_dim}"
+        )
+    if G_p.num_nodes != tokens.shape[0]:
+        raise ValidationError(
+            f"prompt structure covers {G_p.num_nodes} tokens, got {tokens.shape[0]}"
+        )
+
+
 def insert_prompt(G: Hypergraph, X, G_p: Hypergraph, tokens):
     """Attach the prompt sub-hypergraph to the data hypergraph.
 
@@ -174,10 +201,7 @@ def insert_prompt(G: Hypergraph, X, G_p: Hypergraph, tokens):
     p = t.shape[0]
     if p == 0:
         return G, X
-    if t.shape[1] != d:
-        raise ValidationError(f"token dim {t.shape[1]} does not match feature dim {d}")
-    if G_p.num_nodes != p:
-        raise ValidationError(f"prompt structure covers {G_p.num_nodes} tokens, got {p}")
+    _check_prompt(d, t, G_p)
     e, e_p = G.num_edges, G_p.num_edges
     inc = np.zeros((n + p, e + e_p + p))
     inc[:n, :e] = G.incidence
@@ -213,7 +237,6 @@ class _StrategyState:
 
     def __init__(self, spec: _Strategy, G, X, encoder: HGNNStack, cfg: RunConfig):
         self.spec = spec
-        self.G = G
         self.X = X
         self.encoder = encoder
         self.prompt_k = cfg.prompt_k
@@ -238,13 +261,34 @@ class _StrategyState:
                 f"latent dim {encoder.output_dim}"
             )
         self.base_operator = None if spec.prompt_tokens else propagation_operator(G)
+        if spec.prompt_tokens:
+            gram, dv = _edge_gram(G)
+            self.s_data = (dv + p) ** -0.5
+            self.data_block = self.s_data[:, None] * (gram + p / (n + 1)) * self.s_data[None, :]
+            self.last_prompt = (None, None)  # (G_p, operator) of the latest call
 
     def operator(self, G_p):
-        """Propagation matrix with the prompt structure G_p attached, if any."""
+        """Propagation matrix with the prompt structure G_p attached, if any.
+
+        Equals `propagation_operator(insert_prompt(G, X, G_p, tokens)[0])`,
+        built from the fixed data block (see the module docstring). It
+        depends on G_p alone, so an unchanged G_p returns the last matrix.
+        """
         if G_p is None:
             return self.base_operator
-        G_m, _ = insert_prompt(self.G, self.X, G_p, self.extra.value)
-        return propagation_operator(G_m)
+        _check_prompt(self.X.shape[1], self.extra.value, G_p)
+        last, op = self.last_prompt
+        if (last is not None and np.array_equal(G_p.incidence, last.incidence)
+                and np.array_equal(G_p.edge_weights, last.edge_weights)):
+            return op
+        n = self.X.shape[0]
+        gram, dv = _edge_gram(G_p)
+        s_tok = (dv + 1.0) ** -0.5
+        border = self.s_data[:, None] / (n + 1) * s_tok[None, :]
+        tok_block = s_tok[:, None] * (gram + np.eye(G_p.num_nodes) / (n + 1)) * s_tok[None, :]
+        op = np.block([[self.data_block, border], [border.T, tok_block]])
+        self.last_prompt = (G_p, op)
+        return op
 
     def epoch_structure(self):
         """Prompt-internal hyperedges from the latest token values."""

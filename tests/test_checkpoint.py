@@ -173,6 +173,17 @@ class TestRunConfig:
         assert cfg.n == 50
         assert cfg.seed == 9  # overrides win
 
+    @pytest.mark.parametrize("field, value", [("class_sep", 3), ("mask_ratio", 0),
+                                              ("tune_lr", 1)])
+    def test_int_for_float_field_keeps_the_digest(self, tmp_path, field, value):
+        # {"class_sep": 3} in a file and --set class_sep=3 are the same run
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        from_file = load_config(path)
+        from_flag = load_config(overrides={field: parse_override(field, str(value))})
+        assert type(getattr(from_file, field)) is float
+        assert from_file.digest() == from_flag.digest()
+
     def test_unknown_field_in_file_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus": 1}))

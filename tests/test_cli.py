@@ -111,6 +111,25 @@ class TestPretrain:
         assert "hidden_dims" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
+    @pytest.mark.parametrize("name, make", [
+        ("meta", lambda path: path.mkdir()),
+        ("meta", lambda path: path.write_bytes(b"\xff\xfe{")),
+        ("modality_1.csv", lambda path: path.mkdir()),
+        ("present_0.csv", lambda path: path.write_bytes(b"\xff\n" * 36)),
+        ("labels.csv", lambda path: path.mkdir()),
+        ("labels.csv", lambda path: path.write_bytes(b"0\n\xfe\n" * 18)),
+    ], ids=["meta-directory", "meta-not-utf8", "modality-directory", "present-not-utf8",
+            "labels-directory", "labels-not-utf8"])
+    def test_unreadable_dataset_file_exits_one(self, tmp_path, dataset_dir, capsys, name,
+                                               make):
+        target = dataset_dir / name
+        target.unlink()
+        make(target)
+        assert run("pretrain", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                   *FAST) == 1
+        assert f"unreadable dataset file {target}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
 
 class TestTune:
     def test_outputs_and_row_format(self, tmp_path, dataset_dir, checkpoint_dir):

@@ -2,22 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hglearn.autodiff import ValidationError
+import hglearn.prompt
+from hglearn.autodiff import Parameter, ValidationError
 from hglearn.checkpoint import load_snapshot, save_snapshot
 from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
-from hglearn.hypergraph import Hypergraph
-from hglearn.model import build_head
+from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
+from hglearn.model import build_encoder, build_head
 from hglearn.pretrain import pretrain
 from hglearn.prompt import (
+    _STRATEGY_TABLE,
     STRATEGIES,
+    _StrategyState,
     build_prompt_structure,
     count_tunable_params,
     evaluate_snapshot,
     insert_prompt,
     tune_with_strategy,
 )
+from oracles import brute_force_operator
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +143,109 @@ class TestInsertPrompt:
         G_m, _ = insert_prompt(self.G, self.X, self.G_p, self.tokens)
         assert np.array_equal(G_m.incidence[3:, 3:5], self.G_p.incidence)
         assert not G_m.incidence[:3, 3:5].any()
+
+
+def prompt_state(strategy, G, X, tokens):
+    """A prompt strategy's per-fold state on (G, X), its tokens set to `tokens`."""
+    cfg = RunConfig(num_prompts=tokens.shape[0], hidden_dims=(4,), latent_dim=8)
+    encoder = build_encoder(X.shape[1], (4,), 8, np.random.default_rng(0))
+    run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
+    run.extra.value[:] = tokens
+    return run
+
+
+@pytest.mark.filterwarnings("ignore:.*prompt tokens is")
+class TestBlockOperator:
+    """The blockwise prompted operator against the dense manipulated hypergraph."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        k=st.integers(min_value=0, max_value=4),
+        pairwise=st.booleans(),
+        weighted=st.booleans(),
+        p=st.integers(min_value=1, max_value=7),
+        structured=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    # one token on a data hypergraph with no hyperedges (pairwise, k = 0)
+    @example(n=6, k=0, pairwise=True, weighted=False, p=1, structured=True, seed=0)
+    @example(n=24, k=4, pairwise=False, weighted=False, p=7, structured=False, seed=1)
+    def test_matches_dense_insertion(self, n, k, pairwise, weighted, p, structured, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 5))
+        G = knn_hyperedges(X, min(k, n - 1), pairwise=pairwise)
+        if weighted:
+            G = Hypergraph(n, G.incidence, rng.uniform(0.5, 2.0, G.num_edges))
+        strategy = "phgnn" if structured else "phgnn_no_structure"
+        run = prompt_state(strategy, G, X, rng.standard_normal((p, 5)))
+        built = []
+        for k_p in range(p):
+            tokens = rng.standard_normal((p, 5))
+            run.extra.value[:] = tokens
+            G_p = build_prompt_structure(tokens, k_p, structured)
+            dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
+            np.testing.assert_allclose(run.operator(G_p), dense, rtol=0, atol=1e-12)
+            built.append((G_p, dense))
+        # the first structure again, after the state has moved on from it
+        G_p, dense = built[0]
+        np.testing.assert_allclose(run.operator(G_p), dense, rtol=0, atol=1e-12)
+
+    def test_tiny_case_matches_brute_force(self):
+        # 3 data nodes with weighted edges, 2 tokens joined by k_p = 1
+        H = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float)
+        w = np.array([0.5, 1.0, 2.0])
+        X = np.random.default_rng(2).standard_normal((3, 4))
+        tokens = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 2.0]])
+        G_p = build_prompt_structure(tokens, 1)
+        run = prompt_state("phgnn", Hypergraph(3, H, w), X, tokens)
+        H_m = np.zeros((5, 3 + 2 + 2))
+        H_m[:3, :3] = H
+        H_m[3:, 3:5] = 1.0  # each token's k-NN edge holds both tokens
+        H_m[:3, 5:] = 1.0
+        H_m[3, 5] = H_m[4, 6] = 1.0
+        w_m = np.concatenate([w, np.ones(4)])
+        np.testing.assert_allclose(run.operator(G_p), brute_force_operator(H_m, w_m),
+                                   rtol=0, atol=1e-12)
+
+    def test_shape_checks_match_insert_prompt(self):
+        G = Hypergraph(3, np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
+        X = np.random.default_rng(2).standard_normal((3, 4))
+        tokens = np.random.default_rng(3).standard_normal((2, 4))
+        run = prompt_state("phgnn", G, X, tokens)
+        for bad_tokens, G_p in ((np.ones((2, 5)), build_prompt_structure(tokens, 1)),
+                                (tokens, build_prompt_structure(np.ones((3, 4)), 1))):
+            with pytest.raises(ValidationError) as dense:
+                insert_prompt(G, X, G_p, bad_tokens)
+            run.extra = Parameter(bad_tokens, run.extra.name)
+            with pytest.raises(ValidationError) as blocks:
+                run.operator(G_p)
+            assert str(blocks.value) == str(dense.value)
+
+    @pytest.mark.parametrize("strategy", ["phgnn", "phgnn_no_structure"])
+    def test_operator_builds_do_not_grow_with_epochs(self, tuning_setup, strategy,
+                                                     monkeypatch):
+        ds, G, X, encoder, folds = tuning_setup
+        calls = {}
+
+        def count(name, fn, on_data_graph=False):
+            def counted(*args, **kwargs):
+                if not on_data_graph or args[0] is G:
+                    calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(hglearn.prompt, name, counted)
+
+        count("insert_prompt", hglearn.prompt.insert_prompt)
+        count("propagation_operator", hglearn.prompt.propagation_operator)
+        count("_edge_gram", hglearn.prompt._edge_gram, on_data_graph=True)
+        seen = []
+        for epochs in (2, 6):
+            calls.clear()
+            tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+                               folds.val_mask(0), encoder,
+                               small_config(tune_epochs=epochs, strategy=strategy))
+            seen.append(dict(calls))
+        assert seen[0] == seen[1] == {"_edge_gram": 1}
 
 
 class TestPromptTune:
