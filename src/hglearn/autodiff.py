@@ -5,11 +5,18 @@ Operations build the graph eagerly; construction order is a valid
 topological order, so the backward pass simply walks nodes in reverse
 creation order. Single-threaded by contract: with identical inputs the
 forward values and gradients are bit-identical across runs.
+
+Each node records at creation whether it needs a gradient: a parameter leaf
+needs one when its parameter is trainable, any other node when one of its
+parents does. The backward pass visits only nodes that need a gradient and
+forms no product toward an operand that does not (activity analysis), so
+constants and frozen weights cost nothing beyond their forward values.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -24,23 +31,21 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "mul",
     "scale",
     "add_scalar",
     "power",
     "relu",
     "broadcast_add_row",
-    "row_l2_normalize",
     "row_cosine",
     "row_softmax",
     "concat_rows",
     "mask_rows",
     "masked_mean",
     "softmax_cross_entropy",
-    "sum_all",
     "forward_backward",
     "finite_difference_check",
     "adamw_step",
+    "check_finite",
 ]
 
 NORM_EPS = 1e-12
@@ -71,16 +76,22 @@ class Tensor:
     """A node in the expression graph.
 
     `parents` precede the node in creation order, so node ids give a
-    topological order for free.
+    topological order for free. `needs` is true when a trainable parameter
+    leaf is the node or one of its ancestors; a node without one keeps
+    `grad` None through every backward pass.
     """
 
-    __slots__ = ("value", "parents", "op", "param", "grad", "_backward", "_id")
+    __slots__ = ("value", "parents", "op", "param", "needs", "grad", "_backward", "_id")
 
     def __init__(self, value, parents=(), op="const", backward=None, param=None):
         self.value = value
         self.parents = tuple(parents)
         self.op = op
         self.param = param
+        if param is not None:
+            self.needs = param.trainable
+        else:
+            self.needs = any(p.needs for p in self.parents)
         self.grad = None
         self._backward = backward
         self._id = next(_node_ids)
@@ -144,7 +155,9 @@ def _wrap(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Primitive operations. Each backward closure accumulates into parent.grad.
+# Primitive operations. Each backward closure accumulates into parent.grad,
+# for the parents that need a gradient only. A closure runs only when its
+# node needs a gradient, so a one-parent op never has to check.
 # ---------------------------------------------------------------------------
 
 
@@ -162,8 +175,10 @@ def matmul(a, b) -> Tensor:
     out_val = a.value @ b.value
 
     def backward(g, a=a, b=b):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        if a.needs:
+            _accum(a, g @ b.value.T)
+        if b.needs:
+            _accum(b, a.value.T @ g)
 
     return Tensor(out_val, (a, b), "matmul", backward)
 
@@ -183,22 +198,12 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
 
     def backward(g, a=a, b=b):
-        _accum(a, g)
-        _accum(b, g)
+        if a.needs:
+            _accum(a, g)
+        if b.needs:
+            _accum(b, g)
 
     return Tensor(a.value + b.value, (a, b), "add", backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def backward(g, a=a, b=b):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
-
-    return Tensor(a.value * b.value, (a, b), "mul", backward)
 
 
 def scale(a, c: float) -> Tensor:
@@ -253,27 +258,12 @@ def broadcast_add_row(a, row) -> Tensor:
         )
 
     def backward(g, a=a, row=row):
-        _accum(a, g)
-        _accum(row, g.sum(axis=0, keepdims=True))
+        if a.needs:
+            _accum(a, g)
+        if row.needs:
+            _accum(row, g.sum(axis=0, keepdims=True))
 
     return Tensor(a.value + row.value, (a, row), "broadcast_add_row", backward)
-
-
-def row_l2_normalize(a) -> Tensor:
-    """Scale each row to unit L2 norm, with a small floor on the norm."""
-    a = _wrap(a)
-    norms = np.linalg.norm(a.value, axis=1, keepdims=True)
-    clamped = norms < NORM_EPS
-    safe = np.where(clamped, NORM_EPS, norms)
-    out_val = a.value / safe
-
-    def backward(g, a=a, safe=safe, clamped=clamped, out_val=out_val):
-        # d(x/n)/dx = I/n - x x^T / n^3; when the norm is clamped, n is constant.
-        dots = (g * out_val).sum(axis=1, keepdims=True)
-        ga = g / safe - np.where(clamped, 0.0, out_val * dots / safe)
-        _accum(a, ga)
-
-    return Tensor(out_val, (a,), "row_l2_normalize", backward)
 
 
 def row_cosine(a, b) -> Tensor:
@@ -294,10 +284,10 @@ def row_cosine(a, b) -> Tensor:
     out_val = np.clip(raw, -1.0, 1.0)
 
     def backward(g, a=a, b=b, na=na, nb=nb, raw=raw):
-        ga = g * (b.value / (na * nb) - a.value * raw / (na * na))
-        gb = g * (a.value / (na * nb) - b.value * raw / (nb * nb))
-        _accum(a, ga)
-        _accum(b, gb)
+        if a.needs:
+            _accum(a, g * (b.value / (na * nb) - a.value * raw / (na * na)))
+        if b.needs:
+            _accum(b, g * (a.value / (na * nb) - b.value * raw / (nb * nb)))
 
     return Tensor(out_val, (a, b), "row_cosine", backward)
 
@@ -326,8 +316,10 @@ def concat_rows(a, b) -> Tensor:
     na = a.value.shape[0]
 
     def backward(g, a=a, b=b, na=na):
-        _accum(a, g[:na])
-        _accum(b, g[na:])
+        if a.needs:
+            _accum(a, g[:na])
+        if b.needs:
+            _accum(b, g[na:])
 
     return Tensor(np.vstack([a.value, b.value]), (a, b), "concat_rows", backward)
 
@@ -345,13 +337,15 @@ def mask_rows(a, row_indices, token) -> Tensor:
     out_val[idx] = token.value
 
     def backward(g, a=a, token=token, idx=idx, n=n):
-        keep = np.ones((n, 1))
-        keep[idx] = 0.0
-        _accum(a, g * keep)
-        if idx.size:
-            _accum(token, g[idx].sum(axis=0, keepdims=True))
-        else:
-            _accum(token, np.zeros_like(token.value))
+        if a.needs:
+            keep = np.ones((n, 1))
+            keep[idx] = 0.0
+            _accum(a, g * keep)
+        if token.needs:
+            if idx.size:
+                _accum(token, g[idx].sum(axis=0, keepdims=True))
+            else:
+                _accum(token, np.zeros_like(token.value))
 
     return Tensor(out_val, (a, token), "mask_rows", backward)
 
@@ -417,31 +411,21 @@ def softmax_cross_entropy(logits, labels, row_mask) -> Tensor:
     return Tensor(out_val, (logits,), "softmax_cross_entropy", backward)
 
 
-def sum_all(a) -> Tensor:
-    a = _wrap(a)
-    out_val = np.array([[a.value.sum()]])
-
-    def backward(g, a=a):
-        _accum(a, np.full_like(a.value, g[0, 0]))
-
-    return Tensor(out_val, (a,), "sum_all", backward)
-
-
 # ---------------------------------------------------------------------------
 # Backward driver, gradient checking, AdamW.
 # ---------------------------------------------------------------------------
 
 
 def _collect(root: Tensor) -> list[Tensor]:
-    """All nodes reachable from root, sorted by creation order (topological)."""
+    """Nodes reachable from root that need a gradient, in creation order."""
     seen = {}
-    stack = [root]
+    stack = [root] if root.needs else []
     while stack:
         t = stack.pop()
         if t._id in seen:
             continue
         seen[t._id] = t
-        stack.extend(t.parents)
+        stack.extend(p for p in t.parents if p.needs)
     return [seen[i] for i in sorted(seen)]
 
 
@@ -451,7 +435,9 @@ def forward_backward(loss: Tensor) -> float:
     Returns the forward loss value. Gradients are set (not accumulated) per
     call: ∂loss/∂value for every trainable parameter reachable from the root,
     exact zeros for reachable parameters the loss does not depend on.
-    Non-trainable parameters are left untouched.
+    Non-trainable parameters are left untouched. Only nodes that need a
+    gradient are visited; every other node, constants and frozen parameter
+    leaves included, keeps `grad` None.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(
@@ -464,19 +450,17 @@ def forward_backward(loss: Tensor) -> float:
         if t.param is not None:
             params[id(t.param)] = t.param
     for p in params.values():
-        if p.trainable:
-            p.reset_grad()
-    loss.grad = np.ones((1, 1))
+        p.reset_grad()
+    if loss.needs:
+        loss.grad = np.ones((1, 1))
     for t in reversed(nodes):
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)
     for t in nodes:
-        if t.param is not None and t.param.trainable:
-            if t.grad is not None:
-                t.param.grad += t.grad
+        if t.param is not None and t.grad is not None:
+            t.param.grad += t.grad
     for p in params.values():
-        if p.trainable:
-            p.grad_populated = True
+        p.grad_populated = True
     return loss.item()
 
 
@@ -561,3 +545,15 @@ def adamw_step(params, state: AdamWState, lr: float, weight_decay: float):
         m_hat = m / bc1
         v_hat = v / bc2
         p.value -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def check_finite(stage: str, epoch: int, loss: float, params):
+    """Reject a training epoch whose loss or updated parameters are non-finite.
+
+    `loss` is the float `forward_backward` returned; `params` are the ones
+    the epoch's step updated. A run that diverged has no defined result.
+    """
+    if not math.isfinite(loss) or not all(np.isfinite(p.value).all() for p in params):
+        raise ValidationError(
+            f"{stage} diverged: loss or parameters non-finite at epoch {epoch}"
+        )

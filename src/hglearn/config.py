@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +65,9 @@ class RunConfig:
         for f in dataclasses.fields(self):
             if type(f.default) is float and type(getattr(self, f.name)) is int:
                 setattr(self, f.name, float(getattr(self, f.name)))
+            # NaN passes every range check below and no report can hold it
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         for name in ("n", "m", "k_folds", "num_prompts", "gpf_basis", "latent_dim",
@@ -74,7 +78,7 @@ class RunConfig:
             raise ValidationError(
                 f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}"
             )
-        for name in ("k", "prompt_k", "pretrain_epochs"):
+        for name in ("k", "prompt_k", "pretrain_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.mask_ratio < 1.0:

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamWState, Parameter, Tensor, ValidationError, adamw_step, forward_backward
+from .autodiff import (
+    AdamWState,
+    Parameter,
+    Tensor,
+    ValidationError,
+    adamw_step,
+    check_finite,
+    forward_backward,
+)
 from .config import RunConfig
 from .hypergraph import Hypergraph, propagation_operator
 from .model import HGNNStack, build_decoder, build_encoder, hgnn_forward_operator
@@ -100,7 +108,7 @@ def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
     state = AdamWState()
     operator = propagation_operator(G)
     losses = []
-    for _ in range(cfg.pretrain_epochs):
+    for epoch in range(cfg.pretrain_epochs):
         masked = sample_mask(n, cfg.mask_ratio, rng)
         x_masked = ad.mask_rows(X, masked, tokens.input_token.leaf())
         z = hgnn_forward_operator(operator, x_masked, encoder)
@@ -109,4 +117,5 @@ def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
         loss = sce_loss(X, recon, masked, cfg.sce_gamma)
         losses.append(forward_backward(loss))
         adamw_step(params, state, cfg.pretrain_lr, cfg.pretrain_weight_decay)
+        check_finite("pretrain", epoch, losses[-1], params)
     return PretrainResult(encoder, decoder, tokens, losses)

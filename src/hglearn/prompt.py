@@ -37,7 +37,14 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamWState, Parameter, ValidationError, adamw_step, forward_backward
+from .autodiff import (
+    AdamWState,
+    Parameter,
+    ValidationError,
+    adamw_step,
+    check_finite,
+    forward_backward,
+)
 from .hypergraph import Hypergraph, _edge_gram, knn_hyperedges, propagation_operator
 from .metrics import MetricsReport, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator
@@ -266,6 +273,12 @@ class _StrategyState:
             self.s_data = (dv + p) ** -0.5
             self.data_block = self.s_data[:, None] * (gram + p / (n + 1)) * self.s_data[None, :]
             self.last_prompt = (None, None)  # (G_p, operator) of the latest call
+        # nothing below the head trains (linear_probe): the encoder output is
+        # one constant per fold, so the encoder runs once and only its value
+        # stays on the tape
+        self.frozen_z = None
+        if not spec.trains_encoder and spec.extra is None:
+            self.frozen_z = ad.const(hgnn_forward_operator(self.base_operator, X, encoder).value)
 
     def operator(self, G_p):
         """Propagation matrix with the prompt structure G_p attached, if any.
@@ -300,10 +313,16 @@ class _StrategyState:
         return G_p, self.operator(G_p)
 
     def logits(self, operator):
-        """Forward pass; rows beyond the first n belong to prompt tokens."""
-        extra = None if self.extra is None else self.extra.leaf()
-        x = self.spec.transform(self.X, extra)
-        return classify(hgnn_forward_operator(operator, x, self.encoder), self.head)
+        """Forward pass; rows beyond the first n belong to prompt tokens.
+
+        A frozen encoder output is reused; its operator is the fixed one.
+        """
+        z = self.frozen_z
+        if z is None:
+            extra = None if self.extra is None else self.extra.leaf()
+            x = self.spec.transform(self.X, extra)
+            z = hgnn_forward_operator(operator, x, self.encoder)
+        return classify(z, self.head)
 
 
 def _snapshot_params(params) -> dict:
@@ -322,7 +341,10 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     training loss on the train mask, step AdamW over the strategy's trainable
     set, recompute predictions with the updated parameters, evaluate on the
     validation mask, and keep the best-validation snapshot (strictly better
-    balanced accuracy; ties keep the earlier epoch).
+    balanced accuracy; ties keep the earlier epoch). Those predictions are
+    also the next epoch's training forward whenever its operator is the same
+    object, since no parameter changes in between. A non-finite loss or
+    updated parameter raises `ValidationError`.
     """
     spec = _strategy_spec(strategy)
     X = ad.as_matrix(X, "features")
@@ -353,13 +375,19 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
         tunable_total=total,
     )
     best_bacc = -1.0
+    logits, logits_operator = None, None
     for epoch in range(cfg.tune_epochs):
         G_p, operator = run.epoch_structure()
-        loss = ad.softmax_cross_entropy(run.logits(operator), y_pad, mt_pad)
-        result.train_losses.append(forward_backward(loss))
+        if operator is not logits_operator:
+            logits = run.logits(operator)
+        # no name keeps the loss, so at most two graphs are alive at once
+        result.train_losses.append(
+            forward_backward(ad.softmax_cross_entropy(logits, y_pad, mt_pad)))
         adamw_step(params, state, cfg.tune_lr, cfg.tune_weight_decay)
+        check_finite("tune", epoch, result.train_losses[-1], params)
         # post-update predictions on the same structure, per the tuning loop
-        report = evaluate_logits(run.logits(operator).value[:n], y, mv)
+        logits, logits_operator = run.logits(operator), operator
+        report = evaluate_logits(logits.value[:n], y, mv)
         result.val_bacc.append(report.bacc)
         if report.bacc > best_bacc:
             best_bacc = report.bacc

@@ -25,6 +25,7 @@ from hglearn.pretrain import pretrain, sample_mask, sce_loss
 from hglearn.prompt import build_prompt_structure, count_tunable_params, insert_prompt, tune_with_strategy
 
 from oracles import brute_force_operator, pair_count_auc
+from tape_ops import mul, sum_all
 
 
 def report(num, ok, msg):
@@ -63,7 +64,7 @@ def test_criterion_01_gradient_suite():
     # relu conv layer
     def relu_layer_loss(params):
         out = hgnn_forward_operator(operator, X, encoder)
-        return ad.sum_all(ad.mul(out, ad.const(readout)))
+        return sum_all(mul(out, ad.const(readout)))
 
     readout = rng.standard_normal((20, 8))
     worst["hgnn_relu_and_linear_layers"] = finite_difference_check(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hglearn import autodiff as ad
 from hglearn.autodiff import (
@@ -13,11 +15,12 @@ from hglearn.autodiff import (
     finite_difference_check,
     forward_backward,
 )
+from tape_ops import mul, row_l2_normalize, sum_all, tape_nodes
 
 
 def test_annihilation_gives_zero_loss_and_grad():
     theta = Parameter([[1.5, -2.0], [0.25, 7.0]], "theta")
-    loss = ad.sum_all(ad.mul(theta.leaf(), ad.const(np.zeros((2, 2)))))
+    loss = sum_all(mul(theta.leaf(), ad.const(np.zeros((2, 2)))))
     assert forward_backward(loss) == 0.0
     assert np.array_equal(theta.grad, np.zeros((2, 2)))
     assert theta.grad_populated
@@ -25,7 +28,7 @@ def test_annihilation_gives_zero_loss_and_grad():
 
 def test_square_at_three():
     theta = Parameter([[3.0]], "theta")
-    loss = ad.mul(theta.leaf(), theta.leaf())
+    loss = mul(theta.leaf(), theta.leaf())
     assert forward_backward(loss) == 9.0
     assert theta.grad[0, 0] == 6.0
 
@@ -64,53 +67,53 @@ _C31 = _rng.standard_normal((3, 1))
 
 @_case("matmul")
 def _(p):
-    return ad.sum_all(ad.mul(ad.matmul(p.leaf(), ad.const(_C43)), ad.const(_C34 @ _C43)))
+    return sum_all(mul(ad.matmul(p.leaf(), ad.const(_C43)), ad.const(_C34 @ _C43)))
 
 
 @_case("transpose")
 def _(p):
-    return ad.sum_all(ad.mul(ad.transpose(p.leaf()), ad.const(_C43)))
+    return sum_all(mul(ad.transpose(p.leaf()), ad.const(_C43)))
 
 
 @_case("add")
 def _(p):
-    return ad.sum_all(ad.power(ad.add(p.leaf(), ad.const(_C34)), 2.0))
+    return sum_all(ad.power(ad.add(p.leaf(), ad.const(_C34)), 2.0))
 
 
 @_case("mul")
 def _(p):
-    return ad.sum_all(ad.mul(p.leaf(), ad.const(_C34)))
+    return sum_all(mul(p.leaf(), ad.const(_C34)))
 
 
 @_case("scale")
 def _(p):
-    return ad.sum_all(ad.power(ad.scale(p.leaf(), -2.5), 2.0))
+    return sum_all(ad.power(ad.scale(p.leaf(), -2.5), 2.0))
 
 
 @_case("add_scalar")
 def _(p):
-    return ad.sum_all(ad.power(ad.add_scalar(p.leaf(), 0.7), 2.0))
+    return sum_all(ad.power(ad.add_scalar(p.leaf(), 0.7), 2.0))
 
 
 @_case("power")
 def _(p):
-    return ad.sum_all(ad.power(ad.add_scalar(ad.power(p.leaf(), 2.0), 0.1), 1.5))
+    return sum_all(ad.power(ad.add_scalar(ad.power(p.leaf(), 2.0), 0.1), 1.5))
 
 
 @_case("relu")
 def _(p):
-    return ad.sum_all(ad.mul(ad.relu(p.leaf()), ad.const(_C34)))
+    return sum_all(mul(ad.relu(p.leaf()), ad.const(_C34)))
 
 
 @_case("broadcast_add_row")
 def _(p):
     row = ad.matmul(ad.const(np.ones((1, 3))), p.leaf())
-    return ad.sum_all(ad.power(ad.broadcast_add_row(ad.const(_C34), row), 2.0))
+    return sum_all(ad.power(ad.broadcast_add_row(ad.const(_C34), row), 2.0))
 
 
 @_case("row_l2_normalize")
 def _(p):
-    return ad.sum_all(ad.mul(ad.row_l2_normalize(p.leaf()), ad.const(_C34)))
+    return sum_all(mul(row_l2_normalize(p.leaf()), ad.const(_C34)))
 
 
 @_case("row_cosine")
@@ -120,20 +123,20 @@ def _(p):
 
 @_case("row_softmax")
 def _(p):
-    return ad.sum_all(ad.mul(ad.row_softmax(p.leaf()), ad.const(_C34)))
+    return sum_all(mul(ad.row_softmax(p.leaf()), ad.const(_C34)))
 
 
 @_case("concat_rows")
 def _(p):
     stacked = ad.concat_rows(ad.const(_C34[:2]), p.leaf())
-    return ad.sum_all(ad.power(stacked, 2.0))
+    return sum_all(ad.power(stacked, 2.0))
 
 
 @_case("mask_rows")
 def _(p):
     token = ad.matmul(ad.const(np.ones((1, 3))), p.leaf())
     masked = ad.mask_rows(ad.const(_C34), [0, 2], token)
-    return ad.sum_all(ad.power(masked, 2.0))
+    return sum_all(ad.power(masked, 2.0))
 
 
 @_case("masked_mean")
@@ -160,7 +163,7 @@ def test_finite_difference_linear_is_exact():
     p = Parameter([[1.0, -2.0]], "p")
 
     def loss_fn(params):
-        return ad.sum_all(ad.mul(p.leaf(), ad.const([[3.0, 0.5]])))
+        return sum_all(mul(p.leaf(), ad.const([[3.0, 0.5]])))
 
     assert finite_difference_check(loss_fn, [p], 2.0**-20) <= 1e-10
 
@@ -169,7 +172,7 @@ def test_finite_difference_quadratic_truncation():
     p = Parameter([[3.0]], "p")
 
     def loss_fn(params):
-        return ad.mul(p.leaf(), p.leaf())
+        return mul(p.leaf(), p.leaf())
 
     assert finite_difference_check(loss_fn, [p], 1e-6) <= 1e-7
 
@@ -188,7 +191,7 @@ def test_finite_difference_rejects_nondeterministic_loss():
 def test_finite_difference_rejects_bad_eps():
     p = Parameter([[1.0]], "p")
     with pytest.raises(ValidationError):
-        finite_difference_check(lambda params: ad.sum_all(p.leaf()), [p], 0.0)
+        finite_difference_check(lambda params: sum_all(p.leaf()), [p], 0.0)
 
 
 def test_non_scalar_root_rejected():
@@ -202,7 +205,7 @@ def test_non_scalar_root_rejected():
     [
         (lambda a, b: ad.matmul(a, b), "matmul"),
         (lambda a, b: ad.add(a, ad.transpose(b)), "add"),
-        (lambda a, b: ad.mul(a, ad.transpose(b)), "mul"),
+        (lambda a, b: mul(a, ad.transpose(b)), "mul"),
         (lambda a, b: ad.row_cosine(a, ad.transpose(b)), "row_cosine"),
         (lambda a, b: ad.concat_rows(a, ad.const(np.ones((1, 5)))), "concat_rows"),
         (lambda a, b: ad.broadcast_add_row(a, ad.const(np.ones((1, 5)))), "broadcast_add_row"),
@@ -219,7 +222,7 @@ def test_non_trainable_params_receive_no_gradient():
     frozen = Parameter([[2.0]], "frozen", trainable=False)
     live = Parameter([[3.0]], "live")
     before = frozen.grad.copy()
-    loss = ad.mul(frozen.leaf(), live.leaf())
+    loss = mul(frozen.leaf(), live.leaf())
     forward_backward(loss)
     assert np.array_equal(frozen.grad, before)
     assert not frozen.grad_populated
@@ -229,7 +232,7 @@ def test_non_trainable_params_receive_no_gradient():
 def test_gradients_are_set_not_accumulated_across_calls():
     p = Parameter([[3.0]], "p")
     for _ in range(3):
-        forward_backward(ad.mul(p.leaf(), p.leaf()))
+        forward_backward(mul(p.leaf(), p.leaf()))
     assert p.grad[0, 0] == 6.0
 
 
@@ -250,6 +253,88 @@ def test_determinism_bit_identical_losses_and_grads():
     l2, g2 = run()
     assert l1 == l2
     assert np.array_equal(g1, g2)
+
+
+def _random_stack(leaves, ops):
+    """Apply (op, i, j) to a pool that starts as `leaves`; a scalar loss on the last node.
+
+    Every node has the same column count d; leaves are d x d or 1 x d. An op
+    whose operands do not fit falls back to relu of the first.
+    """
+    pool = list(leaves)
+    for op, i, j in ops:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        d = a.value.shape[1]
+        if op == "matmul" and b.value.shape == (d, d):
+            out = ad.matmul(a, b)
+        elif op == "add" and a.value.shape == b.value.shape:
+            out = ad.add(a, b)
+        elif op == "broadcast_add_row" and b.value.shape[0] == 1:
+            out = ad.broadcast_add_row(a, b)
+        elif op == "concat_rows" and a.value.shape[0] + b.value.shape[0] <= 64:
+            out = ad.concat_rows(a, b)
+        elif op == "row_softmax":
+            out = ad.row_softmax(a)
+        else:
+            out = ad.relu(a)
+        pool.append(out)
+    rows, d = pool[-1].value.shape
+    return ad.softmax_cross_entropy(pool[-1], np.arange(rows) % d, np.ones(rows, bool))
+
+
+_OPS = ("matmul", "add", "broadcast_add_row", "relu", "concat_rows", "row_softmax")
+
+
+class TestPruning:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        leaves=st.lists(st.tuples(st.sampled_from(["trainable", "frozen", "const"]),
+                                  st.booleans()), min_size=1, max_size=6),
+        ops=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 99),
+                               st.integers(0, 99)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trainable_gradients_match_unpruned_backward(self, d, leaves, ops, seed):
+        rng = np.random.default_rng(seed)
+        values = [rng.standard_normal((1 if row else d, d)) for _, row in leaves]
+        params = [None if kind == "const" else
+                  Parameter(v, f"p{i}", trainable=kind == "trainable")
+                  for i, ((kind, _), v) in enumerate(zip(leaves, values))]
+        # the same graph with every leaf trainable: nothing can be pruned
+        reference = [Parameter(v, f"p{i}") for i, v in enumerate(values)]
+
+        def leaf_tensors(sources):
+            out = [ad.const(v) if p is None else p.leaf() for p, v in zip(sources, values)]
+            if params[0] is not None:  # one parameter read through two leaves
+                out.append(sources[0].leaf())
+            return out
+
+        pruned = _random_stack(leaf_tensors(params), ops)
+        full = _random_stack(leaf_tensors(reference), ops)
+        assert forward_backward(pruned) == forward_backward(full)
+        for p, ref in zip(params, reference):
+            if p is not None and p.trainable:
+                assert np.array_equal(p.grad, ref.grad)
+                assert p.grad_populated == ref.grad_populated
+            elif p is not None:
+                assert not p.grad_populated
+                assert not p.grad.any()
+        # the needs rule, recomputed from the graph; unneeded nodes keep grad None
+        needs = {}
+        for t in tape_nodes(pruned):
+            needs[id(t)] = (t.param.trainable if t.param is not None
+                            else any(needs[id(q)] for q in t.parents))
+            assert t.needs == needs[id(t)]
+            if not t.needs:
+                assert t.grad is None
+
+    def test_loss_without_trainable_leaf_visits_nothing(self):
+        frozen = Parameter([[2.0]], "frozen", trainable=False)
+        loss = mul(frozen.leaf(), ad.const([[3.0]]))
+        assert forward_backward(loss) == 6.0
+        assert not loss.needs and loss.grad is None
+        assert not frozen.grad_populated
 
 
 class TestAdamW:

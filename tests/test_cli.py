@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from hglearn.cli import main
@@ -130,6 +131,15 @@ class TestPretrain:
         assert f"unreadable dataset file {target}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
+    def test_divergence_exits_one_and_leaves_no_output(self, tmp_path, dataset_dir, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("pretrain", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                       *FAST, "--set", "pretrain_lr=1e300")
+        assert code == 1
+        assert re.search(r"error: pretrain diverged: .* non-finite at epoch \d+$",
+                         capsys.readouterr().err, re.M)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
 
 class TestTune:
     def test_outputs_and_row_format(self, tmp_path, dataset_dir, checkpoint_dir):
@@ -177,6 +187,19 @@ class TestTune:
             assert run("tune", "--data", str(dataset_dir), "--checkpoint", str(encoder),
                        "--out", str(out), *FAST, "--set", f"strategy={strategy}") == 1
             assert "not a matrix of finite numbers" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre"]
+
+    @pytest.mark.parametrize("strategy", ["finetune", "phgnn"])
+    def test_divergence_exits_one_and_leaves_no_output(self, tmp_path, dataset_dir,
+                                                       checkpoint_dir, capsys, strategy):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("tune", "--data", str(dataset_dir),
+                       "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                       "--out", str(tmp_path / "t"), *FAST,
+                       "--set", f"strategy={strategy}", "--set", "tune_lr=1e300")
+        assert code == 1
+        assert re.search(r"error: tune diverged: .* non-finite at epoch \d+$",
+                         capsys.readouterr().err, re.M)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre"]
 
     def test_force_refuses_to_replace_an_input(self, tmp_path, dataset_dir,
@@ -325,3 +348,33 @@ class TestArgumentHandling:
         assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 1
         assert f"error: {field} in {cfg}: expected" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, setting", [
+        ("class_sep", "class_sep=nan"),
+        ("pretrain_lr", "pretrain_lr=inf"),
+        ("pretrain_weight_decay", "pretrain_weight_decay=nan"),
+        ("sce_gamma", "sce_gamma=nan"),
+        ("class_sep", None),
+    ], ids=["class_sep-nan", "pretrain_lr-inf", "pretrain_weight_decay-nan", "sce_gamma-nan",
+            "config-file-NaN"])
+    def test_non_finite_float_exits_one(self, tmp_path, capsys, field, setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"class_sep": NaN}' if setting is None else "{}")
+        extra = [] if setting is None else ["--set", setting]
+        # the config is rejected before the (missing) dataset is read
+        for command in (["gen-data"], ["pretrain", "--data", str(tmp_path / "missing")]):
+            assert run(*command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                       *extra) == 1
+            assert f"error: {field} must be finite" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1} if source == "config-file" else {}))
+        extra = ["--seed", "-1"] if source == "flag" else []
+        for command in (["gen-data"], ["pretrain", "--data", str(tmp_path / "missing")]):
+            assert run(*command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                       *extra) == 1
+            assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

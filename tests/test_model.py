@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hglearn import autodiff as ad
-from hglearn.autodiff import Parameter, ShapeError, ValidationError, finite_difference_check
+from hglearn.autodiff import (
+    Parameter,
+    ShapeError,
+    ValidationError,
+    finite_difference_check,
+    forward_backward,
+)
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.model import (
     ClassifierHead,
@@ -21,6 +27,7 @@ from hglearn.model import (
     hgnn_forward_operator,
 )
 from hglearn.prompt import count_tunable_params
+from tape_ops import mul, sum_all, tape_nodes
 
 
 def identity_layer(d, activation="identity"):
@@ -51,7 +58,7 @@ class TestHGNNForward:
 
         def loss_fn(params):
             out = hgnn_forward_operator(propagation_operator(G), X, stack)
-            return ad.sum_all(ad.mul(out, ad.const(readout)))
+            return sum_all(mul(out, ad.const(readout)))
 
         assert finite_difference_check(loss_fn, stack.parameters(), 1e-6) <= 1e-4
 
@@ -114,6 +121,40 @@ class TestClassify:
         head = build_head(4, 2)
         with pytest.raises(ShapeError):
             classify(np.ones((3, 5)), head)
+
+
+class TestFrozenEncoderBackward:
+    @pytest.mark.parametrize("prompted", [False, True], ids=["head-only", "prompted-input"])
+    def test_no_product_toward_constants_or_frozen_weights(self, prompted, monkeypatch):
+        rng = np.random.default_rng(5)
+        operator = propagation_operator(knn_hyperedges(rng.standard_normal((10, 3)), 2))
+        X = rng.standard_normal((10, 4))
+        encoder = build_encoder(4, (6,), 3, rng)
+        encoder.freeze()
+        head = build_head(3, 2)
+        prompt = Parameter(rng.normal(0.0, 0.1, (1, 4)), "prompt")
+        targets = []
+        accum = ad._accum
+        monkeypatch.setattr(ad, "_accum", lambda t, g: (targets.append(t), accum(t, g)))
+        x = ad.broadcast_add_row(X, prompt.leaf()) if prompted else ad.const(X)
+        z = hgnn_forward_operator(operator, x, encoder)
+        loss = ad.softmax_cross_entropy(classify(z, head), rng.integers(0, 2, 10),
+                                        np.ones(10, bool))
+        forward_backward(loss)
+        constants = [t for t in tape_nodes(loss)
+                     if (t.param is None and not t.parents) or
+                     (t.param is not None and not t.param.trainable)]
+        # the operator, X and each frozen weight and bias
+        assert sum(t.op == "const" for t in constants) == 2
+        assert len(constants) == 2 + 2 * len(encoder.layers)
+        reached = {id(t) for t in targets}
+        for t in constants:
+            assert t.grad is None and id(t) not in reached, t.op
+        assert all(not p.grad_populated and not p.grad.any() for p in encoder.parameters())
+        assert head.weight.grad_populated and head.weight.grad.any()
+        assert prompt.grad_populated == prompted
+        if not prompted:  # only the logits, Z @ W and the two head leaves
+            assert len(targets) == 4
 
 
 class TestCrossEntropyMasked:

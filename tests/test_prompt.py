@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hglearn.prompt
-from hglearn.autodiff import Parameter, ValidationError
+from hglearn import autodiff as ad
+from hglearn.autodiff import AdamWState, Parameter, ValidationError, adamw_step, forward_backward
 from hglearn.checkpoint import load_snapshot, save_snapshot
 from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
+from hglearn.metrics import evaluate_logits
 from hglearn.model import build_encoder, build_head
 from hglearn.pretrain import pretrain
 from hglearn.prompt import (
@@ -419,3 +421,64 @@ class TestTuneWithStrategy:
                                     folds.train_mask(0), folds.val_mask(0), encoder,
                                     small_config(tune_epochs=1, strategy="linear_probe"))
         assert result.val_bacc[0] != 0.5 or result.best_metrics.auc != 0.5
+
+
+def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg):
+    """The tuning loop with a fresh training forward every epoch and no cached Z."""
+    spec = _STRATEGY_TABLE[strategy]
+    run = _StrategyState(spec, G, X, encoder.copy(trainable=True) if spec.trains_encoder
+                         else encoder, cfg)
+    run.frozen_z = None
+    n, p_rows = X.shape[0], run.prompt_rows
+    y_pad = np.concatenate([labels, np.zeros(p_rows, dtype=np.int64)])
+    mt_pad = np.concatenate([train_mask, np.zeros(p_rows, dtype=bool)])
+    state, losses, baccs = AdamWState(), [], []
+    for _ in range(cfg.tune_epochs):
+        _, operator = run.epoch_structure()
+        losses.append(forward_backward(
+            ad.softmax_cross_entropy(run.logits(operator), y_pad, mt_pad)))
+        adamw_step(run.params, state, cfg.tune_lr, cfg.tune_weight_decay)
+        baccs.append(evaluate_logits(run.logits(operator).value[:n], labels, val_mask).bacc)
+    return losses, baccs
+
+
+class TestEpochForwards:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_a_fresh_forward_every_epoch(self, tuning_setup, strategy):
+        ds, G, X, encoder, folds = tuning_setup
+        # at this rate phgnn's token structure changes 3 times in 15 epochs
+        cfg = small_config(tune_epochs=15, strategy=strategy, tune_lr=0.05)
+        args = (G, X, ds.labels, folds.train_mask(0), folds.val_mask(0), encoder, cfg)
+        result = tune_with_strategy(strategy, *args)
+        losses, baccs = two_forward_tune(strategy, *args)
+        assert result.train_losses == losses
+        assert result.val_bacc == baccs
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forwards_per_fold(self, tuning_setup, strategy, monkeypatch):
+        ds, G, X, encoder, folds = tuning_setup
+        calls = {"forward": 0, "token_block": 0}
+
+        def count(name, key, skip=None):
+            fn = getattr(hglearn.prompt, name)
+
+            def counted(*args, **kwargs):
+                if args[0] is not skip:
+                    calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(hglearn.prompt, name, counted)
+
+        count("hgnn_forward_operator", "forward")
+        count("_edge_gram", "token_block", skip=G)
+        epochs = 9
+        tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
+                           encoder, small_config(tune_epochs=epochs, strategy=strategy,
+                                                 tune_lr=0.05))
+        if strategy == "linear_probe":
+            assert calls == {"forward": 1, "token_block": 0}
+        elif strategy == "phgnn":
+            # a fresh forward only at epochs whose token structure changed
+            assert 1 < calls["token_block"] < epochs
+            assert calls["forward"] == epochs + calls["token_block"]
+        else:
+            assert calls["forward"] == epochs + 1

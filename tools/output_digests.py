@@ -1,0 +1,88 @@
+"""sha256 of every file the commands write at one small config.
+
+Runs gen-data, pretrain, tune for each strategy, compare-strategies,
+ablate-prompts (--sizes 1,2,4) and ablate-modalities through
+`hglearn.cli.main`, in this process, with single-threaded BLAS, and prints
+one `sha256  relpath` line per output file, sorted by path.
+
+    python3 tools/output_digests.py --out /tmp/digests > change.txt
+
+The reports record the dataset and checkpoint paths, so two checkouts give
+comparable digests only when both are run with the same --out. Each command
+replaces its own subdirectory of --out (--force), so one --out can be reused.
+"""
+
+from __future__ import annotations
+
+import os
+
+# BLAS reads its thread count when numpy loads, so set it before any import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIG = [
+    "--seed", "3", "--set", "n=60", "--set", "dims=5,5,5", "--set", "k=5",
+    "--set", "hidden_dims=12", "--set", "latent_dim=8", "--set", "pretrain_epochs=6",
+    "--set", "tune_epochs=6", "--set", "num_prompts=4", "--set", "prompt_k=2",
+    "--set", "gpf_basis=5",
+]
+
+
+def load_program():
+    """Import hglearn from this checkout's src/, never from anywhere else."""
+    src = ROOT / "src"
+    sys.path.insert(0, str(src))
+    import hglearn.cli
+    import hglearn.prompt
+
+    if Path(hglearn.cli.__file__).resolve().parent != (src / "hglearn").resolve():
+        sys.exit(f"error: imported hglearn from {hglearn.cli.__file__}")
+    return hglearn.cli.main, hglearn.prompt.STRATEGIES
+
+
+def commands(out: Path, strategies):
+    data, ckpt = str(out / "data"), str(out / "pre" / "encoder.json")
+    yield ["gen-data", "--out", data]
+    yield ["pretrain", "--data", data, "--out", str(out / "pre")]
+    tuned = ["--data", data, "--checkpoint", ckpt]
+    for s in strategies:
+        yield ["tune", *tuned, "--set", f"strategy={s}", "--out", str(out / f"tune_{s}")]
+    yield ["compare-strategies", *tuned, "--out", str(out / "compare")]
+    yield ["ablate-prompts", *tuned, "--sizes", "1,2,4", "--out", str(out / "ablate_prompts")]
+    yield ["ablate-modalities", "--data", data, "--out", str(out / "ablate_modalities")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="directory for every command's output")
+    args = parser.parse_args(argv)
+    out = Path(os.path.abspath(args.out))
+    out.mkdir(parents=True, exist_ok=True)
+    run, strategies = load_program()
+    written = []
+    for argv_ in commands(out, strategies):
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+            code = run([*argv_, *CONFIG, "--force"])
+        if code != 0:
+            sys.stderr.write(log.getvalue())
+            sys.exit(f"error: {argv_[0]} exited {code}")
+        written.append(Path(argv_[argv_.index("--out") + 1]))
+    files = {p.relative_to(out).as_posix(): p
+             for d in written for p in d.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        print(f"{hashlib.sha256(files[rel].read_bytes()).hexdigest()}  {rel}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
