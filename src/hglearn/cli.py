@@ -23,16 +23,16 @@ from pathlib import Path
 from .autodiff import ValidationError
 from .checkpoint import load_checkpoint, save_checkpoint, save_snapshot
 from .config import RunConfig, load_config, parse_override
-from .data import generate_synthetic, load_dataset, save_dataset
+from .data import build_fused_hypergraph, generate_synthetic, load_dataset, save_dataset
 from .metrics import format_metric_row
 from .pipeline import (
     MODALITY_SUBSETS,
     run_ablate_modalities,
     run_ablate_prompts,
     run_compare_strategies,
-    run_pretrain,
     run_tune,
 )
+from .pretrain import pretrain
 
 __all__ = ["main"]
 
@@ -101,17 +101,15 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _load_inputs(cfg: RunConfig, need_checkpoint=True):
-    if not cfg.data_dir:
-        raise ValidationError("no dataset directory given (--data)")
+    """(G, X, labels, encoder) for the `run_*` sweeps; no encoder without a checkpoint."""
     dataset = load_dataset(cfg.data_dir)
-    if not need_checkpoint:
-        return dataset, None
-    if not cfg.checkpoint:
-        raise ValidationError("no checkpoint given (--checkpoint)")
-    encoder, _info = load_checkpoint(cfg.checkpoint)
-    if not encoder.frozen:
-        encoder.freeze()
-    return dataset, encoder
+    encoder = None
+    if need_checkpoint:
+        encoder, _info = load_checkpoint(cfg.checkpoint)
+        if not encoder.frozen:
+            encoder.freeze()
+    G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise)
+    return G, X, dataset.labels, encoder
 
 
 def cmd_gen_data(args, cfg: RunConfig, out: Path) -> int:
@@ -130,8 +128,8 @@ def cmd_gen_data(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_pretrain(args, cfg: RunConfig, out: Path) -> int:
-    dataset, _ = _load_inputs(cfg, need_checkpoint=False)
-    result, G, X = run_pretrain(dataset, cfg)
+    G, X, _, _ = _load_inputs(cfg, need_checkpoint=False)
+    result = pretrain(G, X, cfg)
     result.encoder.freeze()
     save_checkpoint(
         out / "encoder.json", result.encoder, cfg.seed, cfg.digest(),
@@ -155,8 +153,7 @@ def cmd_pretrain(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
-    dataset, encoder = _load_inputs(cfg)
-    res = run_tune(dataset, encoder, cfg)
+    res = run_tune(*_load_inputs(cfg), cfg)
     for f, r in enumerate(res["fold_results"]):
         _write_record(
             out / f"fold_{f}.json", cfg,
@@ -189,8 +186,7 @@ def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_ablate_prompts(args, cfg: RunConfig, out: Path) -> int:
-    dataset, encoder = _load_inputs(cfg)
-    rows = run_ablate_prompts(dataset, encoder, cfg, args.sizes)
+    rows = run_ablate_prompts(*_load_inputs(cfg), cfg, args.sizes)
     header = "|P|  " + "  ".join(str(r["num_prompts"]) for r in rows)
     auc_line = "AUC  " + "  ".join(f"{r['aggregate'].auc * 100:.1f}" for r in rows)
     params_line = "params  " + "  ".join(str(r["tunable_total"]) for r in rows)
@@ -204,8 +200,7 @@ def cmd_ablate_prompts(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_ablate_modalities(args, cfg: RunConfig, out: Path) -> int:
-    dataset, _ = _load_inputs(cfg, need_checkpoint=False)
-    rows = run_ablate_modalities(dataset, cfg)
+    rows = run_ablate_modalities(load_dataset(cfg.data_dir), cfg)
     marks = []
     for subset, row in zip(MODALITY_SUBSETS, rows):
         flags = ["x" if i in subset else "." for i in range(3)]
@@ -221,8 +216,7 @@ def cmd_ablate_modalities(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_compare_strategies(args, cfg: RunConfig, out: Path) -> int:
-    dataset, encoder = _load_inputs(cfg)
-    rows = run_compare_strategies(dataset, encoder, cfg)
+    rows = run_compare_strategies(*_load_inputs(cfg), cfg)
     lines = [f"# config_digest: {cfg.digest()}"]
     for r in rows:
         lines.append(format_metric_row(r["strategy"], r["aggregate"]) + f"  {r['tunable_total']}")
@@ -297,10 +291,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
         inputs = [args.config]
-        if hasattr(args, "data"):
-            inputs.append(cfg.data_dir)
-        if hasattr(args, "checkpoint"):
-            inputs.append(cfg.checkpoint)
+        for flag, path, what in (("data", cfg.data_dir, "dataset directory"),
+                                 ("checkpoint", cfg.checkpoint, "checkpoint")):
+            if hasattr(args, flag):
+                if not path:
+                    raise ValidationError(f"no {what} given (--{flag})")
+                inputs.append(path)
         with _staged_out(args.out, args.force, inputs) as out:
             return args.func(args, cfg, out)
     except ValidationError as e:

@@ -70,17 +70,16 @@ class RunConfig:
                 raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        for name in ("n", "m", "k_folds", "num_prompts", "gpf_basis", "latent_dim",
-                     "tune_epochs"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("n", 1), ("m", 1), ("k_folds", 1), ("num_prompts", 1),
+                          ("gpf_basis", 1), ("latent_dim", 1), ("tune_epochs", 1),
+                          ("num_classes", 2), ("k", 0), ("prompt_k", 0),
+                          ("pretrain_epochs", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if any(d < 1 for d in self.hidden_dims):
             raise ValidationError(
                 f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}"
             )
-        for name in ("k", "prompt_k", "pretrain_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValidationError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if not 0.0 <= self.missing_rate < 1.0:

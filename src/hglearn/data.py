@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ValidationError, as_matrix
-from .hypergraph import Hypergraph, coequal_fuse, fuse_features, knn_hyperedges
+from .hypergraph import Hypergraph, _knn_members, fuse_features, knn_neighbor_lists
 
 __all__ = [
     "Modality",
@@ -248,20 +248,22 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False):
     Returns (G, X_fused).
     """
     n = dataset.num_subjects
-    parts = []
-    feature_blocks = []
+    rows, cols, num_edges = [], [], 0  # the fused incidence's ones, modality by modality
     for i, mod in enumerate(dataset.modalities):
         present_idx = np.flatnonzero(mod.present)
         if present_idx.size < k + 1:
             raise ValidationError(
                 f"modality_{i}: only {present_idx.size} present subjects for k={k}"
             )
-        sub = knn_hyperedges(mod.features[present_idx], k, pairwise=pairwise)
-        inc = np.zeros((n, sub.num_edges))
-        inc[present_idx] = sub.incidence
-        parts.append(Hypergraph(n, inc, sub.edge_weights))
-        feature_blocks.append(mod.features * mod.present[:, None])
-    return coequal_fuse(parts), fuse_features(feature_blocks)
+        neighbors = knn_neighbor_lists(mod.features[present_idx], k)
+        members, edges, count = _knn_members(neighbors, pairwise)
+        rows.append(present_idx[members])
+        cols.append(num_edges + edges)
+        num_edges += count
+    inc = np.zeros((n, num_edges))
+    inc[np.concatenate(rows), np.concatenate(cols)] = 1.0
+    features = fuse_features([m.features * m.present[:, None] for m in dataset.modalities])
+    return Hypergraph(n, inc), features
 
 
 @dataclass

@@ -2,12 +2,15 @@
 
 A hypergraph is stored densely: a binary node-by-hyperedge incidence matrix
 plus positive per-hyperedge weights. Instances are immutable after
-construction (the backing arrays are marked read-only) and safe to share.
+construction (the backing arrays are marked read-only) and safe to share;
+each computes its edge gram once, on first use, for every operator built
+on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +20,6 @@ __all__ = [
     "Hypergraph",
     "knn_hyperedges",
     "knn_neighbor_lists",
-    "coequal_fuse",
     "fuse_features",
     "propagation_operator",
 ]
@@ -58,6 +60,14 @@ class Hypergraph:
     def num_edges(self) -> int:
         return self.incidence.shape[1]
 
+    @cached_property
+    def edge_gram(self):
+        """(H W D_e^{-1} H^T, H w), computed on first use and kept read-only."""
+        H, w = self.incidence, self.edge_weights  # every hyperedge has a member: D_e > 0
+        gram, dv = (H * (w * (1.0 / H.sum(axis=0)))) @ H.T, H @ w
+        gram.flags.writeable = dv.flags.writeable = False
+        return gram, dv
+
 
 def knn_neighbor_lists(features: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors of each row, excluding the row itself.
@@ -94,32 +104,23 @@ def knn_hyperedges(features, k: int, pairwise: bool = False) -> Hypergraph:
     emulating an ordinary graph.
     """
     X = as_matrix(features, "features")
-    n = X.shape[0]
-    neighbors = knn_neighbor_lists(X, k)
+    rows, cols, num_edges = _knn_members(knn_neighbor_lists(X, k), pairwise)
+    inc = np.zeros((X.shape[0], num_edges))
+    inc[rows, cols] = 1.0
+    return Hypergraph(X.shape[0], inc)
+
+
+def _knn_members(neighbors, pairwise):
+    """(node, hyperedge) index pairs of the k-NN hyperedges, and their count.
+
+    Hyperedges are numbered in the column order of `knn_hyperedges`.
+    """
+    n, k = neighbors.shape
     centroids = np.repeat(np.arange(n), k)  # node i once per neighbor, as in neighbors.ravel()
     if pairwise:
-        cols = np.arange(n * k)
-        inc = np.zeros((n, n * k))
-        inc[centroids, cols] = 1.0
-        inc[neighbors.ravel(), cols] = 1.0
-    else:
-        inc = np.eye(n)
-        inc[neighbors.ravel(), centroids] = 1.0
-    return Hypergraph(n, inc)
-
-
-def coequal_fuse(parts) -> Hypergraph:
-    """Concatenate incidence matrices of hypergraphs over the same node set."""
-    parts = list(parts)
-    if not parts:
-        raise ValidationError("coequal_fuse: empty hypergraph list")
-    n = parts[0].num_nodes
-    for p in parts[1:]:
-        if p.num_nodes != n:
-            raise ShapeError(f"coequal_fuse: node counts differ ({p.num_nodes} vs {n})")
-    inc = np.hstack([p.incidence for p in parts])
-    w = np.concatenate([p.edge_weights for p in parts])
-    return Hypergraph(n, inc, w)
+        return np.concatenate([centroids, neighbors.ravel()]), np.tile(np.arange(n * k), 2), n * k
+    nodes = np.arange(n)
+    return np.concatenate([nodes, neighbors.ravel()]), np.concatenate([nodes, centroids]), n
 
 
 def fuse_features(modality_features) -> np.ndarray:
@@ -143,17 +144,22 @@ def propagation_operator(G: Hypergraph) -> np.ndarray:
     hyperedge weights and D_e the hyperedge cardinalities. Zero degrees map
     to zero (isolated nodes get all-zero rows).
     """
-    M, dv = _edge_gram(G)
+    return _data_block(G, 0)[1]
+
+
+def _data_block(G: Hypergraph, num_prompts: int):
+    """(s, s (H W D_e^{-1} H^T + P/(N+1)) s^T) with s = (H w + P)^{-1/2}.
+
+    The data block of the operator once P prompt tokens are attached, each
+    through one hyperedge over all N data nodes (see `hglearn.prompt`);
+    P = 0 is `propagation_operator`. Zero degrees give s = 0.
+    """
+    gram, dv = G.edge_gram
+    dv = dv + num_prompts
     with np.errstate(divide="ignore"):
         s = np.where(dv > 0, dv**-0.5, 0.0)
-    return s[:, None] * M * s[None, :]
-
-
-def _edge_gram(G: Hypergraph):
-    """(H W D_e^{-1} H^T, H w): the operator before degree normalization."""
-    H = G.incidence
-    w = G.edge_weights
-    de = H.sum(axis=0)
-    with np.errstate(divide="ignore"):
-        inv_de = np.where(de > 0, 1.0 / de, 0.0)
-    return (H * (w * inv_de)) @ H.T, H @ w
+    # scaled in place: the kept gram and one N x N array, nothing more
+    block = gram + num_prompts / (G.num_nodes + 1)
+    block *= s[:, None]
+    block *= s[None, :]
+    return s, block

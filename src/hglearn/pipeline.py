@@ -2,21 +2,20 @@
 
 These functions are the library behind the command line: they return plain
 records (dicts and dataclasses) that the CLI serializes, so experiments are
-equally scriptable from Python.
+equally scriptable from Python. The sweeps take (G, X), fused once by the caller.
 """
 
 from __future__ import annotations
 
 from .autodiff import ValidationError
 from .config import RunConfig
-from .data import MultimodalDataset, build_fused_hypergraph, split_folds, subset_modalities
+from .data import build_fused_hypergraph, split_folds, subset_modalities
 from .metrics import aggregate_folds
 from .model import HGNNStack
 from .pretrain import pretrain
 from .prompt import STRATEGIES, tune_with_strategy
 
 __all__ = [
-    "run_pretrain",
     "run_tune",
     "run_ablate_prompts",
     "run_ablate_modalities",
@@ -28,22 +27,15 @@ __all__ = [
 MODALITY_SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
-def run_pretrain(dataset: MultimodalDataset, cfg: RunConfig):
-    """Fused hypergraph plus a full pretraining run. Returns (result, G, X)."""
-    G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise)
-    return pretrain(G, X, cfg), G, X
-
-
-def run_tune(dataset: MultimodalDataset, encoder: HGNNStack, cfg: RunConfig) -> dict:
-    """Tune `cfg.strategy` over every fold; aggregate validation metrics."""
-    G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise)
+def run_tune(G, X, labels, encoder: HGNNStack, cfg: RunConfig) -> dict:
+    """Tune `cfg.strategy` over every fold of (G, X); aggregate validation metrics."""
     if X.shape[1] != encoder.input_dim:
         raise ValidationError(
             f"checkpoint expects {encoder.input_dim} fused features, dataset has {X.shape[1]}"
         )
-    folds = split_folds(dataset.labels, cfg.k_folds, cfg.seed)
+    folds = split_folds(labels, cfg.k_folds, cfg.seed)
     fold_results = [
-        tune_with_strategy(cfg.strategy, G, X, dataset.labels,
+        tune_with_strategy(cfg.strategy, G, X, labels,
                            folds.train_mask(f), folds.val_mask(f), encoder, cfg)
         for f in range(cfg.k_folds)
     ]
@@ -57,11 +49,11 @@ def run_tune(dataset: MultimodalDataset, encoder: HGNNStack, cfg: RunConfig) -> 
     }
 
 
-def run_ablate_prompts(dataset, encoder, cfg: RunConfig, sizes=(8, 16, 32, 64)) -> list:
+def run_ablate_prompts(G, X, labels, encoder, cfg: RunConfig, sizes=(8, 16, 32, 64)) -> list:
     """One phgnn tuning sweep per prompt-set size; AUC is the headline column."""
     rows = []
     for p in sizes:
-        res = run_tune(dataset, encoder, cfg.replace(strategy="phgnn", num_prompts=p))
+        res = run_tune(G, X, labels, encoder, cfg.replace(strategy="phgnn", num_prompts=p))
         rows.append(
             {
                 "num_prompts": int(p),
@@ -80,10 +72,11 @@ def run_ablate_modalities(dataset, cfg: RunConfig) -> list:
         )
     rows = []
     for subset in MODALITY_SUBSETS:
-        sub = subset_modalities(dataset, subset)
-        result, G, X = run_pretrain(sub, cfg)
+        G, X = build_fused_hypergraph(subset_modalities(dataset, subset), cfg.k,
+                                      pairwise=cfg.pairwise)
+        result = pretrain(G, X, cfg)
         result.encoder.freeze()
-        res = run_tune(sub, result.encoder, cfg)
+        res = run_tune(G, X, dataset.labels, result.encoder, cfg)
         rows.append(
             {
                 "modalities": list(subset),
@@ -95,11 +88,11 @@ def run_ablate_modalities(dataset, cfg: RunConfig) -> list:
     return rows
 
 
-def run_compare_strategies(dataset, encoder, cfg: RunConfig) -> list:
+def run_compare_strategies(G, X, labels, encoder, cfg: RunConfig) -> list:
     """All tuning strategies on identical folds and seeds, with param counts."""
     rows = []
     for strategy in STRATEGIES:
-        res = run_tune(dataset, encoder, cfg.replace(strategy=strategy))
+        res = run_tune(G, X, labels, encoder, cfg.replace(strategy=strategy))
         rows.append(
             {
                 "strategy": strategy,

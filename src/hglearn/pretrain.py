@@ -108,14 +108,16 @@ def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
     state = AdamWState()
     operator = propagation_operator(G)
     losses = []
-    for epoch in range(cfg.pretrain_epochs):
-        masked = sample_mask(n, cfg.mask_ratio, rng)
-        x_masked = ad.mask_rows(X, masked, tokens.input_token.leaf())
-        z = hgnn_forward_operator(operator, x_masked, encoder)
-        z_masked = ad.mask_rows(z, masked, tokens.latent_token.leaf())
-        recon = hgnn_forward_operator(operator, z_masked, decoder)
-        loss = sce_loss(X, recon, masked, cfg.sce_gamma)
-        losses.append(forward_backward(loss))
-        adamw_step(params, state, cfg.pretrain_lr, cfg.pretrain_weight_decay)
-        check_finite("pretrain", epoch, losses[-1], params)
+    # a diverging epoch is reported by check_finite, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.pretrain_epochs):
+            masked = sample_mask(n, cfg.mask_ratio, rng)
+            x_masked = ad.mask_rows(X, masked, tokens.input_token.leaf())
+            z = hgnn_forward_operator(operator, x_masked, encoder)
+            z_masked = ad.mask_rows(z, masked, tokens.latent_token.leaf())
+            recon = hgnn_forward_operator(operator, z_masked, decoder)
+            loss = sce_loss(X, recon, masked, cfg.sce_gamma)
+            losses.append(forward_backward(loss))
+            adamw_step(params, state, cfg.pretrain_lr, cfg.pretrain_weight_decay)
+            check_finite("pretrain", epoch, losses[-1], params)
     return PretrainResult(encoder, decoder, tokens, losses)

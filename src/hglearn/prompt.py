@@ -18,8 +18,9 @@ s_t = (H_p w_p + 1)^{-1/2}, the blocks are (s scales rows and columns):
     data x token    s_d s_t^T / (N+1)                  (rank one)
     token x token   s_t (H_p W_p D_e,p^{-1} H_p^T + I/(N+1)) s_t^T
 
-The data block is built once per fold; the border and the P x P token block
-only when the token k-NN structure changes. `insert_prompt` keeps the dense
+The data block is built once per fold from the data hypergraph's gram, which
+the `Hypergraph` computes once; the border and the P x P token block only
+when the token k-NN structure changes. `insert_prompt` keeps the dense
 construction, which the tests use as the oracle for this one.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
@@ -45,7 +46,7 @@ from .autodiff import (
     check_finite,
     forward_backward,
 )
-from .hypergraph import Hypergraph, _edge_gram, knn_hyperedges, propagation_operator
+from .hypergraph import Hypergraph, _data_block, knn_hyperedges
 from .metrics import MetricsReport, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator
 
@@ -267,18 +268,14 @@ class _StrategyState:
                 f"{p} prompt tokens is not small next to the "
                 f"latent dim {encoder.output_dim}"
             )
-        self.base_operator = None if spec.prompt_tokens else propagation_operator(G)
-        if spec.prompt_tokens:
-            gram, dv = _edge_gram(G)
-            self.s_data = (dv + p) ** -0.5
-            self.data_block = self.s_data[:, None] * (gram + p / (n + 1)) * self.s_data[None, :]
-            self.last_prompt = (None, None)  # (G_p, operator) of the latest call
+        self.s_data, self.data_operator = _data_block(G, p)
+        self.last_prompt = (None, None)  # (G_p, operator) of the latest call
         # nothing below the head trains (linear_probe): the encoder output is
         # one constant per fold, so the encoder runs once and only its value
         # stays on the tape
         self.frozen_z = None
         if not spec.trains_encoder and spec.extra is None:
-            self.frozen_z = ad.const(hgnn_forward_operator(self.base_operator, X, encoder).value)
+            self.frozen_z = ad.const(hgnn_forward_operator(self.data_operator, X, encoder).value)
 
     def operator(self, G_p):
         """Propagation matrix with the prompt structure G_p attached, if any.
@@ -288,18 +285,18 @@ class _StrategyState:
         depends on G_p alone, so an unchanged G_p returns the last matrix.
         """
         if G_p is None:
-            return self.base_operator
+            return self.data_operator
         _check_prompt(self.X.shape[1], self.extra.value, G_p)
         last, op = self.last_prompt
         if (last is not None and np.array_equal(G_p.incidence, last.incidence)
                 and np.array_equal(G_p.edge_weights, last.edge_weights)):
             return op
         n = self.X.shape[0]
-        gram, dv = _edge_gram(G_p)
+        gram, dv = G_p.edge_gram
         s_tok = (dv + 1.0) ** -0.5
         border = self.s_data[:, None] / (n + 1) * s_tok[None, :]
         tok_block = s_tok[:, None] * (gram + np.eye(G_p.num_nodes) / (n + 1)) * s_tok[None, :]
-        op = np.block([[self.data_block, border], [border.T, tok_block]])
+        op = np.block([[self.data_operator, border], [border.T, tok_block]])
         self.last_prompt = (G_p, op)
         return op
 
@@ -376,27 +373,29 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     )
     best_bacc = -1.0
     logits, logits_operator = None, None
-    for epoch in range(cfg.tune_epochs):
-        G_p, operator = run.epoch_structure()
-        if operator is not logits_operator:
-            logits = run.logits(operator)
-        # no name keeps the loss, so at most two graphs are alive at once
-        result.train_losses.append(
-            forward_backward(ad.softmax_cross_entropy(logits, y_pad, mt_pad)))
-        adamw_step(params, state, cfg.tune_lr, cfg.tune_weight_decay)
-        check_finite("tune", epoch, result.train_losses[-1], params)
-        # post-update predictions on the same structure, per the tuning loop
-        logits, logits_operator = run.logits(operator), operator
-        report = evaluate_logits(logits.value[:n], y, mv)
-        result.val_bacc.append(report.bacc)
-        if report.bacc > best_bacc:
-            best_bacc = report.bacc
-            result.best_epoch = epoch
-            result.best_metrics = report
-            result.snapshot = _snapshot_params(params)
-            if G_p is not None:
-                result.prompt_incidence = G_p.incidence.copy()
-                result.prompt_edge_weights = G_p.edge_weights.copy()
+    # a diverging epoch is reported by check_finite, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.tune_epochs):
+            G_p, operator = run.epoch_structure()
+            if operator is not logits_operator:
+                logits = run.logits(operator)
+            # no name keeps the loss, so at most two graphs are alive at once
+            result.train_losses.append(
+                forward_backward(ad.softmax_cross_entropy(logits, y_pad, mt_pad)))
+            adamw_step(params, state, cfg.tune_lr, cfg.tune_weight_decay)
+            check_finite("tune", epoch, result.train_losses[-1], params)
+            # post-update predictions on the same structure, per the tuning loop
+            logits, logits_operator = run.logits(operator), operator
+            report = evaluate_logits(logits.value[:n], y, mv)
+            result.val_bacc.append(report.bacc)
+            if report.bacc > best_bacc:
+                best_bacc = report.bacc
+                result.best_epoch = epoch
+                result.best_metrics = report
+                result.snapshot = _snapshot_params(params)
+                if G_p is not None:
+                    result.prompt_incidence = G_p.incidence.copy()
+                    result.prompt_edge_weights = G_p.edge_weights.copy()
     return result
 
 

@@ -271,7 +271,7 @@ def test_criterion_07_end_to_end_quality(default_dataset):
         G, X = build_fused_hypergraph(ds, cfg.k)
         result = pretrain(G, X, cfg)
         result.encoder.freeze()
-        res = run_tune(ds, result.encoder, cfg)
+        res = run_tune(G, X, ds.labels, result.encoder, cfg)
         baccs.append(res["aggregate"].bacc)
         aucs.append(res["aggregate"].auc)
     elapsed = time.time() - start

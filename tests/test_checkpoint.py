@@ -165,6 +165,9 @@ class TestRunConfig:
         for hidden in ((-2,), (0,), (8, 0)):
             with pytest.raises(ValidationError, match="hidden_dims"):
                 RunConfig(hidden_dims=hidden)
+        for num_classes in (-1, 0, 1):
+            with pytest.raises(ValidationError, match="num_classes must be >= 2"):
+                RunConfig(num_classes=num_classes)
 
     def test_load_config_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

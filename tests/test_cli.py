@@ -2,11 +2,15 @@
 
 import json
 import re
+import sys
+import warnings
 
-import numpy as np
 import pytest
 
 from hglearn.cli import main
+from hglearn.data import build_fused_hypergraph
+from hglearn.hypergraph import Hypergraph
+from hglearn.prompt import STRATEGIES
 
 FAST = [
     "--set", "n=36", "--set", "m=3", "--set", "dims=4,4,4", "--set", "k=3",
@@ -18,6 +22,14 @@ FAST = [
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_quietly(*argv):
+    """`run`, also returning every warning raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    return code, [str(w.message) for w in caught]
 
 
 @pytest.fixture()
@@ -132,12 +144,13 @@ class TestPretrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
     def test_divergence_exits_one_and_leaves_no_output(self, tmp_path, dataset_dir, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run("pretrain", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
-                       *FAST, "--set", "pretrain_lr=1e300")
-        assert code == 1
-        assert re.search(r"error: pretrain diverged: .* non-finite at epoch \d+$",
-                         capsys.readouterr().err, re.M)
+        code, caught = run_quietly("pretrain", "--data", str(dataset_dir),
+                                   "--out", str(tmp_path / "o"), *FAST,
+                                   "--set", "pretrain_lr=1e300")
+        assert (code, caught) == (1, [])
+        # the error line is all a diverging run prints
+        assert re.fullmatch(r"error: pretrain diverged: .* non-finite at epoch \d+\n",
+                            capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
@@ -189,17 +202,16 @@ class TestTune:
             assert "not a matrix of finite numbers" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre"]
 
-    @pytest.mark.parametrize("strategy", ["finetune", "phgnn"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_divergence_exits_one_and_leaves_no_output(self, tmp_path, dataset_dir,
                                                        checkpoint_dir, capsys, strategy):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run("tune", "--data", str(dataset_dir),
-                       "--checkpoint", str(checkpoint_dir / "encoder.json"),
-                       "--out", str(tmp_path / "t"), *FAST,
-                       "--set", f"strategy={strategy}", "--set", "tune_lr=1e300")
-        assert code == 1
-        assert re.search(r"error: tune diverged: .* non-finite at epoch \d+$",
-                         capsys.readouterr().err, re.M)
+        code, caught = run_quietly("tune", "--data", str(dataset_dir),
+                                   "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                                   "--out", str(tmp_path / "t"), *FAST,
+                                   "--set", f"strategy={strategy}", "--set", "tune_lr=1e300")
+        assert (code, caught) == (1, [])
+        assert re.fullmatch(r"error: tune diverged: .* non-finite at epoch \d+\n",
+                            capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre"]
 
     def test_force_refuses_to_replace_an_input(self, tmp_path, dataset_dir,
@@ -303,6 +315,52 @@ class TestAblateModalities:
                    "--out", str(tmp_path / "am"), *FAST) == 1
 
 
+class TestBuildsOnce:
+    """Each command fuses its dataset once per hypergraph it needs, and every
+    fold shares the data hypergraph's gram."""
+
+    @pytest.fixture()
+    def fusions(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_fused_hypergraph(*args, **kwargs)
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("hglearn")
+                    and getattr(module, "build_fused_hypergraph", None) is build_fused_hypergraph):
+                monkeypatch.setattr(module, "build_fused_hypergraph", counted)
+        return calls
+
+    @pytest.mark.parametrize("command, builds", [
+        (["tune"], 1), (["compare-strategies"], 1), (["ablate-prompts", "--sizes", "1,2"], 1),
+        (["ablate-modalities"], 7),
+    ], ids=["tune", "compare-strategies", "ablate-prompts", "ablate-modalities"])
+    def test_fused_hypergraph_builds(self, tmp_path, dataset_dir, checkpoint_dir, fusions,
+                                     command, builds):
+        checkpoint = ([] if command[0] == "ablate-modalities"
+                      else ["--checkpoint", str(checkpoint_dir / "encoder.json")])
+        assert run(*command, "--data", str(dataset_dir), *checkpoint,
+                   "--out", str(tmp_path / "o"), *FAST) == 0
+        assert len(fusions) == builds
+
+    @pytest.mark.parametrize("strategy", ["phgnn", "gpf"])
+    def test_tune_computes_the_data_gram_once(self, tmp_path, dataset_dir, checkpoint_dir,
+                                              monkeypatch, strategy):
+        grams = []
+        compute = Hypergraph.edge_gram.func
+
+        def counted(G):
+            if G.num_nodes == 36:  # the data hypergraph, not a 3-token prompt
+                grams.append(G)
+            return compute(G)
+        monkeypatch.setattr(Hypergraph.edge_gram, "func", counted)
+        assert run("tune", "--data", str(dataset_dir),
+                   "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                   "--out", str(tmp_path / "t"), *FAST, "--set", f"strategy={strategy}") == 0
+        assert len(grams) == 1
+
+
 class TestArgumentHandling:
     def test_unknown_command_exits_one(self, capsys):
         assert run("frobnicate") == 1
@@ -367,6 +425,28 @@ class TestArgumentHandling:
                        *extra) == 1
             assert f"error: {field} must be finite" in capsys.readouterr().err
             assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, message", [
+        (["pretrain"], "no dataset directory given (--data)"),
+        (["ablate-modalities"], "no dataset directory given (--data)"),
+        (["tune", "--data", "d"], "no checkpoint given (--checkpoint)"),
+    ], ids=["pretrain-data", "ablate-modalities-data", "tune-checkpoint"])
+    def test_missing_input_exits_one(self, tmp_path, capsys, command, message):
+        out = tmp_path / "o"
+        assert run(*command, "--out", str(out)) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num_classes", [-1, 0, 1])
+    def test_too_few_classes_exits_one(self, tmp_path, capsys, num_classes):
+        # rejected before the (missing) dataset and checkpoint are read
+        out = tmp_path / "o"
+        assert run("tune", "--data", str(tmp_path / "missing"),
+                   "--checkpoint", str(tmp_path / "missing.json"), "--out", str(out),
+                   "--set", f"num_classes={num_classes}") == 1
+        assert (f"error: num_classes must be >= 2, got {num_classes}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config-file"])
     def test_negative_seed_exits_one(self, tmp_path, capsys, source):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hglearn.autodiff import ValidationError
 from hglearn.data import (
@@ -16,7 +18,7 @@ from hglearn.data import (
     split_folds,
     subset_modalities,
 )
-from hglearn.hypergraph import knn_hyperedges
+from hglearn.hypergraph import Hypergraph, knn_hyperedges
 from hglearn.metrics import auc
 
 
@@ -209,6 +211,39 @@ class TestBuildFusedHypergraph:
             cols = G.incidence[:, start : start + int(m.present.sum())]
             assert not cols[~m.present].any()
             start += int(m.present.sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(10, 30), m=st.integers(1, 3), k=st.integers(0, 4),
+           pairwise=st.booleans(), missing_rate=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 10_000))
+    @example(n=20, m=3, k=0, pairwise=True, missing_rate=0.3, seed=0)
+    @example(n=20, m=3, k=0, pairwise=False, missing_rate=0.3, seed=0)
+    def test_incidence_is_the_scattered_per_modality_knn(self, n, m, k, pairwise,
+                                                         missing_rate, seed):
+        ds = generate_synthetic(n, m, (3,) * m, 1.0, missing_rate, seed=seed)
+        assume(all(mod.present.sum() > k for mod in ds.modalities))
+        G, _ = build_fused_hypergraph(ds, k, pairwise=pairwise)
+        start = 0
+        for mod in ds.modalities:
+            present_idx = np.flatnonzero(mod.present)
+            sub = knn_hyperedges(mod.features[present_idx], k, pairwise=pairwise)
+            block = np.zeros((n, sub.num_edges))
+            block[present_idx] = sub.incidence
+            assert np.array_equal(G.incidence[:, start : start + sub.num_edges], block)
+            start += sub.num_edges
+        assert G.num_edges == start
+        assert np.array_equal(G.edge_weights, np.ones(start))
+
+    def test_one_hypergraph_per_call(self, monkeypatch):
+        built = []
+        validate = Hypergraph.__post_init__
+
+        def counted(G):
+            built.append(G)
+            validate(G)
+        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        build_fused_hypergraph(generate_synthetic(30, 3, (4, 4, 4), 1.0, 0.2, seed=0), 3)
+        assert len(built) == 1
 
     def test_too_few_present_subjects_rejected(self):
         ds = generate_synthetic(20, 1, (4,), 1.0, 0.0, seed=1)

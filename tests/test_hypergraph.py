@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hglearn.autodiff import ShapeError, ValidationError
 from hglearn.hypergraph import (
     Hypergraph,
-    coequal_fuse,
     fuse_features,
     knn_hyperedges,
     propagation_operator,
@@ -90,44 +89,6 @@ class TestKnnHyperedges:
             knn_hyperedges(X, 1)
 
 
-class TestCoequalFuse:
-    def test_single_part_identity(self):
-        G = knn_hyperedges(np.random.default_rng(1).standard_normal((5, 2)), 2)
-        fused = coequal_fuse([G])
-        assert np.array_equal(fused.incidence, G.incidence)
-        assert np.array_equal(fused.edge_weights, G.edge_weights)
-
-    def test_two_parts_concatenate_in_order(self):
-        a = Hypergraph(3, np.eye(3))
-        b = Hypergraph(3, np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
-        fused = coequal_fuse([a, b])
-        assert fused.incidence.shape == (3, 6)
-        assert np.array_equal(fused.incidence[:, :3], a.incidence)
-        assert np.array_equal(fused.incidence[:, 3:], b.incidence)
-
-    def test_three_modalities_column_sums(self):
-        rng = np.random.default_rng(2)
-        parts = [knn_hyperedges(rng.standard_normal((50, 4)), 5) for _ in range(3)]
-        fused = coequal_fuse(parts)
-        assert fused.incidence.shape == (50, 150)
-        assert np.array_equal(fused.incidence.sum(axis=0), np.full(150, 6.0))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(4)
-        a, b, c = (knn_hyperedges(rng.standard_normal((6, 2)), 2) for _ in range(3))
-        left = coequal_fuse([coequal_fuse([a, b]), c])
-        flat = coequal_fuse([a, b, c])
-        assert np.array_equal(left.incidence, flat.incidence)
-
-    def test_node_count_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="node counts"):
-            coequal_fuse([Hypergraph(3, np.eye(3)), Hypergraph(4, np.eye(4))])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValidationError):
-            coequal_fuse([])
-
-
 class TestFuseFeatures:
     def test_single_modality_identity(self):
         X = np.random.default_rng(0).standard_normal((4, 3))
@@ -187,6 +148,26 @@ class TestPropagationOperator:
         for i in range(7):
             if degrees[i] > 0:
                 assert P[i].any()
+
+    def test_edge_gram_computed_once_and_read_only(self):
+        rng = np.random.default_rng(5)
+        H = (rng.random((6, 4)) < 0.5).astype(float)
+        H[0] = 1.0  # every hyperedge has a member
+        w = rng.uniform(0.5, 2.0, 4)
+        G = Hypergraph(6, H, w)
+        gram, dv = G.edge_gram
+        assert G.edge_gram[0] is gram and G.edge_gram[1] is dv
+        np.testing.assert_allclose(gram, H @ np.diag(w / H.sum(axis=0)) @ H.T,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dv, H @ w, rtol=0, atol=1e-12)
+        for array in (gram, dv):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_edgeless_graph_gives_zero_operator(self):
+        # pairwise k=0 hyperedges: no edges, every degree 0
+        assert np.array_equal(propagation_operator(Hypergraph(4, np.zeros((4, 0)))),
+                              np.zeros((4, 4)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)

@@ -41,6 +41,19 @@ def tuning_setup():
     return ds, G, X, result.encoder, folds
 
 
+def count_grams(monkeypatch, counted_graph):
+    """Records each `Hypergraph.edge_gram` computation of a graph `counted_graph` accepts."""
+    calls = []
+    compute = Hypergraph.edge_gram.func
+
+    def counted(G):
+        if counted_graph(G):
+            calls.append(G)
+        return compute(G)
+    monkeypatch.setattr(Hypergraph.edge_gram, "func", counted)
+    return calls
+
+
 def small_config(**kwargs):
     defaults = dict(tune_epochs=30, num_prompts=4, prompt_k=2, gpf_basis=6, seed=0)
     defaults.update(kwargs)
@@ -230,24 +243,26 @@ class TestBlockOperator:
         ds, G, X, encoder, folds = tuning_setup
         calls = {}
 
-        def count(name, fn, on_data_graph=False):
+        def count(name, fn):
             def counted(*args, **kwargs):
-                if not on_data_graph or args[0] is G:
-                    calls[name] = calls.get(name, 0) + 1
+                calls[name] = calls.get(name, 0) + 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(hglearn.prompt, name, counted)
 
         count("insert_prompt", hglearn.prompt.insert_prompt)
-        count("propagation_operator", hglearn.prompt.propagation_operator)
-        count("_edge_gram", hglearn.prompt._edge_gram, on_data_graph=True)
+        count("_data_block", hglearn.prompt._data_block)
+        grams = count_grams(monkeypatch, lambda g: g is fresh)
         seen = []
         for epochs in (2, 6):
             calls.clear()
-            tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+            grams.clear()
+            # a fresh copy of the data graph, whose gram no earlier run computed
+            fresh = Hypergraph(G.num_nodes, G.incidence, G.edge_weights)
+            tune_with_strategy(strategy, fresh, X, ds.labels, folds.train_mask(0),
                                folds.val_mask(0), encoder,
                                small_config(tune_epochs=epochs, strategy=strategy))
-            seen.append(dict(calls))
-        assert seen[0] == seen[1] == {"_edge_gram": 1}
+            seen.append({**calls, "edge_gram": len(grams)})
+        assert seen[0] == seen[1] == {"_data_block": 1, "edge_gram": 1}
 
 
 class TestPromptTune:
@@ -457,23 +472,19 @@ class TestEpochForwards:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forwards_per_fold(self, tuning_setup, strategy, monkeypatch):
         ds, G, X, encoder, folds = tuning_setup
-        calls = {"forward": 0, "token_block": 0}
+        calls = {"forward": 0}
+        forward = hglearn.prompt.hgnn_forward_operator
 
-        def count(name, key, skip=None):
-            fn = getattr(hglearn.prompt, name)
-
-            def counted(*args, **kwargs):
-                if args[0] is not skip:
-                    calls[key] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(hglearn.prompt, name, counted)
-
-        count("hgnn_forward_operator", "forward")
-        count("_edge_gram", "token_block", skip=G)
+        def counted(*args, **kwargs):
+            calls["forward"] += 1
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(hglearn.prompt, "hgnn_forward_operator", counted)
+        token_grams = count_grams(monkeypatch, lambda g: g is not G)
         epochs = 9
         tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0), folds.val_mask(0),
                            encoder, small_config(tune_epochs=epochs, strategy=strategy,
                                                  tune_lr=0.05))
+        calls["token_block"] = len(token_grams)
         if strategy == "linear_probe":
             assert calls == {"forward": 1, "token_block": 0}
         elif strategy == "phgnn":

@@ -1,9 +1,13 @@
-"""sha256 of every file the commands write at one small config.
+"""sha256 of every file the commands write at three small configs.
 
 Runs gen-data, pretrain, tune for each strategy, compare-strategies,
 ablate-prompts (--sizes 1,2,4) and ablate-modalities through
-`hglearn.cli.main`, in this process, with single-threaded BLAS, and prints
-one `sha256  relpath` line per output file, sorted by path.
+`hglearn.cli.main`, in this process, with single-threaded BLAS, once per
+config under its own subdirectory of --out, and prints one
+`sha256  relpath` line per output file, sorted by path. The configs are
+the default hyperedges, pairwise hyperedges with modality dropouts (no
+ablate-modalities), and pairwise hyperedges with k=0, where every node
+degree is 0.
 
     python3 tools/output_digests.py --out /tmp/digests > change.txt
 
@@ -29,12 +33,19 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CONFIG = [
+BASE = [
     "--seed", "3", "--set", "n=60", "--set", "dims=5,5,5", "--set", "k=5",
     "--set", "hidden_dims=12", "--set", "latent_dim=8", "--set", "pretrain_epochs=6",
     "--set", "tune_epochs=6", "--set", "num_prompts=4", "--set", "prompt_k=2",
     "--set", "gpf_basis=5",
 ]
+# prefix: (config, whether ablate-modalities runs); with dropouts a
+# one-modality subset leaves subjects in no modality, which it rejects
+CONFIGS = {
+    "default": (BASE, True),
+    "pairwise_missing": ([*BASE, "--set", "pairwise=true", "--set", "missing_rate=0.2"], False),
+    "pairwise_k0": ([*BASE, "--set", "pairwise=true", "--set", "k=0"], True),
+}
 
 
 def load_program():
@@ -49,7 +60,7 @@ def load_program():
     return hglearn.cli.main, hglearn.prompt.STRATEGIES
 
 
-def commands(out: Path, strategies):
+def commands(out: Path, strategies, ablate_modalities):
     data, ckpt = str(out / "data"), str(out / "pre" / "encoder.json")
     yield ["gen-data", "--out", data]
     yield ["pretrain", "--data", data, "--out", str(out / "pre")]
@@ -58,7 +69,8 @@ def commands(out: Path, strategies):
         yield ["tune", *tuned, "--set", f"strategy={s}", "--out", str(out / f"tune_{s}")]
     yield ["compare-strategies", *tuned, "--out", str(out / "compare")]
     yield ["ablate-prompts", *tuned, "--sizes", "1,2,4", "--out", str(out / "ablate_prompts")]
-    yield ["ablate-modalities", "--data", data, "--out", str(out / "ablate_modalities")]
+    if ablate_modalities:
+        yield ["ablate-modalities", "--data", data, "--out", str(out / "ablate_modalities")]
 
 
 def main(argv=None) -> int:
@@ -69,14 +81,15 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     run, strategies = load_program()
     written = []
-    for argv_ in commands(out, strategies):
-        log = io.StringIO()
-        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            code = run([*argv_, *CONFIG, "--force"])
-        if code != 0:
-            sys.stderr.write(log.getvalue())
-            sys.exit(f"error: {argv_[0]} exited {code}")
-        written.append(Path(argv_[argv_.index("--out") + 1]))
+    for prefix, (config, ablate_modalities) in CONFIGS.items():
+        for argv_ in commands(out / prefix, strategies, ablate_modalities):
+            log = io.StringIO()
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                code = run([*argv_, *config, "--force"])
+            if code != 0:
+                sys.stderr.write(log.getvalue())
+                sys.exit(f"error: {prefix}: {argv_[0]} exited {code}")
+            written.append(Path(argv_[argv_.index("--out") + 1]))
     files = {p.relative_to(out).as_posix(): p
              for d in written for p in d.rglob("*") if p.is_file()}
     for rel in sorted(files):
