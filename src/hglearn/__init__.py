@@ -26,7 +26,6 @@ from .data import (
 )
 from .hypergraph import (
     Hypergraph,
-    fuse_features,
     knn_hyperedges,
     propagation_operator,
 )

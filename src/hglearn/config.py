@@ -70,7 +70,7 @@ class RunConfig:
                 raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        for name, low in (("n", 1), ("m", 1), ("k_folds", 1), ("num_prompts", 1),
+        for name, low in (("n", 1), ("m", 1), ("k_folds", 2), ("num_prompts", 1),
                           ("gpf_basis", 1), ("latent_dim", 1), ("tune_epochs", 1),
                           ("num_classes", 2), ("k", 0), ("prompt_k", 0),
                           ("pretrain_epochs", 0), ("seed", 0)):

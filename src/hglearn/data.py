@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ValidationError, as_matrix
-from .hypergraph import Hypergraph, _knn_members, fuse_features, knn_neighbor_lists
+from .hypergraph import Hypergraph, _knn_members, knn_neighbor_lists
 
 __all__ = [
     "Modality",
@@ -26,7 +26,6 @@ __all__ = [
     "generate_synthetic",
     "save_dataset",
     "load_dataset",
-    "subset_modalities",
     "build_fused_hypergraph",
     "split_folds",
 ]
@@ -169,6 +168,22 @@ def _read_text(path: Path) -> str:
         raise ValidationError(f"unreadable dataset file {path}: {e}") from None
 
 
+def _read_rows(path: Path, n: int) -> list:
+    rows = _read_text(path).splitlines()
+    if len(rows) != n:
+        raise ValidationError(f"{path}: expected {n} rows, found {len(rows)}")
+    return rows
+
+
+def _read_flags(path: Path, n: int) -> np.ndarray:
+    """A one-column 0/1 file as booleans."""
+    cells = [line.strip() for line in _read_rows(path, n)]
+    for r, cell in enumerate(cells):
+        if cell not in ("0", "1"):
+            raise ValidationError(f"{path}: row {r} must be 0 or 1")
+    return np.array([cell == "1" for cell in cells], dtype=bool)
+
+
 def load_dataset(path) -> MultimodalDataset:
     """Parse and validate a dataset directory; rejects non-finite values."""
     root = Path(path)
@@ -187,11 +202,8 @@ def load_dataset(path) -> MultimodalDataset:
     modalities = []
     for i in range(m):
         feat_path = root / f"modality_{i}.csv"
-        rows = _read_text(feat_path).splitlines()
-        if len(rows) != n:
-            raise ValidationError(f"{feat_path}: expected {n} rows, found {len(rows)}")
         feats = np.empty((n, dims[i]))
-        for r, line in enumerate(rows):
+        for r, line in enumerate(_read_rows(feat_path, n)):
             cells = line.split(",")
             if len(cells) != dims[i]:
                 raise ValidationError(
@@ -203,53 +215,33 @@ def load_dataset(path) -> MultimodalDataset:
                 raise ValidationError(f"{feat_path}: row {r} has a non-numeric value") from None
             if not np.isfinite(feats[r]).all():
                 raise ValidationError(f"{feat_path}: row {r} has a non-finite value")
-        present_path = root / f"present_{i}.csv"
-        prows = _read_text(present_path).splitlines()
-        if len(prows) != n:
-            raise ValidationError(f"{present_path}: expected {n} rows, found {len(prows)}")
-        present = np.empty(n, dtype=bool)
-        for r, line in enumerate(prows):
-            if line.strip() not in ("0", "1"):
-                raise ValidationError(f"{present_path}: row {r} must be 0 or 1")
-            present[r] = line.strip() == "1"
-        modalities.append(Modality(feats, present))
-    labels_path = root / "labels.csv"
-    lrows = _read_text(labels_path).splitlines()
-    if len(lrows) != n:
-        raise ValidationError(f"{labels_path}: expected {n} rows, found {len(lrows)}")
-    labels = np.empty(n, dtype=np.int64)
-    for r, line in enumerate(lrows):
-        if line.strip() not in ("0", "1"):
-            raise ValidationError(f"{labels_path}: row {r} must be 0 or 1")
-        labels[r] = int(line.strip())
+        modalities.append(Modality(feats, _read_flags(root / f"present_{i}.csv", n)))
+    labels = _read_flags(root / "labels.csv", n).astype(np.int64)
     return MultimodalDataset(modalities, labels, name=str(meta.get("name", "dataset")))
 
 
-def subset_modalities(dataset: MultimodalDataset, keep) -> MultimodalDataset:
-    """Dataset restricted to the selected modality indices (order preserved)."""
-    keep = list(keep)
-    if not keep:
-        raise ValidationError("subset_modalities: empty selection")
-    mods = [
-        Modality(dataset.modalities[i].features.copy(), dataset.modalities[i].present.copy())
-        for i in keep
-    ]
-    return MultimodalDataset(mods, dataset.labels.copy(), name=dataset.name)
-
-
-def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False):
+def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
+                           modalities=None):
     """Per-modality k-NN hypergraphs fused over the full subject set.
 
-    Distances are Euclidean on the features as ingested; any normalization
-    is the data producer's responsibility. Subjects absent from a modality
-    contribute no hyperedge there, are not neighbor candidates there, and
-    have zero feature rows in that modality's block of the fused features.
+    `modalities` lists the modality indices to fuse, in order; None fuses
+    all of them. Distances are Euclidean on the features as ingested; any
+    normalization is the data producer's responsibility. Subjects absent
+    from a modality contribute no hyperedge there, are not neighbor
+    candidates there, and have zero feature rows in that modality's block
+    of the fused features. A subject absent from every selected modality
+    stays in the graph with a zero feature row and degree 0.
 
     Returns (G, X_fused).
     """
+    selected = range(dataset.num_modalities) if modalities is None else list(modalities)
+    if not selected:
+        raise ValidationError("build_fused_hypergraph: empty modality selection")
     n = dataset.num_subjects
     rows, cols, num_edges = [], [], 0  # the fused incidence's ones, modality by modality
-    for i, mod in enumerate(dataset.modalities):
+    blocks = []
+    for i in selected:
+        mod = dataset.modalities[i]
         present_idx = np.flatnonzero(mod.present)
         if present_idx.size < k + 1:
             raise ValidationError(
@@ -260,10 +252,10 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False):
         rows.append(present_idx[members])
         cols.append(num_edges + edges)
         num_edges += count
+        blocks.append(mod.features * mod.present[:, None])
     inc = np.zeros((n, num_edges))
     inc[np.concatenate(rows), np.concatenate(cols)] = 1.0
-    features = fuse_features([m.features * m.present[:, None] for m in dataset.modalities])
-    return Hypergraph(n, inc), features
+    return Hypergraph(n, inc), np.hstack(blocks)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Hypergraph structure, k-NN hyperedge construction, fusion, propagation.
+"""Hypergraph structure, k-NN hyperedge construction, propagation.
 
 A hypergraph is stored densely: a binary node-by-hyperedge incidence matrix
 plus positive per-hyperedge weights. Instances are immutable after
@@ -20,7 +20,6 @@ __all__ = [
     "Hypergraph",
     "knn_hyperedges",
     "knn_neighbor_lists",
-    "fuse_features",
     "propagation_operator",
 ]
 
@@ -121,20 +120,6 @@ def _knn_members(neighbors, pairwise):
         return np.concatenate([centroids, neighbors.ravel()]), np.tile(np.arange(n * k), 2), n * k
     nodes = np.arange(n)
     return np.concatenate([nodes, neighbors.ravel()]), np.concatenate([nodes, centroids]), n
-
-
-def fuse_features(modality_features) -> np.ndarray:
-    """Concatenate per-modality feature matrices along the feature axis."""
-    mats = [as_matrix(m, "features") for m in modality_features]
-    if not mats:
-        raise ValidationError("fuse_features: empty feature list")
-    rows = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != rows:
-            raise ShapeError(
-                f"fuse_features: row counts differ ({m.shape[0]} vs {rows})"
-            )
-    return np.hstack(mats)
 
 
 def propagation_operator(G: Hypergraph) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .autodiff import ValidationError
 from .config import RunConfig
-from .data import build_fused_hypergraph, split_folds, subset_modalities
+from .data import build_fused_hypergraph, split_folds
 from .metrics import aggregate_folds
 from .model import HGNNStack
 from .pretrain import pretrain
@@ -72,8 +72,8 @@ def run_ablate_modalities(dataset, cfg: RunConfig) -> list:
         )
     rows = []
     for subset in MODALITY_SUBSETS:
-        G, X = build_fused_hypergraph(subset_modalities(dataset, subset), cfg.k,
-                                      pairwise=cfg.pairwise)
+        G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise,
+                                      modalities=subset)
         result = pretrain(G, X, cfg)
         result.encoder.freeze()
         res = run_tune(G, X, dataset.labels, result.encoder, cfg)

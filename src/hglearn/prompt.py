@@ -31,7 +31,6 @@ place a strategy is defined; everything else reads it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -260,15 +259,7 @@ class _StrategyState:
                        + ([] if self.extra is None else [self.extra])
                        + self.head.parameters())
         self.prompt_rows = self.extra.value.shape[0] if spec.prompt_tokens else 0
-        n, p = X.shape[0], self.prompt_rows
-        if p * 2 > n:
-            warnings.warn(f"{p} prompt tokens is large for {n} nodes")
-        if p >= encoder.output_dim:
-            warnings.warn(
-                f"{p} prompt tokens is not small next to the "
-                f"latent dim {encoder.output_dim}"
-            )
-        self.s_data, self.data_operator = _data_block(G, p)
+        self.s_data, self.data_operator = _data_block(G, self.prompt_rows)
         self.last_prompt = (None, None)  # (G_p, operator) of the latest call
         # nothing below the head trains (linear_probe): the encoder output is
         # one constant per fold, so the encoder runs once and only its value

@@ -168,6 +168,8 @@ class TestRunConfig:
         for num_classes in (-1, 0, 1):
             with pytest.raises(ValidationError, match="num_classes must be >= 2"):
                 RunConfig(num_classes=num_classes)
+        with pytest.raises(ValidationError, match="^k_folds must be >= 2, got 1$"):
+            RunConfig(k_folds=1)
 
     def test_load_config_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -7,9 +7,12 @@ import warnings
 
 import pytest
 
+import hglearn.pipeline
 from hglearn.cli import main
 from hglearn.data import build_fused_hypergraph
 from hglearn.hypergraph import Hypergraph
+from hglearn.pipeline import MODALITY_SUBSETS
+from hglearn.pretrain import pretrain
 from hglearn.prompt import STRATEGIES
 
 FAST = [
@@ -262,6 +265,15 @@ class TestAblatePrompts:
         counts = [r["tunable_total"] for r in record["rows"]]
         assert counts == sorted(counts) and len(set(counts)) == 4
 
+    def test_large_prompt_sets_run_quietly(self, tmp_path, dataset_dir, checkpoint_dir,
+                                           capsys):
+        # the default sizes reach latent_dim (8) and half of the 36 subjects
+        code, caught = run_quietly("ablate-prompts", "--data", str(dataset_dir),
+                                   "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                                   "--out", str(tmp_path / "ap"), *FAST)
+        assert (code, caught) == (0, [])
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("sizes", ["8,x", ""])
     def test_bad_sizes_exit_one(self, tmp_path, dataset_dir, checkpoint_dir, capsys, sizes):
         out = tmp_path / "ap"
@@ -305,6 +317,23 @@ class TestAblateModalities:
         text = (out / "modality_ablation.txt").read_text().splitlines()
         assert len(text) == 2 + 7
         assert text[2].startswith("x . .")
+
+    def test_dropouts_keep_every_subject_in_every_subset(self, tmp_path):
+        data, out = tmp_path / "d", tmp_path / "am"
+        assert run("gen-data", "--out", str(data), "--seed", "1", *FAST,
+                   "--set", "missing_rate=0.2") == 0
+        present = [(data / f"present_{i}.csv").read_text().split().count("1")
+                   for i in range(3)]
+        assert min(present) < 36  # some subset leaves a subject in no modality
+        assert run("ablate-modalities", "--data", str(data), "--out", str(out),
+                   "--seed", "1", *FAST) == 0
+        record = json.loads((out / "modality_ablation.json").read_text())
+        assert len(record["rows"]) == 7
+        # one hyperedge per present subject of each selected modality
+        assert [r["num_hyperedges"] for r in record["rows"]] == [
+            sum(present[i] for i in subset) for subset in MODALITY_SUBSETS
+        ]
+        assert len((out / "modality_ablation.txt").read_text().splitlines()) == 2 + 7
 
     def test_two_modality_dataset_rejected(self, tmp_path):
         d = tmp_path / "d2"
@@ -447,6 +476,21 @@ class TestArgumentHandling:
         assert (f"error: num_classes must be >= 2, got {num_classes}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_one_fold_exits_one_before_pretraining(self, tmp_path, dataset_dir, capsys,
+                                                   monkeypatch):
+        pretrained = []
+
+        def counted(*args):
+            pretrained.append(args)
+            return pretrain(*args)
+        monkeypatch.setattr(hglearn.pipeline, "pretrain", counted)
+        out = tmp_path / "o"
+        assert run("ablate-modalities", "--data", str(dataset_dir), "--out", str(out),
+                   *FAST, "--set", "k_folds=1") == 1
+        assert "error: k_folds must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(pretrained) == 0
 
     @pytest.mark.parametrize("source", ["flag", "config-file"])
     def test_negative_seed_exits_one(self, tmp_path, capsys, source):

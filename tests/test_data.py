@@ -16,7 +16,6 @@ from hglearn.data import (
     load_dataset,
     save_dataset,
     split_folds,
-    subset_modalities,
 )
 from hglearn.hypergraph import Hypergraph, knn_hyperedges
 from hglearn.metrics import auc
@@ -149,6 +148,25 @@ class TestDiskFormat:
         with pytest.raises(ValidationError, match="meta"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("name", ["modality_0.csv", "present_0.csv", "labels.csv"])
+    @pytest.mark.parametrize("fault", ["missing-row", "bad-cell"])
+    def test_bad_rows_named_exactly(self, tmp_path, name, fault):
+        ds = generate_synthetic(12, 1, (3,), 1.0, 0.0, seed=0)
+        save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / name
+        rows = path.read_text().splitlines()
+        if fault == "missing-row":
+            del rows[5]
+            message = f"{path}: expected 12 rows, found 11"
+        else:
+            rows[5] = "1.0,x,2.0" if name == "modality_0.csv" else "yes"
+            message = (f"{path}: row 5 has a non-numeric value" if name == "modality_0.csv"
+                       else f"{path}: row 5 must be 0 or 1")
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_dataset(tmp_path / "d")
+        assert str(err.value) == message
+
     def test_absent_subject_round_trips(self, tmp_path):
         ds = generate_synthetic(20, 3, (3, 3, 3), 1.0, 0.0, seed=0)
         ds.modalities[1].present[7] = False
@@ -215,24 +233,36 @@ class TestBuildFusedHypergraph:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(10, 30), m=st.integers(1, 3), k=st.integers(0, 4),
            pairwise=st.booleans(), missing_rate=st.sampled_from([0.0, 0.3]),
-           seed=st.integers(0, 10_000))
-    @example(n=20, m=3, k=0, pairwise=True, missing_rate=0.3, seed=0)
-    @example(n=20, m=3, k=0, pairwise=False, missing_rate=0.3, seed=0)
+           seed=st.integers(0, 10_000), order=st.permutations(range(3)),
+           size=st.integers(1, 3))
+    @example(n=20, m=3, k=0, pairwise=True, missing_rate=0.3, seed=0, order=[0, 1, 2], size=3)
+    @example(n=20, m=3, k=0, pairwise=False, missing_rate=0.3, seed=0, order=[0, 1, 2], size=3)
+    # modality 2 alone leaves 4 of the 20 subjects in no selected modality
+    @example(n=20, m=3, k=2, pairwise=False, missing_rate=0.3, seed=0, order=[2, 0, 1], size=1)
     def test_incidence_is_the_scattered_per_modality_knn(self, n, m, k, pairwise,
-                                                         missing_rate, seed):
-        ds = generate_synthetic(n, m, (3,) * m, 1.0, missing_rate, seed=seed)
-        assume(all(mod.present.sum() > k for mod in ds.modalities))
-        G, _ = build_fused_hypergraph(ds, k, pairwise=pairwise)
-        start = 0
-        for mod in ds.modalities:
+                                                         missing_rate, seed, order, size):
+        # dims differ per modality, so a block out of order would show
+        ds = generate_synthetic(n, m, (2, 3, 4)[:m], 1.0, missing_rate, seed=seed)
+        selected = [i for i in order if i < m][:size]
+        assume(all(ds.modalities[i].present.sum() > k for i in selected))
+        G, X = build_fused_hypergraph(ds, k, pairwise=pairwise, modalities=selected)
+        start, col = 0, 0
+        for i in selected:
+            mod = ds.modalities[i]
             present_idx = np.flatnonzero(mod.present)
             sub = knn_hyperedges(mod.features[present_idx], k, pairwise=pairwise)
             block = np.zeros((n, sub.num_edges))
             block[present_idx] = sub.incidence
             assert np.array_equal(G.incidence[:, start : start + sub.num_edges], block)
             start += sub.num_edges
-        assert G.num_edges == start
+            masked = np.where(mod.present[:, None], mod.features, 0.0)
+            assert np.array_equal(X[:, col : col + mod.dim], masked)
+            col += mod.dim
+        assert G.num_edges == start and X.shape == (n, col)
         assert np.array_equal(G.edge_weights, np.ones(start))
+        # a subject in none of the selected modalities: zero features, degree 0
+        absent = ~np.any([ds.modalities[i].present for i in selected], axis=0)
+        assert not X[absent].any() and not G.incidence[absent].any()
 
     def test_one_hypergraph_per_call(self, monkeypatch):
         built = []
@@ -250,11 +280,12 @@ class TestBuildFusedHypergraph:
         with pytest.raises(ValidationError, match="present"):
             build_fused_hypergraph(ds, 20)
 
-    def test_subset_modalities(self):
-        ds = generate_synthetic(30, 3, (4, 5, 6), 1.0, 0.0, seed=4)
-        sub = subset_modalities(ds, [2, 0])
-        assert sub.dims == (6, 4)
-        assert np.array_equal(sub.modalities[0].features, ds.modalities[2].features)
+    def test_selection_errors_name_the_dataset_index(self):
+        ds = generate_synthetic(20, 3, (4, 4, 4), 1.0, 0.0, seed=1)
+        with pytest.raises(ValidationError, match="empty modality selection"):
+            build_fused_hypergraph(ds, 3, modalities=[])
+        with pytest.raises(ValidationError, match="^modality_2: only 20 present"):
+            build_fused_hypergraph(ds, 20, modalities=[2, 0])
 
 
 class TestSplitFolds:

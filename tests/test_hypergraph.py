@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hglearn.autodiff import ShapeError, ValidationError
+from hglearn.autodiff import ValidationError
 from hglearn.hypergraph import (
     Hypergraph,
-    fuse_features,
     knn_hyperedges,
     propagation_operator,
 )
@@ -87,27 +86,6 @@ class TestKnnHyperedges:
         X[1, 0] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             knn_hyperedges(X, 1)
-
-
-class TestFuseFeatures:
-    def test_single_modality_identity(self):
-        X = np.random.default_rng(0).standard_normal((4, 3))
-        assert np.array_equal(fuse_features([X]), X)
-
-    def test_two_modalities_order(self):
-        a = np.ones((5, 4))
-        b = np.zeros((5, 6))
-        fused = fuse_features([a, b])
-        assert fused.shape == (5, 10)
-        assert np.array_equal(fused[:, :4], a)
-
-    def test_three_modalities_dim(self):
-        mats = [np.random.default_rng(i).standard_normal((7, 8)) for i in range(3)]
-        assert fuse_features(mats).shape == (7, 24)
-
-    def test_row_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="row counts"):
-            fuse_features([np.ones((3, 2)), np.ones((4, 2))])
 
 
 class TestPropagationOperator:

@@ -94,7 +94,6 @@ class TestBuildPromptStructure:
         b = build_prompt_structure(tokens.copy(), 3)
         assert np.array_equal(a.incidence, b.incidence)
 
-    @pytest.mark.filterwarnings("ignore:16 prompt tokens")
     def test_default_prompt_k(self, tuning_setup):
         # tuning uses k_p = min(prompt_k, P - 1): every column sums to k_p + 1
         ds, G, X, encoder, folds = tuning_setup
@@ -169,7 +168,6 @@ def prompt_state(strategy, G, X, tokens):
     return run
 
 
-@pytest.mark.filterwarnings("ignore:.*prompt tokens is")
 class TestBlockOperator:
     """The blockwise prompted operator against the dense manipulated hypergraph."""
 
@@ -311,13 +309,6 @@ class TestPromptTune:
                                           small_config(tune_epochs=10))
         assert unstructured.prompt_incidence.shape == (4, 0)
         assert unstructured.strategy == "phgnn_no_structure"
-
-    def test_large_prompt_sets_warn(self, tuning_setup):
-        ds, G, X, encoder, folds = tuning_setup
-        with pytest.warns(UserWarning):
-            tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
-                               folds.val_mask(0), encoder,
-                               small_config(tune_epochs=1, num_prompts=48, prompt_k=3))
 
 
 class TestTuneWithStrategy:

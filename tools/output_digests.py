@@ -5,9 +5,8 @@ ablate-prompts (--sizes 1,2,4) and ablate-modalities through
 `hglearn.cli.main`, in this process, with single-threaded BLAS, once per
 config under its own subdirectory of --out, and prints one
 `sha256  relpath` line per output file, sorted by path. The configs are
-the default hyperedges, pairwise hyperedges with modality dropouts (no
-ablate-modalities), and pairwise hyperedges with k=0, where every node
-degree is 0.
+the default hyperedges, pairwise hyperedges with modality dropouts, and
+pairwise hyperedges with k=0, where every node degree is 0.
 
     python3 tools/output_digests.py --out /tmp/digests > change.txt
 
@@ -39,12 +38,10 @@ BASE = [
     "--set", "tune_epochs=6", "--set", "num_prompts=4", "--set", "prompt_k=2",
     "--set", "gpf_basis=5",
 ]
-# prefix: (config, whether ablate-modalities runs); with dropouts a
-# one-modality subset leaves subjects in no modality, which it rejects
 CONFIGS = {
-    "default": (BASE, True),
-    "pairwise_missing": ([*BASE, "--set", "pairwise=true", "--set", "missing_rate=0.2"], False),
-    "pairwise_k0": ([*BASE, "--set", "pairwise=true", "--set", "k=0"], True),
+    "default": BASE,
+    "pairwise_missing": [*BASE, "--set", "pairwise=true", "--set", "missing_rate=0.2"],
+    "pairwise_k0": [*BASE, "--set", "pairwise=true", "--set", "k=0"],
 }
 
 
@@ -60,7 +57,7 @@ def load_program():
     return hglearn.cli.main, hglearn.prompt.STRATEGIES
 
 
-def commands(out: Path, strategies, ablate_modalities):
+def commands(out: Path, strategies):
     data, ckpt = str(out / "data"), str(out / "pre" / "encoder.json")
     yield ["gen-data", "--out", data]
     yield ["pretrain", "--data", data, "--out", str(out / "pre")]
@@ -69,8 +66,7 @@ def commands(out: Path, strategies, ablate_modalities):
         yield ["tune", *tuned, "--set", f"strategy={s}", "--out", str(out / f"tune_{s}")]
     yield ["compare-strategies", *tuned, "--out", str(out / "compare")]
     yield ["ablate-prompts", *tuned, "--sizes", "1,2,4", "--out", str(out / "ablate_prompts")]
-    if ablate_modalities:
-        yield ["ablate-modalities", "--data", data, "--out", str(out / "ablate_modalities")]
+    yield ["ablate-modalities", "--data", data, "--out", str(out / "ablate_modalities")]
 
 
 def main(argv=None) -> int:
@@ -81,8 +77,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     run, strategies = load_program()
     written = []
-    for prefix, (config, ablate_modalities) in CONFIGS.items():
-        for argv_ in commands(out / prefix, strategies, ablate_modalities):
+    for prefix, config in CONFIGS.items():
+        for argv_ in commands(out / prefix, strategies):
             log = io.StringIO()
             with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
                 code = run([*argv_, *config, "--force"])
