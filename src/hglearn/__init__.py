@@ -38,7 +38,6 @@ from .metrics import (
     evaluate_logits,
 )
 from .model import (
-    ClassifierHead,
     HGNNLayer,
     HGNNStack,
     build_decoder,

@@ -150,10 +150,6 @@ def const(x) -> Tensor:
     return Tensor(as_matrix(x))
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else const(x)
-
-
 # ---------------------------------------------------------------------------
 # Primitive operations. Each backward closure accumulates into parent.grad,
 # for the parents that need a gradient only. A closure runs only when its
@@ -169,7 +165,7 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = const(a), const(b)
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}")
     out_val = a.value @ b.value
@@ -184,7 +180,7 @@ def matmul(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
-    a = _wrap(a)
+    a = const(a)
 
     def backward(g, a=a):
         _accum(a, g.T)
@@ -193,7 +189,7 @@ def transpose(a) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = const(a), const(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
 
@@ -207,7 +203,7 @@ def add(a, b) -> Tensor:
 
 
 def scale(a, c: float) -> Tensor:
-    a = _wrap(a)
+    a = const(a)
     c = float(c)
 
     def backward(g, a=a, c=c):
@@ -217,7 +213,7 @@ def scale(a, c: float) -> Tensor:
 
 
 def add_scalar(a, c: float) -> Tensor:
-    a = _wrap(a)
+    a = const(a)
     c = float(c)
 
     def backward(g, a=a):
@@ -228,7 +224,7 @@ def add_scalar(a, c: float) -> Tensor:
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise x**exponent for exponent >= 1 (inputs must be >= 0 unless integral)."""
-    a = _wrap(a)
+    a = const(a)
     p = float(exponent)
     if p < 1.0:
         raise ValidationError(f"power: exponent must be >= 1, got {p}")
@@ -241,7 +237,7 @@ def power(a, exponent: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _wrap(a)
+    a = const(a)
 
     def backward(g, a=a):
         _accum(a, g * (a.value > 0.0))
@@ -251,7 +247,7 @@ def relu(a) -> Tensor:
 
 def broadcast_add_row(a, row) -> Tensor:
     """a (n x d) plus a (1 x d) row vector added to every row."""
-    a, row = _wrap(a), _wrap(row)
+    a, row = const(a), const(row)
     if row.value.shape != (1, a.value.shape[1]):
         raise ShapeError(
             f"broadcast_add_row: row shape {row.value.shape} does not match (1, {a.value.shape[1]})"
@@ -272,7 +268,7 @@ def row_cosine(a, b) -> Tensor:
     The denominator is sqrt(sa * sb) of the squared norms, which makes the
     similarity of a row with itself exactly 1 (and exactly -1 when negated).
     """
-    a, b = _wrap(a), _wrap(b)
+    a, b = const(a), const(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"row_cosine: shapes differ, {a.value.shape} vs {b.value.shape}")
     sa = (a.value * a.value).sum(axis=1, keepdims=True)
@@ -294,7 +290,7 @@ def row_cosine(a, b) -> Tensor:
 
 def row_softmax(a) -> Tensor:
     """Stable softmax along each row."""
-    a = _wrap(a)
+    a = const(a)
     shifted = a.value - a.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out_val = e / e.sum(axis=1, keepdims=True)
@@ -308,7 +304,7 @@ def row_softmax(a) -> Tensor:
 
 def concat_rows(a, b) -> Tensor:
     """Stack a on top of b along the row axis."""
-    a, b = _wrap(a), _wrap(b)
+    a, b = const(a), const(b)
     if a.value.shape[1] != b.value.shape[1]:
         raise ShapeError(
             f"concat_rows: column counts differ, {a.value.shape} vs {b.value.shape}"
@@ -326,7 +322,7 @@ def concat_rows(a, b) -> Tensor:
 
 def mask_rows(a, row_indices, token) -> Tensor:
     """Replace the selected rows of `a` with the (1 x d) token row."""
-    a, token = _wrap(a), _wrap(token)
+    a, token = const(a), const(token)
     n, d = a.value.shape
     if token.value.shape != (1, d):
         raise ShapeError(f"mask_rows: token shape {token.value.shape} does not match (1, {d})")
@@ -352,7 +348,7 @@ def mask_rows(a, row_indices, token) -> Tensor:
 
 def masked_mean(a, row_mask) -> Tensor:
     """Mean of the selected rows of a single-column matrix; scalar output."""
-    a = _wrap(a)
+    a = const(a)
     if a.value.shape[1] != 1:
         raise ShapeError(f"masked_mean: expected single-column input, got {a.value.shape}")
     mask = np.asarray(row_mask, dtype=bool).reshape(-1)
@@ -378,7 +374,7 @@ def softmax_cross_entropy(logits, labels, row_mask) -> Tensor:
 
     Stabilized by per-row max subtraction.
     """
-    logits = _wrap(logits)
+    logits = const(logits)
     n, c = logits.value.shape
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     mask = np.asarray(row_mask, dtype=bool).reshape(-1)

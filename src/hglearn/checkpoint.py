@@ -4,7 +4,8 @@ Checkpoints and tuning snapshots share one layout: `format`, `version` (2),
 `params` mapping each parameter name to its rows (a 2-D array of finite
 floats), and the document's own fields. A checkpoint holds the encoder's
 `encoder.layer{i}.weight` and `encoder.layer{i}.bias` and adds `seed`,
-`config_digest`, `frozen`, `activations` (one per layer) and `meta`. A
+`config_digest`, `activations` (one per layer) and `meta`; the `frozen` key
+that older version-2 checkpoints also hold is ignored. A
 snapshot holds one fold's best tuned parameters, plus `prompt.incidence` and
 `prompt.edge_weights` for the prompt strategies, and adds `strategy`,
 `best_epoch` and `config_digest`. Floats are written in shortest round-trip
@@ -71,7 +72,6 @@ def checkpoint_bytes(stack: HGNNStack, seed: int, config_digest: str, meta=None)
         CHECKPOINT_FORMAT, {p.name: p.value for p in stack.parameters()},
         seed=int(seed),
         config_digest=config_digest,
-        frozen=stack.frozen,
         activations=[layer.activation for layer in stack.layers],
         meta=meta or {},
     )
@@ -84,14 +84,14 @@ def save_checkpoint(path, stack: HGNNStack, seed: int, config_digest: str, meta=
 def load_checkpoint(path):
     """Returns (stack, info dict with seed/config_digest/meta)."""
     doc, params = _read_document(path, CHECKPOINT_FORMAT,
-                                 ("seed", "config_digest", "frozen", "activations"))
+                                 ("seed", "config_digest", "activations"))
     try:
         layers = []
         for i, activation in enumerate(doc["activations"]):
             w, b = f"encoder.layer{i}.weight", f"encoder.layer{i}.bias"
             layers.append(HGNNLayer(Parameter(params[w], w), Parameter(params[b], b),
                                     activation))
-        stack = HGNNStack(layers, frozen=doc["frozen"])
+        stack = HGNNStack(layers)
     except KeyError as e:
         raise ValidationError(f"{path}: malformed layers: missing param {e}") from None
     except (TypeError, ValueError) as e:  # shape errors are ValueErrors too

@@ -106,8 +106,6 @@ def _load_inputs(cfg: RunConfig, need_checkpoint=True):
     encoder = None
     if need_checkpoint:
         encoder, _info = load_checkpoint(cfg.checkpoint)
-        if not encoder.frozen:
-            encoder.freeze()
     G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise)
     return G, X, dataset.labels, encoder
 
@@ -130,7 +128,6 @@ def cmd_gen_data(args, cfg: RunConfig, out: Path) -> int:
 def cmd_pretrain(args, cfg: RunConfig, out: Path) -> int:
     G, X, _, _ = _load_inputs(cfg, need_checkpoint=False)
     result = pretrain(G, X, cfg)
-    result.encoder.freeze()
     save_checkpoint(
         out / "encoder.json", result.encoder, cfg.seed, cfg.digest(),
         meta={"fused_dim": X.shape[1], "num_nodes": G.num_nodes, "num_edges": G.num_edges},
@@ -234,9 +231,12 @@ def cmd_compare_strategies(args, cfg: RunConfig, out: Path) -> int:
 
 def _sizes(raw: str) -> tuple:
     try:
-        return tuple(int(s) for s in raw.split(","))
+        sizes = tuple(int(s) for s in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {raw!r}") from None
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"prompt counts must be >= 1, got {raw!r}")
+    return sizes
 
 
 def _add_common(sub, data=False, checkpoint=False):

@@ -1,4 +1,4 @@
-"""Hypergraph convolution stacks and the classification head."""
+"""Hypergraph convolution stacks and the classification head (one affine layer)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "ACTIVATIONS",
     "HGNNLayer",
     "HGNNStack",
-    "ClassifierHead",
     "init_layer",
     "build_encoder",
     "build_decoder",
@@ -48,11 +47,18 @@ class HGNNLayer:
     def d_out(self) -> int:
         return self.weight.value.shape[1]
 
+    def parameters(self) -> list[Parameter]:
+        return [self.weight, self.bias]
+
+    def copy(self, trainable: bool) -> "HGNNLayer":
+        return HGNNLayer(self.weight.copy(trainable), self.bias.copy(trainable),
+                         self.activation)
+
 
 class HGNNStack:
     """An ordered chain of hypergraph convolution layers."""
 
-    def __init__(self, layers, frozen=False):
+    def __init__(self, layers):
         self.layers = list(layers)
         if not self.layers:
             raise ValidationError("HGNNStack: needs at least one layer")
@@ -61,9 +67,6 @@ class HGNNStack:
                 raise ShapeError(
                     f"layer dims do not chain: {prev.d_out} -> {nxt.d_in}"
                 )
-        self.frozen = False
-        if frozen:
-            self.freeze()
 
     @property
     def input_dim(self) -> int:
@@ -74,23 +77,10 @@ class HGNNStack:
         return self.layers[-1].d_out
 
     def parameters(self) -> list[Parameter]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
-
-    def freeze(self):
-        for p in self.parameters():
-            p.trainable = False
-        self.frozen = True
+        return [p for layer in self.layers for p in layer.parameters()]
 
     def copy(self, trainable: bool) -> "HGNNStack":
-        layers = [
-            HGNNLayer(l.weight.copy(trainable), l.bias.copy(trainable), l.activation)
-            for l in self.layers
-        ]
-        return HGNNStack(layers, frozen=not trainable)
+        return HGNNStack([layer.copy(trainable) for layer in self.layers])
 
 
 def init_layer(d_in, d_out, activation, rng, name) -> HGNNLayer:
@@ -118,41 +108,23 @@ def build_decoder(d_z, d_out, rng, name="decoder") -> HGNNStack:
     return HGNNStack([init_layer(d_z, d_out, "identity", rng, f"{name}.layer0")])
 
 
-@dataclass
-class ClassifierHead:
-    weight: Parameter
-    bias: Parameter
-
-    def __post_init__(self):
-        c = self.weight.value.shape[1]
-        if c < 2:
-            raise ValidationError(f"classifier needs >= 2 classes, got {c}")
-        if self.bias.value.shape != (1, c):
-            raise ShapeError(
-                f"head bias shape {self.bias.value.shape} does not match (1, {c})"
-            )
-
-    @property
-    def num_classes(self) -> int:
-        return self.weight.value.shape[1]
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
-    def copy(self, trainable=True) -> "ClassifierHead":
-        return ClassifierHead(self.weight.copy(trainable), self.bias.copy(trainable))
-
-
-def build_head(d_z, num_classes, rng=None, name="head") -> ClassifierHead:
-    """Zero-initialized readout: logits start at zero for every strategy.
+def build_head(d_z, num_classes, name="head") -> HGNNLayer:
+    """Zero-initialized linear readout: logits start at zero for every strategy.
 
     The first optimizer steps then move the head along the class direction,
     which is what makes ranking metrics usable within short tuning budgets.
     """
-    return ClassifierHead(
+    return HGNNLayer(
         Parameter(np.zeros((d_z, num_classes)), f"{name}.weight"),
         Parameter(np.zeros((1, num_classes)), f"{name}.bias"),
+        "identity",
     )
+
+
+def _affine(h: Tensor, layer: HGNNLayer) -> Tensor:
+    """act(h @ W + bias) for one layer."""
+    h = ad.broadcast_add_row(ad.matmul(h, layer.weight.leaf()), layer.bias.leaf())
+    return ad.relu(h) if layer.activation == "relu" else h
 
 
 def hgnn_forward_operator(operator: np.ndarray, X, stack: HGNNStack) -> Tensor:
@@ -173,19 +145,16 @@ def hgnn_forward_operator(operator: np.ndarray, X, stack: HGNNStack) -> Tensor:
         )
     op = ad.const(operator)
     for layer in stack.layers:
-        h = ad.matmul(ad.matmul(op, h), layer.weight.leaf())
-        h = ad.broadcast_add_row(h, layer.bias.leaf())
-        if layer.activation == "relu":
-            h = ad.relu(h)
+        h = _affine(ad.matmul(op, h), layer)
     return h
 
 
-def classify(Z, head: ClassifierHead) -> Tensor:
-    """Affine logits; no softmax (consumers take logits or probabilities)."""
+def classify(Z, head: HGNNLayer) -> Tensor:
+    """The head layer's affine logits: no propagation, no softmax."""
     z = ad.const(Z)
-    if z.value.shape[1] != head.weight.value.shape[0]:
+    if z.value.shape[1] != head.d_in:
         raise ShapeError(
             f"classify: latent dim {z.value.shape[1]} does not match head "
-            f"input dim {head.weight.value.shape[0]}"
+            f"input dim {head.d_in}"
         )
-    return ad.broadcast_add_row(ad.matmul(z, head.weight.leaf()), head.bias.leaf())
+    return _affine(z, head)

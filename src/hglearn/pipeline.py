@@ -70,12 +70,14 @@ def run_ablate_modalities(dataset, cfg: RunConfig) -> list:
         raise ValidationError(
             f"modality ablation needs a 3-modality dataset, got {dataset.num_modalities}"
         )
+    # every subset shares the labels, so a k_folds they cannot fill fails here,
+    # before the first pretraining
+    split_folds(dataset.labels, cfg.k_folds, cfg.seed)
     rows = []
     for subset in MODALITY_SUBSETS:
         G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise,
                                       modalities=subset)
         result = pretrain(G, X, cfg)
-        result.encoder.freeze()
         res = run_tune(G, X, dataset.labels, result.encoder, cfg)
         rows.append(
             {

@@ -4,8 +4,8 @@ A prompt is a small set of learnable token vectors living in the fused
 feature space. Tokens get their own k-NN hyperedge structure (recomputed
 from the latest token values at the start of every epoch), and each token is
 attached to the data hypergraph through one hyperedge covering all data
-nodes. Tuning optimizes only the tokens and the classification head; the
-pretrained encoder stays frozen.
+nodes. Tuning optimizes only the tokens and the classification head, on a
+frozen copy of the pretrained encoder.
 
 Tuning builds the propagation operator of that manipulated hypergraph from
 blocks, not from its dense incidence. Each insertion hyperedge has N+1
@@ -236,24 +236,25 @@ def _validate_masks(labels, train_mask, val_mask):
 
 
 class _StrategyState:
-    """One strategy's head, extra parameter, and forward pass on a fixed graph.
+    """One strategy's encoder, head, extra parameter, and forward pass on a fixed graph.
 
-    The head is built first and the extra parameter then draws from the
-    seeded rng; changing that order changes every tuned output.
+    The encoder is a copy of the caller's, trainable exactly when the strategy
+    table says so, so tuning never touches the caller's parameters. The head
+    starts at zero; only the extra parameter draws from `default_rng(cfg.seed)`.
     """
 
-    def __init__(self, spec: _Strategy, G, X, encoder: HGNNStack, cfg: RunConfig):
+    def __init__(self, spec: _Strategy, G, X, pretrained: HGNNStack, cfg: RunConfig):
         self.spec = spec
         self.X = X
-        self.encoder = encoder
+        self.encoder = encoder = pretrained.copy(trainable=spec.trains_encoder)
         self.prompt_k = cfg.prompt_k
-        rng = np.random.default_rng(cfg.seed)
-        self.head = build_head(encoder.output_dim, cfg.num_classes, rng)
+        self.head = build_head(encoder.output_dim, cfg.num_classes)
         self.extra = None
         if spec.extra is not None:
             rows = _extra_rows(spec.extra, cfg.num_prompts, cfg.gpf_basis)
             self.extra = Parameter(
-                spec.extra.init(rng, (rows, X.shape[1])), spec.extra.name
+                spec.extra.init(np.random.default_rng(cfg.seed), (rows, X.shape[1])),
+                spec.extra.name,
             )
         self.params = ((encoder.parameters() if spec.trains_encoder else [])
                        + ([] if self.extra is None else [self.extra])
@@ -323,7 +324,8 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
 
     Reads `tune_epochs`, `tune_lr`, `tune_weight_decay`, `num_prompts`,
     `prompt_k`, `gpf_basis`, `num_classes` and `seed` of `cfg`; the
-    strategy is the `strategy` argument, not `cfg.strategy`.
+    strategy is the `strategy` argument, not `cfg.strategy`. The run tunes
+    its own copy of `pretrained`, whatever its `trainable` flags.
 
     Per epoch: (re)build the prompt structure where applicable, compute the
     training loss on the train mask, step AdamW over the strategy's trainable
@@ -339,12 +341,9 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     y, mt, mv = _validate_masks(labels, train_mask, val_mask)
     if y.shape[0] != G.num_nodes or X.shape[0] != G.num_nodes:
         raise ValidationError("labels/features do not match the hypergraph node count")
-    if not (spec.trains_encoder or pretrained.frozen):
-        raise ValidationError(f"{strategy}: encoder must be frozen")
-    encoder = pretrained.copy(trainable=True) if spec.trains_encoder else pretrained
-    run = _StrategyState(spec, G, X, encoder, cfg)
+    run = _StrategyState(spec, G, X, pretrained, cfg)
     counts, total = count_tunable_params(
-        strategy, encoder, run.head, feature_dim=X.shape[1],
+        strategy, run.encoder, run.head, feature_dim=X.shape[1],
         num_prompts=cfg.num_prompts, gpf_basis=cfg.gpf_basis,
     )
     params = run.params
@@ -400,8 +399,7 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
     """
     spec = _strategy_spec(result.strategy)
     X = ad.as_matrix(X, "features")
-    encoder = pretrained.copy(trainable=spec.trains_encoder)
-    run = _StrategyState(spec, G, X, encoder, cfg)
+    run = _StrategyState(spec, G, X, pretrained, cfg)
     for p in run.params:
         if p.name in result.snapshot:
             p.value[:] = result.snapshot[p.name]

@@ -105,7 +105,7 @@ def test_criterion_01_gradient_suite():
     )
 
     # full prompt loss: tokens + head through the manipulated hypergraph
-    encoder.freeze()
+    encoder = encoder.copy(trainable=False)
     tokens = Parameter(rng.normal(0.0, 0.02, (4, 12)), "prompt.tokens")
     G_p = build_prompt_structure(tokens.value, 2)
     G_m, _ = insert_prompt(G, X, G_p, tokens.value)
@@ -242,7 +242,6 @@ def test_criterion_06_frozen_encoder_checkpoint_bytes(tmp_path, default_dataset,
     G, X = fused
     ds = default_dataset
     result = pretrain(G, X, RunConfig(pretrain_epochs=40, seed=0))
-    result.encoder.freeze()
     path = tmp_path / "encoder.json"
     save_checkpoint(path, result.encoder, 0, "digest")
     before = path.read_bytes()
@@ -270,7 +269,6 @@ def test_criterion_07_end_to_end_quality(default_dataset):
         cfg = RunConfig(strategy="phgnn", seed=seed)
         G, X = build_fused_hypergraph(ds, cfg.k)
         result = pretrain(G, X, cfg)
-        result.encoder.freeze()
         res = run_tune(G, X, ds.labels, result.encoder, cfg)
         baccs.append(res["aggregate"].bacc)
         aucs.append(res["aggregate"].auc)

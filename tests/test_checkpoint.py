@@ -40,19 +40,27 @@ class TestCheckpoint:
 
     def test_reserialization_after_load_matches(self, tmp_path):
         stack = self.make_stack(3)
-        stack.freeze()
         path = tmp_path / "enc.json"
         save_checkpoint(path, stack, 1, "d")
         loaded, info = load_checkpoint(path)
         assert checkpoint_bytes(loaded, 1, "d") == path.read_bytes()
 
-    def test_frozen_flag_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_older_frozen_key_is_ignored(self, tmp_path, frozen):
         stack = self.make_stack()
-        stack.freeze()
-        save_checkpoint(tmp_path / "enc.json", stack, 0, "x")
-        loaded, _ = load_checkpoint(tmp_path / "enc.json")
-        assert loaded.frozen
-        assert all(not p.trainable for p in loaded.parameters())
+        path = tmp_path / "enc.json"
+        save_checkpoint(path, stack, 0, "x")
+        doc = json.loads(path.read_text())
+        assert "frozen" not in doc
+        # version-2 checkpoints written before the key was dropped still load
+        doc["frozen"] = frozen
+        path.write_text(json.dumps(doc))
+        loaded, info = load_checkpoint(path)
+        assert info["seed"] == 0
+        for a, b in zip(stack.parameters(), loaded.parameters()):
+            assert (a.name, a.trainable) == (b.name, b.trainable)
+            assert np.array_equal(a.value, b.value)
+        assert checkpoint_bytes(loaded, 0, "x") == checkpoint_bytes(stack, 0, "x")
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ from hglearn.data import build_fused_hypergraph
 from hglearn.hypergraph import Hypergraph
 from hglearn.pipeline import MODALITY_SUBSETS
 from hglearn.pretrain import pretrain
-from hglearn.prompt import STRATEGIES
+from hglearn.prompt import STRATEGIES, tune_with_strategy
 
 FAST = [
     "--set", "n=36", "--set", "m=3", "--set", "dims=4,4,4", "--set", "k=3",
@@ -283,6 +283,25 @@ class TestAblatePrompts:
         assert "--sizes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", ["8,0", "0", "3,-2"])
+    def test_sizes_below_one_exit_one_before_tuning(self, tmp_path, dataset_dir,
+                                                    checkpoint_dir, capsys, monkeypatch,
+                                                    sizes):
+        tuned = []
+
+        def counted(*args):
+            tuned.append(args)
+            return tune_with_strategy(*args)
+        monkeypatch.setattr(hglearn.pipeline, "tune_with_strategy", counted)
+        out = tmp_path / "ap"
+        assert run("ablate-prompts", "--data", str(dataset_dir),
+                   "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                   "--out", str(out), "--sizes", sizes, *FAST) == 1
+        assert (f"error: argument --sizes: prompt counts must be >= 1, got {sizes!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert len(tuned) == 0
+
 
 class TestCompareStrategies:
     def test_six_rows_and_counts(self, tmp_path, dataset_dir, checkpoint_dir):
@@ -489,6 +508,22 @@ class TestArgumentHandling:
         assert run("ablate-modalities", "--data", str(dataset_dir), "--out", str(out),
                    *FAST, "--set", "k_folds=1") == 1
         assert "error: k_folds must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(pretrained) == 0
+
+    def test_unfillable_folds_exit_one_before_pretraining(self, tmp_path, dataset_dir,
+                                                          capsys, monkeypatch):
+        pretrained = []
+
+        def counted(*args):
+            pretrained.append(args)
+            return pretrain(*args)
+        monkeypatch.setattr(hglearn.pipeline, "pretrain", counted)
+        out = tmp_path / "o"
+        assert run("ablate-modalities", "--data", str(dataset_dir), "--out", str(out),
+                   *FAST, "--set", "k_folds=40") == 1
+        assert re.search(r"error: class \d has \d+ members, fewer than 40 folds",
+                         capsys.readouterr().err)
         assert not out.exists()
         assert len(pretrained) == 0
 

@@ -17,7 +17,6 @@ from hglearn.autodiff import (
 )
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.model import (
-    ClassifierHead,
     HGNNLayer,
     HGNNStack,
     build_decoder,
@@ -84,12 +83,6 @@ class TestHGNNForward:
         with pytest.raises(ShapeError, match="chain"):
             HGNNStack([identity_layer(3), identity_layer(4)])
 
-    def test_freeze_marks_all_parameters(self):
-        stack = build_encoder(4, (5,), 3, np.random.default_rng(0))
-        stack.freeze()
-        assert stack.frozen
-        assert all(not p.trainable for p in stack.parameters())
-
     def test_decoder_is_single_linear_layer(self):
         dec = build_decoder(8, 12, np.random.default_rng(0))
         assert len(dec.layers) == 1
@@ -99,12 +92,13 @@ class TestHGNNForward:
 
 class TestClassify:
     def test_zero_head_gives_zero_logits(self):
-        head = ClassifierHead(Parameter(np.zeros((4, 2)), "w"), Parameter(np.zeros((1, 2)), "b"))
+        head = HGNNLayer(Parameter(np.zeros((4, 2)), "w"), Parameter(np.zeros((1, 2)), "b"),
+                         "identity")
         out = classify(np.random.default_rng(0).standard_normal((6, 4)), head)
         assert np.array_equal(out.value, np.zeros((6, 2)))
 
     def test_identity_weight_reproduces_columns(self):
-        head = ClassifierHead(Parameter(np.eye(3), "w"), Parameter(np.zeros((1, 3)), "b"))
+        head = HGNNLayer(Parameter(np.eye(3), "w"), Parameter(np.zeros((1, 3)), "b"), "identity")
         Z = np.eye(3)
         assert np.array_equal(classify(Z, head).value, Z)
 
@@ -113,7 +107,7 @@ class TestClassify:
         Z = rng.standard_normal((7, 5))
         W = rng.standard_normal((5, 2))
         b = rng.standard_normal((1, 2))
-        head = ClassifierHead(Parameter(W, "w"), Parameter(b, "b"))
+        head = HGNNLayer(Parameter(W, "w"), Parameter(b, "b"), "identity")
         expected = Z @ W + b
         assert np.abs(classify(Z, head).value - expected).max() <= 1e-12
 
@@ -129,8 +123,7 @@ class TestFrozenEncoderBackward:
         rng = np.random.default_rng(5)
         operator = propagation_operator(knn_hyperedges(rng.standard_normal((10, 3)), 2))
         X = rng.standard_normal((10, 4))
-        encoder = build_encoder(4, (6,), 3, rng)
-        encoder.freeze()
+        encoder = build_encoder(4, (6,), 3, rng).copy(trainable=False)
         head = build_head(3, 2)
         prompt = Parameter(rng.normal(0.0, 0.1, (1, 4)), "prompt")
         targets = []

@@ -23,7 +23,6 @@ def setup():
     ds = generate_synthetic(cfg.n, cfg.m, cfg.dims, cfg.class_sep, 0.0, seed=0)
     G, X = build_fused_hypergraph(ds, cfg.k)
     result = pretrain(G, X, cfg)
-    result.encoder.freeze()
     return cfg, (G, X, ds.labels), result.encoder
 
 

@@ -30,13 +30,12 @@ from oracles import brute_force_operator
 
 @pytest.fixture(scope="module")
 def tuning_setup():
-    """Small separable dataset with a pretrained frozen encoder."""
+    """Small separable dataset with a pretrained encoder, trainable as pretraining left it."""
     ds = generate_synthetic(60, 2, (6, 6), 3.0, 0.0, seed=4)
     G, X = build_fused_hypergraph(ds, 5)
     result = pretrain(
         G, X, RunConfig(pretrain_epochs=40, hidden_dims=(16,), latent_dim=8, seed=0)
     )
-    result.encoder.freeze()
     folds = split_folds(ds.labels, 5, seed=0)
     return ds, G, X, result.encoder, folds
 
@@ -272,12 +271,29 @@ class TestPromptTune:
         for p, b in zip(encoder.parameters(), before):
             assert np.array_equal(p.value, b)
 
-    def test_unfrozen_encoder_rejected(self, tuning_setup):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_trainable_encoder_tunes_like_a_frozen_copy(self, tuning_setup, strategy):
         ds, G, X, encoder, folds = tuning_setup
-        thawed = encoder.copy(trainable=True)
-        with pytest.raises(ValidationError, match="frozen"):
-            tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
-                               folds.val_mask(0), thawed, small_config())
+        cfg = small_config(tune_epochs=8, strategy=strategy)
+        results = []
+        for trainable in (True, False):
+            caller = encoder.copy(trainable=trainable)
+            before = [p.value.copy() for p in caller.parameters()]
+            results.append(tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+                                              folds.val_mask(0), caller, cfg))
+            # tuning works on its own copy: values, flags and gradients stay as given
+            for p, b in zip(caller.parameters(), before):
+                assert np.array_equal(p.value, b)
+                assert p.trainable == trainable
+                assert not p.grad_populated and not p.grad.any()
+        thawed, frozen = results
+        assert thawed.train_losses == frozen.train_losses
+        assert thawed.val_bacc == frozen.val_bacc
+        assert thawed.snapshot.keys() == frozen.snapshot.keys()
+        for name, value in thawed.snapshot.items():
+            assert np.array_equal(value, frozen.snapshot[name]), name
+        assert (thawed.param_counts, thawed.tunable_total) == (frozen.param_counts,
+                                                               frozen.tunable_total)
 
     def test_empty_or_overlapping_masks_rejected(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
@@ -357,12 +373,13 @@ class TestTuneWithStrategy:
     def test_frozen_strategies_leave_encoder_untouched(self, tuning_setup, strategy):
         ds, G, X, encoder, folds = tuning_setup
         before = [p.value.copy() for p in encoder.parameters()]
+        flags = [p.trainable for p in encoder.parameters()]
         tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
                            folds.val_mask(0), encoder,
                            small_config(tune_epochs=8, strategy=strategy))
         for p, b in zip(encoder.parameters(), before):
             assert np.array_equal(p.value, b)
-        assert all(not p.trainable for p in encoder.parameters())
+        assert [p.trainable for p in encoder.parameters()] == flags
 
     def test_finetune_requires_no_frozen_copy_and_moves_its_own(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
@@ -431,9 +448,7 @@ class TestTuneWithStrategy:
 
 def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg):
     """The tuning loop with a fresh training forward every epoch and no cached Z."""
-    spec = _STRATEGY_TABLE[strategy]
-    run = _StrategyState(spec, G, X, encoder.copy(trainable=True) if spec.trains_encoder
-                         else encoder, cfg)
+    run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
     run.frozen_z = None
     n, p_rows = X.shape[0], run.prompt_rows
     y_pad = np.concatenate([labels, np.zeros(p_rows, dtype=np.int64)])
