@@ -197,13 +197,17 @@ def load_dataset(path) -> MultimodalDataset:
         dims = [int(d) for d in meta["dims"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{meta_path}: needs integer n, m and dims ({e!r})") from None
+    if n < 1:
+        raise ValidationError(f"{meta_path}: n must be >= 1, got {n}")
     if len(dims) != m or any(d < 1 for d in dims):
         raise ValidationError(f"{meta_path}: dims must list {m} positive sizes, got {dims}")
     modalities = []
     for i in range(m):
         feat_path = root / f"modality_{i}.csv"
+        # the row count is checked before n sizes any allocation
+        rows = _read_rows(feat_path, n)
         feats = np.empty((n, dims[i]))
-        for r, line in enumerate(_read_rows(feat_path, n)):
+        for r, line in enumerate(rows):
             cells = line.split(",")
             if len(cells) != dims[i]:
                 raise ValidationError(
@@ -275,12 +279,16 @@ def split_folds(labels, k_folds: int, seed: int) -> FoldSplit:
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if k_folds < 2:
         raise ValidationError(f"k_folds must be >= 2, got {k_folds}")
+    classes = np.unique(y)
+    # one class leaves every fold's AUC undefined, so no fold could be scored
+    if classes.size < 2:
+        raise ValidationError(f"labels need at least two classes, found {classes.tolist()}")
     rng = np.random.default_rng(seed)
     assignment = np.full(y.shape[0], -1, dtype=np.int64)
     # continuing the round-robin pointer across classes keeps overall fold
     # sizes within one of each other, on top of per-class stratification
     pointer = 0
-    for cls in np.unique(y):
+    for cls in classes:
         idx = np.flatnonzero(y == cls)
         if idx.size < k_folds:
             raise ValidationError(

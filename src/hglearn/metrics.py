@@ -1,4 +1,4 @@
-"""Binary classification metrics: confusion counts, BACC/SEN/SPE, rank AUC.
+"""Binary classification metrics: BACC/SEN/SPE, rank AUC, fold aggregation.
 
 Class 1 is the positive class throughout. AUC is the Mann-Whitney statistic
 (ties count one half), which equals the trapezoidal ROC area and is exactly
@@ -14,39 +14,12 @@ import numpy as np
 from .autodiff import ValidationError
 
 __all__ = [
-    "ConfusionCounts",
     "MetricsReport",
-    "predict_labels",
-    "positive_probabilities",
-    "confusion",
-    "metrics_from_confusion",
     "auc",
     "evaluate_logits",
     "aggregate_folds",
     "format_metric_row",
 ]
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def sensitivity(self) -> float:
-        pos = self.tp + self.fn
-        return self.tp / pos if pos else 0.0
-
-    @property
-    def specificity(self) -> float:
-        neg = self.tn + self.fp
-        return self.tn / neg if neg else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,40 +40,6 @@ class MetricsReport:
         if self.folds is not None:
             out["folds"] = [f.as_dict() for f in self.folds]
         return out
-
-
-def predict_labels(logits) -> np.ndarray:
-    """Argmax over classes; ties resolve to the lower class index."""
-    return np.argmax(np.asarray(logits, dtype=np.float64), axis=1)
-
-
-def positive_probabilities(logits) -> np.ndarray:
-    """Softmax probability of class 1, numerically stabilized."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e[:, 1] / e.sum(axis=1)
-
-
-def confusion(predicted, labels, mask) -> ConfusionCounts:
-    pred = np.asarray(predicted, dtype=np.int64).reshape(-1)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    if not m.any():
-        raise ValidationError("confusion: empty mask")
-    p, t = pred[m], y[m]
-    return ConfusionCounts(
-        tp=int(((p == 1) & (t == 1)).sum()),
-        fp=int(((p == 1) & (t == 0)).sum()),
-        tn=int(((p == 0) & (t == 0)).sum()),
-        fn=int(((p == 0) & (t == 1)).sum()),
-    )
-
-
-def metrics_from_confusion(counts: ConfusionCounts, auc_value: float) -> MetricsReport:
-    sen = counts.sensitivity
-    spe = counts.specificity
-    return MetricsReport(bacc=(sen + spe) / 2.0, sen=sen, spe=spe, auc=auc_value)
 
 
 def auc(scores, labels, mask) -> float:
@@ -128,10 +67,24 @@ def auc(scores, labels, mask) -> float:
 
 
 def evaluate_logits(logits, labels, mask) -> MetricsReport:
-    """Full metric set from raw logits on the masked nodes."""
-    counts = confusion(predict_labels(logits), labels, mask)
-    a = auc(positive_probabilities(logits), labels, mask)
-    return metrics_from_confusion(counts, a)
+    """BACC, SEN, SPE and AUC from raw logits on the masked nodes.
+
+    AUC ranks the softmax probability of class 1. Each node is predicted as
+    its argmax class, ties going to the lower index, so a prediction of
+    class 2 or above is a miss for either class.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    m = np.asarray(mask, dtype=bool).reshape(-1)
+    if not m.any():
+        raise ValidationError("evaluate_logits: empty mask")
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    # auc rejects a mask without both classes, so neither rate divides by zero
+    a = auc(e[:, 1] / e.sum(axis=1), y, m)
+    hit, t = (np.argmax(z, axis=1) == y)[m], y[m]
+    sen = int((hit & (t == 1)).sum()) / int((t == 1).sum())
+    spe = int((hit & (t == 0)).sum()) / int((t == 0).sum())
+    return MetricsReport(bacc=(sen + spe) / 2.0, sen=sen, spe=spe, auc=a)
 
 
 def aggregate_folds(reports) -> MetricsReport:

@@ -124,32 +124,27 @@ def _strategy_spec(name) -> _Strategy:
         raise ValidationError(f"unknown strategy {name!r}") from None
 
 
-def _extra_rows(extra: _ExtraParam, num_prompts, gpf_basis):
-    """Rows of a strategy's extra parameter: one, or the size it names."""
-    return {None: 1, "num_prompts": num_prompts, "gpf_basis": gpf_basis}[extra.rows]
+def _extra_rows(extra: _ExtraParam, cfg: RunConfig) -> int:
+    """Rows of a strategy's extra parameter: one, or the `cfg` size it names."""
+    return 1 if extra.rows is None else getattr(cfg, extra.rows)
 
 
 def _size(params) -> int:
     return sum(p.size for p in params)
 
 
-def count_tunable_params(strategy, encoder: HGNNStack, head, *,
-                         feature_dim=None, num_prompts=None, gpf_basis=None):
+def count_tunable_params(strategy, encoder: HGNNStack, cfg: RunConfig):
     """Per-component trainable parameter counts for a tuning strategy.
 
-    Returns (per_component dict, total). The classifier head is trainable,
-    and counted, under every strategy.
+    Returns (per_component dict, total). The extra parameter is as wide as
+    the encoder input. The classifier head is trainable, and counted, under
+    every strategy.
     """
     spec = _strategy_spec(strategy)
     counts = {"encoder": _size(encoder.parameters())} if spec.trains_encoder else {}
     if spec.extra is not None:
-        rows = _extra_rows(spec.extra, num_prompts, gpf_basis)
-        missing = [k for k, v in (("feature_dim", feature_dim), (spec.extra.rows, rows))
-                   if v is None]
-        if missing:
-            raise ValidationError(f"{strategy}: needs {' and '.join(missing)}")
-        counts[spec.extra.count_key] = int(rows) * int(feature_dim)
-    counts["head"] = _size(head.parameters())
+        counts[spec.extra.count_key] = _extra_rows(spec.extra, cfg) * encoder.input_dim
+    counts["head"] = _size(build_head(encoder.output_dim, cfg.num_classes).parameters())
     return counts, sum(counts.values())
 
 
@@ -251,7 +246,7 @@ class _StrategyState:
         self.head = build_head(encoder.output_dim, cfg.num_classes)
         self.extra = None
         if spec.extra is not None:
-            rows = _extra_rows(spec.extra, cfg.num_prompts, cfg.gpf_basis)
+            rows = _extra_rows(spec.extra, cfg)
             self.extra = Parameter(
                 spec.extra.init(np.random.default_rng(cfg.seed), (rows, X.shape[1])),
                 spec.extra.name,
@@ -342,10 +337,7 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     if y.shape[0] != G.num_nodes or X.shape[0] != G.num_nodes:
         raise ValidationError("labels/features do not match the hypergraph node count")
     run = _StrategyState(spec, G, X, pretrained, cfg)
-    counts, total = count_tunable_params(
-        strategy, run.encoder, run.head, feature_dim=X.shape[1],
-        num_prompts=cfg.num_prompts, gpf_basis=cfg.gpf_basis,
-    )
+    counts, total = count_tunable_params(strategy, pretrained, cfg)
     params = run.params
     n, p_rows = X.shape[0], run.prompt_rows
     y_pad = np.concatenate([y, np.zeros(p_rows, dtype=np.int64)])

@@ -18,7 +18,7 @@ from hglearn.cli import main as cli_main
 from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph, propagation_operator
-from hglearn.metrics import auc, confusion, metrics_from_confusion
+from hglearn.metrics import auc, evaluate_logits
 from hglearn.model import build_decoder, build_encoder, build_head, classify, hgnn_forward_operator
 from hglearn.pipeline import run_ablate_modalities, run_tune
 from hglearn.pretrain import pretrain, sample_mask, sce_loss
@@ -287,12 +287,9 @@ def test_criterion_08_strategy_parameter_ordering():
     cfg = RunConfig()
     d = sum(cfg.dims)
     encoder = build_encoder(d, cfg.hidden_dims, cfg.latent_dim, np.random.default_rng(0))
-    head = build_head(cfg.latent_dim, cfg.num_classes)
-    _, phgnn = count_tunable_params("phgnn", encoder, head, feature_dim=d,
-                                    num_prompts=cfg.num_prompts)
-    _, gpf_plus = count_tunable_params("gpf_plus", encoder, head, feature_dim=d,
-                                       gpf_basis=cfg.gpf_basis)
-    _, finetune = count_tunable_params("finetune", encoder, head)
+    _, phgnn = count_tunable_params("phgnn", encoder, cfg)
+    _, gpf_plus = count_tunable_params("gpf_plus", encoder, cfg)
+    _, finetune = count_tunable_params("finetune", encoder, cfg)
     share = phgnn / finetune
     ok = share <= 0.10 and phgnn < gpf_plus < finetune
     report(
@@ -366,8 +363,7 @@ def test_criterion_10_metric_oracles():
     for _ in range(200):
         pred = rng.integers(0, 2, 20)
         truth = rng.integers(0, 2, 20)
-        counts = confusion(pred, truth, np.ones(20, bool))
-        r = metrics_from_confusion(counts, 0.5)
+        r = evaluate_logits(np.eye(2)[pred], truth, np.ones(20, bool))
         bacc_ok &= r.bacc == (r.sen + r.spe) / 2.0
     folds_ok = True
     for _ in range(50):

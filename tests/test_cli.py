@@ -527,6 +527,32 @@ class TestArgumentHandling:
         assert not out.exists()
         assert len(pretrained) == 0
 
+    @pytest.mark.parametrize("command", ["tune", "ablate-modalities"])
+    def test_single_class_labels_exit_one_before_any_work(self, tmp_path, dataset_dir,
+                                                          checkpoint_dir, capsys,
+                                                          monkeypatch, command):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(hglearn.pipeline, "pretrain", counted(pretrain))
+        monkeypatch.setattr(hglearn.pipeline, "tune_with_strategy",
+                            counted(tune_with_strategy))
+        labels = dataset_dir / "labels.csv"
+        labels.write_text("1\n" * len(labels.read_text().splitlines()))
+        checkpoint = ([] if command == "ablate-modalities"
+                      else ["--checkpoint", str(checkpoint_dir / "encoder.json")])
+        out = tmp_path / "o"
+        assert run(command, "--data", str(dataset_dir), *checkpoint, "--out", str(out),
+                   *FAST) == 1
+        assert ("error: labels need at least two classes, found [1]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert calls == []
+
     @pytest.mark.parametrize("source", ["flag", "config-file"])
     def test_negative_seed_exits_one(self, tmp_path, capsys, source):
         cfg = tmp_path / "cfg.json"

@@ -131,21 +131,26 @@ class TestDiskFormat:
         with pytest.raises(ValidationError, match="present_1.csv"):
             load_dataset(tmp_path / "d")
 
-    @pytest.mark.parametrize("edit", [
-        lambda meta: meta.pop("n"),
-        lambda meta: meta.pop("m"),
-        lambda meta: meta.pop("dims"),
-        lambda meta: meta.update(dims=[3]),
-        lambda meta: meta.update(n="many"),
-    ], ids=["no-n", "no-m", "no-dims", "dims-shorter-than-m", "non-integer-n"])
-    def test_malformed_meta_rejected(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("n"), "meta"),
+        (lambda meta: meta.pop("m"), "meta"),
+        (lambda meta: meta.pop("dims"), "meta"),
+        (lambda meta: meta.update(dims=[3]), "meta"),
+        (lambda meta: meta.update(n="many"), "meta"),
+        (lambda meta: meta.update(n=-1), "meta: n must be >= 1, got -1"),
+        # checked against the rows on disk before n sizes an allocation
+        (lambda meta: meta.update(n=10**13),
+         "modality_0.csv: expected 10000000000000 rows, found 12"),
+    ], ids=["no-n", "no-m", "no-dims", "dims-shorter-than-m", "non-integer-n",
+            "negative-n", "n-beyond-rows"])
+    def test_malformed_meta_rejected(self, tmp_path, edit, message):
         ds = generate_synthetic(12, 2, (3, 3), 1.0, 0.0, seed=0)
         save_dataset(ds, tmp_path / "d")
         meta_path = tmp_path / "d" / "meta"
         meta = json.loads(meta_path.read_text())
         edit(meta)
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValidationError, match="meta"):
+        with pytest.raises(ValidationError, match=message):
             load_dataset(tmp_path / "d")
 
     @pytest.mark.parametrize("name", ["modality_0.csv", "present_0.csv", "labels.csv"])
@@ -339,6 +344,12 @@ class TestSplitFolds:
         labels = np.array([0] * 20 + [1] * 3)
         with pytest.raises(ValidationError, match="class 1"):
             split_folds(labels, 5, seed=0)
+
+    @pytest.mark.parametrize("cls", [0, 1])
+    def test_single_class_rejected(self, cls):
+        with pytest.raises(ValidationError,
+                           match=rf"labels need at least two classes, found \[{cls}\]"):
+            split_folds(np.full(20, cls), 5, seed=0)
 
     def test_deterministic_per_seed(self):
         labels = np.random.default_rng(4).integers(0, 2, 60)

@@ -15,6 +15,7 @@ from hglearn.autodiff import (
     finite_difference_check,
     forward_backward,
 )
+from hglearn.config import RunConfig
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.model import (
     HGNNLayer,
@@ -190,49 +191,40 @@ class TestCountTunableParams:
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.encoder = build_encoder(128, (128,), 64, rng)
-        self.head = build_head(64, 2)
+        self.cfg = RunConfig(num_classes=2, num_prompts=16)
 
     def test_linear_probe_counts_head_only(self):
-        counts, total = count_tunable_params("linear_probe", self.encoder, self.head)
+        counts, total = count_tunable_params("linear_probe", self.encoder, self.cfg)
         assert counts == {"head": 130}
         assert total == 130
 
     def test_phgnn_example(self):
-        counts, total = count_tunable_params(
-            "phgnn", self.encoder, self.head, feature_dim=128, num_prompts=16
-        )
+        counts, total = count_tunable_params("phgnn", self.encoder, self.cfg)
         assert counts["prompt_tokens"] == 16 * 128
         assert total == 2178
 
     def test_gpf_example(self):
-        _, total = count_tunable_params("gpf", self.encoder, self.head, feature_dim=128)
+        _, total = count_tunable_params("gpf", self.encoder, self.cfg)
         assert total == 258
 
     def test_finetune_counts_every_parameter(self):
-        counts, total = count_tunable_params("finetune", self.encoder, self.head)
+        counts, total = count_tunable_params("finetune", self.encoder, self.cfg)
         assert counts["encoder"] == sum(p.size for p in self.encoder.parameters())
         assert total == counts["encoder"] + 130
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError, match="strategy"):
-            count_tunable_params("adapter", self.encoder, self.head)
+            count_tunable_params("adapter", self.encoder, self.cfg)
 
     def test_default_config_efficiency_bound(self):
         # fused dim 48, hidden 128, latent 64, prompts 16: prompt tuning
         # stays under a tenth of full fine-tuning
-        from hglearn.config import RunConfig
-
         cfg = RunConfig()
         d = sum(cfg.dims)
         rng = np.random.default_rng(0)
         encoder = build_encoder(d, cfg.hidden_dims, cfg.latent_dim, rng)
-        head = build_head(cfg.latent_dim, cfg.num_classes)
-        _, phgnn = count_tunable_params(
-            "phgnn", encoder, head, feature_dim=d, num_prompts=cfg.num_prompts
-        )
-        _, gpf_plus = count_tunable_params(
-            "gpf_plus", encoder, head, feature_dim=d, gpf_basis=cfg.gpf_basis
-        )
-        _, finetune = count_tunable_params("finetune", encoder, head)
+        _, phgnn = count_tunable_params("phgnn", encoder, cfg)
+        _, gpf_plus = count_tunable_params("gpf_plus", encoder, cfg)
+        _, finetune = count_tunable_params("finetune", encoder, cfg)
         assert phgnn <= 0.10 * finetune
         assert phgnn < gpf_plus < finetune

@@ -13,7 +13,7 @@ from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.metrics import evaluate_logits
-from hglearn.model import build_encoder, build_head
+from hglearn.model import build_encoder
 from hglearn.pretrain import pretrain
 from hglearn.prompt import (
     _STRATEGY_TABLE,
@@ -360,11 +360,7 @@ class TestTuneWithStrategy:
                                     folds.val_mask(0), encoder, cfg)
         snapshot_total = sum(v.size for v in result.snapshot.values())
         assert snapshot_total == result.tunable_total == sum(result.param_counts.values())
-        head = build_head(encoder.output_dim, cfg.num_classes)
-        counts, total = count_tunable_params(
-            strategy, encoder, head, feature_dim=X.shape[1],
-            num_prompts=cfg.num_prompts, gpf_basis=cfg.gpf_basis,
-        )
+        counts, total = count_tunable_params(strategy, encoder, cfg)
         assert counts == result.param_counts
         assert total == result.tunable_total
 
