@@ -31,17 +31,13 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "scale",
-    "add_scalar",
-    "power",
     "relu",
     "broadcast_add_row",
-    "row_cosine",
     "row_softmax",
     "concat_rows",
     "mask_rows",
-    "masked_mean",
     "softmax_cross_entropy",
+    "sce_loss",
     "forward_backward",
     "finite_difference_check",
     "adamw_step",
@@ -202,40 +198,6 @@ def add(a, b) -> Tensor:
     return Tensor(a.value + b.value, (a, b), "add", backward)
 
 
-def scale(a, c: float) -> Tensor:
-    a = const(a)
-    c = float(c)
-
-    def backward(g, a=a, c=c):
-        _accum(a, g * c)
-
-    return Tensor(a.value * c, (a,), "scale", backward)
-
-
-def add_scalar(a, c: float) -> Tensor:
-    a = const(a)
-    c = float(c)
-
-    def backward(g, a=a):
-        _accum(a, g)
-
-    return Tensor(a.value + c, (a,), "add_scalar", backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    """Elementwise x**exponent for exponent >= 1 (inputs must be >= 0 unless integral)."""
-    a = const(a)
-    p = float(exponent)
-    if p < 1.0:
-        raise ValidationError(f"power: exponent must be >= 1, got {p}")
-    out_val = a.value**p
-
-    def backward(g, a=a, p=p):
-        _accum(a, g * p * a.value ** (p - 1.0))
-
-    return Tensor(out_val, (a,), "power", backward)
-
-
 def relu(a) -> Tensor:
     a = const(a)
 
@@ -260,32 +222,6 @@ def broadcast_add_row(a, row) -> Tensor:
             _accum(row, g.sum(axis=0, keepdims=True))
 
     return Tensor(a.value + row.value, (a, row), "broadcast_add_row", backward)
-
-
-def row_cosine(a, b) -> Tensor:
-    """Cosine similarity of corresponding rows; output is (n x 1), values in [-1, 1].
-
-    The denominator is sqrt(sa * sb) of the squared norms, which makes the
-    similarity of a row with itself exactly 1 (and exactly -1 when negated).
-    """
-    a, b = const(a), const(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"row_cosine: shapes differ, {a.value.shape} vs {b.value.shape}")
-    sa = (a.value * a.value).sum(axis=1, keepdims=True)
-    sb = (b.value * b.value).sum(axis=1, keepdims=True)
-    na = np.maximum(np.sqrt(sa), NORM_EPS)
-    nb = np.maximum(np.sqrt(sb), NORM_EPS)
-    dots = (a.value * b.value).sum(axis=1, keepdims=True)
-    raw = dots / np.maximum(np.sqrt(sa * sb), NORM_EPS * NORM_EPS)
-    out_val = np.clip(raw, -1.0, 1.0)
-
-    def backward(g, a=a, b=b, na=na, nb=nb, raw=raw):
-        if a.needs:
-            _accum(a, g * (b.value / (na * nb) - a.value * raw / (na * na)))
-        if b.needs:
-            _accum(b, g * (a.value / (na * nb) - b.value * raw / (nb * nb)))
-
-    return Tensor(out_val, (a, b), "row_cosine", backward)
 
 
 def row_softmax(a) -> Tensor:
@@ -346,29 +282,6 @@ def mask_rows(a, row_indices, token) -> Tensor:
     return Tensor(out_val, (a, token), "mask_rows", backward)
 
 
-def masked_mean(a, row_mask) -> Tensor:
-    """Mean of the selected rows of a single-column matrix; scalar output."""
-    a = const(a)
-    if a.value.shape[1] != 1:
-        raise ShapeError(f"masked_mean: expected single-column input, got {a.value.shape}")
-    mask = np.asarray(row_mask, dtype=bool).reshape(-1)
-    if mask.shape[0] != a.value.shape[0]:
-        raise ShapeError(
-            f"masked_mean: mask length {mask.shape[0]} does not match {a.value.shape[0]} rows"
-        )
-    count = int(mask.sum())
-    if count == 0:
-        raise ValidationError("masked_mean: mask selects no rows")
-    out_val = np.array([[a.value[mask, 0].sum() / count]])
-
-    def backward(g, a=a, mask=mask, count=count):
-        ga = np.zeros_like(a.value)
-        ga[mask, 0] = g[0, 0] / count
-        _accum(a, ga)
-
-    return Tensor(out_val, (a,), "masked_mean", backward)
-
-
 def softmax_cross_entropy(logits, labels, row_mask) -> Tensor:
     """Mean over masked rows of -log softmax(logits)[label]; scalar output.
 
@@ -405,6 +318,51 @@ def softmax_cross_entropy(logits, labels, row_mask) -> Tensor:
         _accum(logits, gl * (g[0, 0] / count))
 
     return Tensor(out_val, (logits,), "softmax_cross_entropy", backward)
+
+
+def sce_loss(X_orig, X_recon, masked_nodes, gamma: float) -> Tensor:
+    """Scaled cosine error: mean over the masked rows of (1 - cos(x', x))**gamma.
+
+    `X_recon` holds the reconstructions x' and `X_orig` the constant targets
+    x. Only the masked rows, each counted once, are computed: every other
+    row contributes nothing and gets an exact zero gradient. The cosine's
+    denominator is sqrt(sa * sb) of the squared norms, which makes the
+    similarity of a row with itself exactly 1 (and exactly -1 when negated).
+    Raises when the mask is empty: the loss is undefined with no masked nodes.
+    """
+    recon = const(X_recon)
+    orig = const(X_orig).value
+    if recon.value.shape != orig.shape:
+        raise ShapeError(f"sce_loss: shapes differ, {recon.value.shape} vs {orig.shape}")
+    gamma = float(gamma)
+    if gamma < 1.0:
+        raise ValidationError(f"sce_loss: gamma must be >= 1, got {gamma}")
+    idx = np.asarray(masked_nodes, dtype=np.intp).reshape(-1)
+    if idx.size == 0:
+        raise ValidationError("sce_loss: no masked nodes, loss undefined")
+    n = orig.shape[0]
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValidationError(f"sce_loss: masked index out of range for {n} rows")
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    count = int(mask.sum())
+    a, b = recon.value[mask], orig[mask]
+    sa = (a * a).sum(axis=1, keepdims=True)
+    sb = (b * b).sum(axis=1, keepdims=True)
+    na = np.maximum(np.sqrt(sa), NORM_EPS)
+    nb = np.maximum(np.sqrt(sb), NORM_EPS)
+    raw = (a * b).sum(axis=1, keepdims=True) / np.maximum(np.sqrt(sa * sb), NORM_EPS * NORM_EPS)
+    d = np.clip(raw, -1.0, 1.0) * -1.0 + 1.0
+    out_val = np.array([[(d**gamma)[:, 0].sum() / count]])
+
+    def backward(g, recon=recon, mask=mask, count=count, gamma=gamma, a=a, b=b, na=na,
+                 nb=nb, raw=raw, d=d):
+        gr = np.zeros_like(recon.value)
+        gr[mask] = (g[0, 0] / count * gamma * d ** (gamma - 1.0) * -1.0
+                    * (b / (na * nb) - a * raw / (na * na)))
+        _accum(recon, gr)
+
+    return Tensor(out_val, (recon,), "sce_loss", backward)
 
 
 # ---------------------------------------------------------------------------

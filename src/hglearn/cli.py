@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .autodiff import ValidationError
 from .checkpoint import load_checkpoint, save_checkpoint, save_snapshot
-from .config import RunConfig, load_config, parse_override
+from .config import RunConfig, parse_override, read_config
 from .data import build_fused_hypergraph, generate_synthetic, load_dataset, save_dataset
 from .metrics import format_metric_row
 from .pipeline import (
@@ -84,7 +84,22 @@ def _write_record(path: Path, cfg: RunConfig, **fields):
                                default=lambda o: o.as_dict()) + "\n")
 
 
-def _resolve_config(args) -> RunConfig:
+# the fields each input fixes, by the flag that names the input
+_FIXED_BY = {"data": ("n", "m", "dims", "dataset_name"),
+             "checkpoint": ("hidden_dims", "latent_dim")}
+
+
+def _plain(value):
+    return list(value) if isinstance(value, (list, tuple)) else value
+
+
+def _resolve(args):
+    """(cfg, dataset, encoder): the run config and the inputs the command reads.
+
+    Every field no input fixes is checked before any input is read. An
+    omitted field that an input fixes takes the input's value; a given one
+    must equal it.
+    """
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -97,20 +112,41 @@ def _resolve_config(args) -> RunConfig:
         overrides["data_dir"] = args.data
     if getattr(args, "checkpoint", None):
         overrides["checkpoint"] = args.checkpoint
-    return load_config(args.config, overrides)
-
-
-def _load_inputs(cfg: RunConfig, need_checkpoint=True):
-    """(G, X, labels, encoder) for the `run_*` sweeps; no encoder without a checkpoint."""
-    dataset = load_dataset(cfg.data_dir)
-    encoder = None
-    if need_checkpoint:
+    values = read_config(args.config, overrides)
+    flags = [flag for flag in _FIXED_BY if hasattr(args, flag)]
+    fixed = {name for flag in flags for name in _FIXED_BY[flag]}
+    cfg = RunConfig(**{k: v for k, v in values.items() if k not in fixed})
+    for flag, path, what in (("data", cfg.data_dir, "dataset directory"),
+                             ("checkpoint", cfg.checkpoint, "checkpoint")):
+        if flag in flags and not path:
+            raise ValidationError(f"no {what} given (--{flag})")
+    found, dataset, encoder = {}, None, None
+    if "data" in flags:
+        dataset = load_dataset(cfg.data_dir)
+        found["dataset"] = dict(n=dataset.num_subjects, m=dataset.num_modalities,
+                                dims=dataset.dims, dataset_name=dataset.name)
+    if "checkpoint" in flags:
         encoder, _info = load_checkpoint(cfg.checkpoint)
+        widths = [layer.d_out for layer in encoder.layers]
+        found["checkpoint"] = dict(hidden_dims=tuple(widths[:-1]), latent_dim=widths[-1])
+    for source, fields in found.items():
+        for key, value in fields.items():
+            given = values.setdefault(key, value)
+            if _plain(given) != _plain(value):
+                raise ValidationError(
+                    f"{key}={_plain(given)!r} disagrees with the {source}, "
+                    f"which has {_plain(value)!r}"
+                )
+    return RunConfig(**values), dataset, encoder
+
+
+def _fused(dataset, cfg: RunConfig):
+    """(G, X, labels) of the whole dataset for the `run_*` sweeps."""
     G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise)
-    return G, X, dataset.labels, encoder
+    return G, X, dataset.labels
 
 
-def cmd_gen_data(args, cfg: RunConfig, out: Path) -> int:
+def cmd_gen_data(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
     dataset = generate_synthetic(
         cfg.n, cfg.m, cfg.dims, cfg.class_sep, cfg.missing_rate,
         noise_std=cfg.noise_std, seed=cfg.seed, name=cfg.dataset_name,
@@ -125,8 +161,8 @@ def cmd_gen_data(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_pretrain(args, cfg: RunConfig, out: Path) -> int:
-    G, X, _, _ = _load_inputs(cfg, need_checkpoint=False)
+def cmd_pretrain(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
+    G, X, _ = _fused(dataset, cfg)
     result = pretrain(G, X, cfg)
     save_checkpoint(
         out / "encoder.json", result.encoder, cfg.seed, cfg.digest(),
@@ -149,8 +185,8 @@ def cmd_pretrain(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
-    res = run_tune(*_load_inputs(cfg), cfg)
+def cmd_tune(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
+    res = run_tune(*_fused(dataset, cfg), encoder, cfg)
     for f, r in enumerate(res["fold_results"]):
         _write_record(
             out / f"fold_{f}.json", cfg,
@@ -182,8 +218,8 @@ def cmd_tune(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_ablate_prompts(args, cfg: RunConfig, out: Path) -> int:
-    rows = run_ablate_prompts(*_load_inputs(cfg), cfg, args.sizes)
+def cmd_ablate_prompts(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
+    rows = run_ablate_prompts(*_fused(dataset, cfg), encoder, cfg, args.sizes)
     header = "|P|  " + "  ".join(str(r["num_prompts"]) for r in rows)
     auc_line = "AUC  " + "  ".join(f"{r['aggregate'].auc * 100:.1f}" for r in rows)
     params_line = "params  " + "  ".join(str(r["tunable_total"]) for r in rows)
@@ -196,8 +232,8 @@ def cmd_ablate_prompts(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_ablate_modalities(args, cfg: RunConfig, out: Path) -> int:
-    rows = run_ablate_modalities(load_dataset(cfg.data_dir), cfg)
+def cmd_ablate_modalities(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
+    rows = run_ablate_modalities(dataset, cfg)
     marks = []
     for subset, row in zip(MODALITY_SUBSETS, rows):
         flags = ["x" if i in subset else "." for i in range(3)]
@@ -212,8 +248,8 @@ def cmd_ablate_modalities(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_compare_strategies(args, cfg: RunConfig, out: Path) -> int:
-    rows = run_compare_strategies(*_load_inputs(cfg), cfg)
+def cmd_compare_strategies(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
+    rows = run_compare_strategies(*_fused(dataset, cfg), encoder, cfg)
     lines = [f"# config_digest: {cfg.digest()}"]
     for r in rows:
         lines.append(format_metric_row(r["strategy"], r["aggregate"]) + f"  {r['tunable_total']}")
@@ -289,16 +325,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve_config(args)
-        inputs = [args.config]
-        for flag, path, what in (("data", cfg.data_dir, "dataset directory"),
-                                 ("checkpoint", cfg.checkpoint, "checkpoint")):
-            if hasattr(args, flag):
-                if not path:
-                    raise ValidationError(f"no {what} given (--{flag})")
-                inputs.append(path)
+        cfg, dataset, encoder = _resolve(args)
+        inputs = [args.config, cfg.data_dir if dataset is not None else None,
+                  cfg.checkpoint if encoder is not None else None]
         with _staged_out(args.out, args.force, inputs) as out:
-            return args.func(args, cfg, out)
+            return args.func(args, cfg, out, dataset, encoder)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from pathlib import Path
 from .autodiff import ValidationError
 from .prompt import STRATEGIES
 
-__all__ = ["RunConfig", "load_config", "parse_override"]
+__all__ = ["RunConfig", "read_config", "load_config", "parse_override"]
 
 
 @dataclass
@@ -76,6 +76,8 @@ class RunConfig:
                           ("pretrain_epochs", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if len(self.dims) != self.m:
+            raise ValidationError(f"dims must list m={self.m} sizes, got {list(self.dims)}")
         if any(d < 1 for d in self.hidden_dims):
             raise ValidationError(
                 f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}"
@@ -141,8 +143,8 @@ def parse_override(key: str, raw: str):
         raise ValidationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Config file (JSON) plus overrides; overrides win."""
+def read_config(path=None, overrides=None) -> dict:
+    """The fields a config file (JSON) plus overrides give, typed; overrides win."""
     values = {}
     if path is not None:
         p = Path(path)
@@ -161,7 +163,12 @@ def load_config(path=None, overrides=None) -> RunConfig:
             values[key] = value
     if overrides:
         values.update(overrides)
+    return values
+
+
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Config file (JSON) plus overrides; overrides win."""
     try:
-        return RunConfig(**values)
+        return RunConfig(**read_config(path, overrides))
     except TypeError as e:
         raise ValidationError(f"bad config: {e}") from None

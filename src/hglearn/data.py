@@ -204,24 +204,32 @@ def load_dataset(path) -> MultimodalDataset:
     modalities = []
     for i in range(m):
         feat_path = root / f"modality_{i}.csv"
-        # the row count is checked before n sizes any allocation
-        rows = _read_rows(feat_path, n)
-        feats = np.empty((n, dims[i]))
-        for r, line in enumerate(rows):
+        # the matrix is built from rows already read and checked, so neither
+        # n nor dims sizes an allocation before the file confirms it
+        feats = []
+        for r, line in enumerate(_read_rows(feat_path, n)):
             cells = line.split(",")
             if len(cells) != dims[i]:
                 raise ValidationError(
                     f"{feat_path}: row {r} has {len(cells)} values, expected {dims[i]}"
                 )
             try:
-                feats[r] = [float(c) for c in cells]
+                feats.append([float(c) for c in cells])
             except ValueError:
                 raise ValidationError(f"{feat_path}: row {r} has a non-numeric value") from None
             if not np.isfinite(feats[r]).all():
                 raise ValidationError(f"{feat_path}: row {r} has a non-finite value")
-        modalities.append(Modality(feats, _read_flags(root / f"present_{i}.csv", n)))
+        modalities.append(Modality(np.array(feats), _read_flags(root / f"present_{i}.csv", n)))
     labels = _read_flags(root / "labels.csv", n).astype(np.int64)
     return MultimodalDataset(modalities, labels, name=str(meta.get("name", "dataset")))
+
+
+def _present_subjects(dataset: MultimodalDataset, i: int, k: int) -> np.ndarray:
+    """Indices of modality i's present subjects, which its k-NN needs more than k of."""
+    present_idx = np.flatnonzero(dataset.modalities[i].present)
+    if present_idx.size < k + 1:
+        raise ValidationError(f"modality_{i}: only {present_idx.size} present subjects for k={k}")
+    return present_idx
 
 
 def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
@@ -246,11 +254,7 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
     blocks = []
     for i in selected:
         mod = dataset.modalities[i]
-        present_idx = np.flatnonzero(mod.present)
-        if present_idx.size < k + 1:
-            raise ValidationError(
-                f"modality_{i}: only {present_idx.size} present subjects for k={k}"
-            )
+        present_idx = _present_subjects(dataset, i, k)
         neighbors = knn_neighbor_lists(mod.features[present_idx], k)
         members, edges, count = _knn_members(neighbors, pairwise)
         rows.append(present_idx[members])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .autodiff import ValidationError
 from .config import RunConfig
-from .data import build_fused_hypergraph, split_folds
+from .data import _present_subjects, build_fused_hypergraph, split_folds
 from .metrics import aggregate_folds
 from .model import HGNNStack
 from .pretrain import pretrain
@@ -70,9 +70,11 @@ def run_ablate_modalities(dataset, cfg: RunConfig) -> list:
         raise ValidationError(
             f"modality ablation needs a 3-modality dataset, got {dataset.num_modalities}"
         )
-    # every subset shares the labels, so a k_folds they cannot fill fails here,
-    # before the first pretraining
+    # every subset shares the labels and the modalities, so a k_folds or a k
+    # they cannot fill fails here, before the first pretraining
     split_folds(dataset.labels, cfg.k_folds, cfg.seed)
+    for i in range(dataset.num_modalities):
+        _present_subjects(dataset, i, cfg.k)
     rows = []
     for subset in MODALITY_SUBSETS:
         G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise,

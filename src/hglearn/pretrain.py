@@ -17,7 +17,6 @@ from . import autodiff as ad
 from .autodiff import (
     AdamWState,
     Parameter,
-    Tensor,
     ValidationError,
     adamw_step,
     check_finite,
@@ -31,7 +30,6 @@ __all__ = [
     "MaskTokens",
     "PretrainResult",
     "sample_mask",
-    "sce_loss",
     "pretrain",
 ]
 
@@ -60,27 +58,6 @@ def sample_mask(num_nodes: int, mask_ratio: float, rng) -> np.ndarray:
     count = math.floor(mask_ratio * num_nodes)
     picked = rng.choice(num_nodes, size=count, replace=False)
     return np.sort(picked.astype(np.intp))
-
-
-def sce_loss(X_orig, X_recon, masked_nodes, gamma: float) -> Tensor:
-    """Mean over masked rows of (1 - cos(x, x'))**gamma.
-
-    Rows outside the mask never contribute. Raises when the mask is empty:
-    the loss is undefined with no masked nodes.
-    """
-    orig = ad.const(X_orig)
-    recon = ad.const(X_recon)
-    idx = np.asarray(masked_nodes, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ValidationError("sce_loss: no masked nodes, loss undefined")
-    n = orig.value.shape[0]
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValidationError(f"sce_loss: masked index out of range for {n} rows")
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    cos = ad.row_cosine(recon, orig)
-    err = ad.power(ad.add_scalar(ad.scale(cos, -1.0), 1.0), gamma)
-    return ad.masked_mean(err, mask)
 
 
 def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
@@ -116,7 +93,7 @@ def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
             z = hgnn_forward_operator(operator, x_masked, encoder)
             z_masked = ad.mask_rows(z, masked, tokens.latent_token.leaf())
             recon = hgnn_forward_operator(operator, z_masked, decoder)
-            loss = sce_loss(X, recon, masked, cfg.sce_gamma)
+            loss = ad.sce_loss(X, recon, masked, cfg.sce_gamma)
             losses.append(forward_backward(loss))
             adamw_step(params, state, cfg.pretrain_lr, cfg.pretrain_weight_decay)
             check_finite("pretrain", epoch, losses[-1], params)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hglearn import autodiff as ad
-from hglearn.autodiff import Parameter, finite_difference_check
+from hglearn.autodiff import Parameter, finite_difference_check, sce_loss
 from hglearn.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from hglearn.cli import main as cli_main
 from hglearn.config import RunConfig
@@ -21,7 +21,7 @@ from hglearn.hypergraph import Hypergraph, propagation_operator
 from hglearn.metrics import auc, evaluate_logits
 from hglearn.model import build_decoder, build_encoder, build_head, classify, hgnn_forward_operator
 from hglearn.pipeline import run_ablate_modalities, run_tune
-from hglearn.pretrain import pretrain, sample_mask, sce_loss
+from hglearn.pretrain import pretrain, sample_mask
 from hglearn.prompt import build_prompt_structure, count_tunable_params, insert_prompt, tune_with_strategy
 
 from oracles import brute_force_operator, pair_count_auc

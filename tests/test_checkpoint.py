@@ -178,6 +178,9 @@ class TestRunConfig:
                 RunConfig(num_classes=num_classes)
         with pytest.raises(ValidationError, match="^k_folds must be >= 2, got 1$"):
             RunConfig(k_folds=1)
+        for m, dims in ((2, (16, 16, 16)), (3, (4, 4))):
+            with pytest.raises(ValidationError, match=rf"^dims must list m={m} sizes"):
+                RunConfig(m=m, dims=dims)
 
     def test_load_config_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

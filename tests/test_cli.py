@@ -27,6 +27,12 @@ def run(*argv):
     return main(list(argv))
 
 
+def without(argv, *fields):
+    """`argv` (pairs of `--set KEY=VALUE`) minus the settings of `fields`."""
+    pairs = zip(argv[::2], argv[1::2])
+    return [x for pair in pairs if pair[1].split("=")[0] not in fields for x in pair]
+
+
 def run_quietly(*argv):
     """`run`, also returning every warning raised on the way."""
     with warnings.catch_warnings(record=True) as caught:
@@ -181,15 +187,19 @@ class TestTune:
         assert snap["format"] == "hglearn-snapshot"
         assert "prompt.tokens" in snap["params"]
 
-    def test_dim_mismatch_exits_one(self, tmp_path, dataset_dir, checkpoint_dir):
+    def test_dim_mismatch_exits_one(self, tmp_path, dataset_dir, checkpoint_dir, capsys):
         other = tmp_path / "d2"
         assert run("gen-data", "--out", str(other), "--seed", "2",
                    "--set", "n=36", "--set", "m=2", "--set", "dims=4,4",
                    "--set", "k=3") == 0
-        code = run("tune", "--data", str(other),
-                   "--checkpoint", str(checkpoint_dir / "encoder.json"),
-                   "--out", str(tmp_path / "t2"), *FAST)
-        assert code == 1
+        for argv, message in ((FAST, "m=3 disagrees with the dataset"),
+                              (without(FAST, "m", "dims"),
+                               "checkpoint expects 12 fused features, dataset has 8")):
+            code = run("tune", "--data", str(other),
+                       "--checkpoint", str(checkpoint_dir / "encoder.json"),
+                       "--out", str(tmp_path / "t2"), *argv)
+            assert code == 1
+            assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d2", "data", "pre"]
 
     def test_non_finite_checkpoint_exits_one(self, tmp_path, dataset_dir, checkpoint_dir,
@@ -354,13 +364,14 @@ class TestAblateModalities:
         ]
         assert len((out / "modality_ablation.txt").read_text().splitlines()) == 2 + 7
 
-    def test_two_modality_dataset_rejected(self, tmp_path):
+    def test_two_modality_dataset_rejected(self, tmp_path, capsys):
         d = tmp_path / "d2"
         assert run("gen-data", "--out", str(d), "--seed", "0",
                    "--set", "n=36", "--set", "m=2", "--set", "dims=4,4",
                    "--set", "k=3") == 0
         assert run("ablate-modalities", "--data", str(d),
-                   "--out", str(tmp_path / "am"), *FAST) == 1
+                   "--out", str(tmp_path / "am"), *without(FAST, "m", "dims")) == 1
+        assert "needs a 3-modality dataset, got 2" in capsys.readouterr().err
 
 
 class TestBuildsOnce:
@@ -407,6 +418,48 @@ class TestBuildsOnce:
                    "--checkpoint", str(checkpoint_dir / "encoder.json"),
                    "--out", str(tmp_path / "t"), *FAST, "--set", f"strategy={strategy}") == 0
         assert len(grams) == 1
+
+
+class TestFieldsTheInputsFix:
+    """`n`, `m`, `dims` and `dataset_name` come from the dataset, `hidden_dims` and
+    `latent_dim` from the checkpoint; a given value must agree with them."""
+
+    @pytest.mark.parametrize("setting, field", [
+        ("latent_dim=5", "latent_dim"), ("m=2", "m"), ("dims=4,4", "dims"), ("n=7", "n"),
+        ("hidden_dims=1,2,3", "hidden_dims"), ("dataset_name=zzz", "dataset_name"),
+    ], ids=["latent_dim", "m", "dims", "n", "hidden_dims", "dataset_name"])
+    def test_disagreeing_value_exits_one(self, tmp_path, dataset_dir, checkpoint_dir,
+                                         capsys, setting, field):
+        out = tmp_path / "t"
+        assert run("tune", "--data", str(dataset_dir),
+                   "--checkpoint", str(checkpoint_dir / "encoder.json"), "--out", str(out),
+                   *FAST, "--set", setting) == 1
+        assert re.search(rf"error: {field}=.* disagrees with the (dataset|checkpoint)",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_disagreeing_config_file_value_exits_one(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 7}))
+        out = tmp_path / "p"
+        assert run("pretrain", "--data", str(dataset_dir), "--config", str(cfg),
+                   "--out", str(out), *without(FAST, "n")) == 1
+        assert "error: n=7 disagrees with the dataset, which has 36" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omitted_fields_are_recorded_from_the_inputs(self, tmp_path, dataset_dir,
+                                                         checkpoint_dir):
+        argv = ["tune", "--data", str(dataset_dir),
+                "--checkpoint", str(checkpoint_dir / "encoder.json")]
+        assert run(*argv, "--out", str(tmp_path / "given"), *FAST) == 0
+        fixed = ("n", "m", "dims", "hidden_dims", "latent_dim")
+        assert run(*argv, "--out", str(tmp_path / "omitted"), *without(FAST, *fixed)) == 0
+        given, omitted = (json.loads((tmp_path / name / "summary.json").read_text())
+                          for name in ("given", "omitted"))
+        assert {f: omitted["config"][f] for f in fixed} == {
+            "n": 36, "m": 3, "dims": [4, 4, 4], "hidden_dims": [8], "latent_dim": 8}
+        assert omitted["config_digest"] == given["config_digest"]
+        assert omitted["aggregate"] == given["aggregate"]
 
 
 class TestArgumentHandling:
@@ -524,6 +577,24 @@ class TestArgumentHandling:
                    *FAST, "--set", "k_folds=40") == 1
         assert re.search(r"error: class \d has \d+ members, fewer than 40 folds",
                          capsys.readouterr().err)
+        assert not out.exists()
+        assert len(pretrained) == 0
+
+    def test_unfillable_k_exits_one_before_pretraining(self, tmp_path, dataset_dir, capsys,
+                                                       monkeypatch):
+        pretrained = []
+
+        def counted(*args):
+            pretrained.append(args)
+            return pretrain(*args)
+        monkeypatch.setattr(hglearn.pipeline, "pretrain", counted)
+        # modality 1 keeps 3 subjects, too few for k=3; modality 0 keeps all 36
+        (dataset_dir / "present_1.csv").write_text("1\n" * 3 + "0\n" * 33)
+        out = tmp_path / "o"
+        assert run("ablate-modalities", "--data", str(dataset_dir), "--out", str(out),
+                   *FAST) == 1
+        assert ("error: modality_1: only 3 present subjects for k=3"
+                in capsys.readouterr().err)
         assert not out.exists()
         assert len(pretrained) == 0
 

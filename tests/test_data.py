@@ -141,8 +141,11 @@ class TestDiskFormat:
         # checked against the rows on disk before n sizes an allocation
         (lambda meta: meta.update(n=10**13),
          "modality_0.csv: expected 10000000000000 rows, found 12"),
+        # and each row's width before dims sizes one
+        (lambda meta: meta.update(dims=[10**13, 3]),
+         "modality_0.csv: row 0 has 3 values, expected 10000000000000"),
     ], ids=["no-n", "no-m", "no-dims", "dims-shorter-than-m", "non-integer-n",
-            "negative-n", "n-beyond-rows"])
+            "negative-n", "n-beyond-rows", "dims-beyond-columns"])
     def test_malformed_meta_rejected(self, tmp_path, edit, message):
         ds = generate_synthetic(12, 2, (3, 3), 1.0, 0.0, seed=0)
         save_dataset(ds, tmp_path / "d")

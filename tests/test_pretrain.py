@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hglearn.autodiff import Parameter, ValidationError, forward_backward, mask_rows
+from hglearn.autodiff import Parameter, ValidationError, forward_backward, mask_rows, sce_loss
 from hglearn.config import RunConfig
 from hglearn.hypergraph import knn_hyperedges
-from hglearn.pretrain import pretrain, sample_mask, sce_loss
+from hglearn.pretrain import pretrain, sample_mask
 
 
 class TestSampleMask:
@@ -112,6 +112,38 @@ class TestSceLoss:
         perturbed = recon.copy()
         perturbed[[0, 2, 3, 5]] = rng.standard_normal((4, 4)) * 100
         assert float(sce_loss(X, perturbed, [1, 4], 2.0)) == base
+
+    def test_unmasked_rows_get_exact_zero_gradient(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((5, 3))
+        recon = Parameter(rng.standard_normal((5, 3)), "recon")
+        # a diverging run's non-finite rows outside the mask pass nothing on
+        recon.value[[0, 3]] = [[np.nan, 1.0, np.inf], [-np.inf, np.nan, 0.0]]
+        assert np.isfinite(forward_backward(sce_loss(X, recon.leaf(), [1, 2, 4], 2.0)))
+        assert np.array_equal(recon.grad[[0, 3]], np.zeros((2, 3)))
+        assert np.copysign(1.0, recon.grad[[0, 3]]).min() == 1.0  # +0.0, not -0.0
+        assert np.isfinite(recon.grad).all() and recon.grad[[1, 2, 4]].any()
+
+    def test_gamma_below_one_rejected(self):
+        X = np.ones((3, 2))
+        for gamma in (0.5, 0.0, -1.0):
+            with pytest.raises(ValidationError, match="gamma must be >= 1"):
+                sce_loss(X, X, [0], gamma)
+
+    def test_duplicate_indices_counted_once(self):
+        rng = np.random.default_rng(8)
+        X, R = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+        once = Parameter(R, "once")
+        twice = Parameter(R.copy(), "twice")
+        assert (forward_backward(sce_loss(X, once.leaf(), [4, 1], 2.0))
+                == forward_backward(sce_loss(X, twice.leaf(), [1, 4, 1, 4, 4], 2.0)))
+        assert np.array_equal(once.grad, twice.grad)
+
+    def test_out_of_range_index_rejected(self):
+        X = np.ones((3, 2))
+        for idx in ([3], [-1]):
+            with pytest.raises(ValidationError, match="out of range for 3 rows"):
+                sce_loss(X, X, idx, 2.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
