@@ -84,7 +84,8 @@ def _write_record(path: Path, cfg: RunConfig, **fields):
                                default=lambda o: o.as_dict()) + "\n")
 
 
-# the fields each input fixes, by the flag that names the input
+# the fields each input's shape fixes, by its flag; a dataset's meta may also fix
+# class_sep, missing_rate and noise_std, which no other field's check reads
 _FIXED_BY = {"data": ("n", "m", "dims", "dataset_name"),
              "checkpoint": ("hidden_dims", "latent_dim")}
 
@@ -96,7 +97,7 @@ def _plain(value):
 def _resolve(args):
     """(cfg, dataset, encoder): the run config and the inputs the command reads.
 
-    Every field no input fixes is checked before any input is read. An
+    Every field outside `_FIXED_BY` is checked before any input is read. An
     omitted field that an input fixes takes the input's value; a given one
     must equal it.
     """
@@ -108,25 +109,18 @@ def _resolve(args):
         overrides[key] = parse_override(key, raw)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "data", None):
-        overrides["data_dir"] = args.data
-    if getattr(args, "checkpoint", None):
-        overrides["checkpoint"] = args.checkpoint
     values = read_config(args.config, overrides)
     flags = [flag for flag in _FIXED_BY if hasattr(args, flag)]
     fixed = {name for flag in flags for name in _FIXED_BY[flag]}
-    cfg = RunConfig(**{k: v for k, v in values.items() if k not in fixed})
-    for flag, path, what in (("data", cfg.data_dir, "dataset directory"),
-                             ("checkpoint", cfg.checkpoint, "checkpoint")):
-        if flag in flags and not path:
-            raise ValidationError(f"no {what} given (--{flag})")
+    RunConfig(**{k: v for k, v in values.items() if k not in fixed})  # validates only
     found, dataset, encoder = {}, None, None
     if "data" in flags:
-        dataset = load_dataset(cfg.data_dir)
+        dataset = load_dataset(args.data)
         found["dataset"] = dict(n=dataset.num_subjects, m=dataset.num_modalities,
-                                dims=dataset.dims, dataset_name=dataset.name)
+                                dims=dataset.dims, dataset_name=dataset.name,
+                                **dataset.generation)
     if "checkpoint" in flags:
-        encoder, _info = load_checkpoint(cfg.checkpoint)
+        encoder, _info = load_checkpoint(args.checkpoint)
         widths = [layer.d_out for layer in encoder.layers]
         found["checkpoint"] = dict(hidden_dims=tuple(widths[:-1]), latent_dim=widths[-1])
     for source, fields in found.items():
@@ -284,9 +278,9 @@ def _add_common(sub, data=False, checkpoint=False):
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override any config field (repeatable)")
     if data:
-        sub.add_argument("--data", default=None, help="dataset directory")
+        sub.add_argument("--data", required=True, help="dataset directory")
     if checkpoint:
-        sub.add_argument("--checkpoint", default=None, help="encoder checkpoint file")
+        sub.add_argument("--checkpoint", required=True, help="encoder checkpoint file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,8 +320,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg, dataset, encoder = _resolve(args)
-        inputs = [args.config, cfg.data_dir if dataset is not None else None,
-                  cfg.checkpoint if encoder is not None else None]
+        inputs = [args.config, getattr(args, "data", None), getattr(args, "checkpoint", None)]
         with _staged_out(args.out, args.force, inputs) as out:
             return args.func(args, cfg, out, dataset, encoder)
     except ValidationError as e:

@@ -2,7 +2,9 @@
 
 A config is validated before any compute, echoed into every report for
 provenance, and hashed (sha256 over its canonical JSON) so that outputs
-produced under identical configurations are byte-identical.
+produced under identical configurations are byte-identical. It holds
+settings only: the files a command reads are named by its flags, so the
+digest does not depend on where they live or how their paths are written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from .autodiff import ValidationError
 from .prompt import STRATEGIES
 
-__all__ = ["RunConfig", "read_config", "load_config", "parse_override"]
+__all__ = ["RunConfig", "read_config", "parse_override"]
 
 
 @dataclass
@@ -36,7 +38,6 @@ class RunConfig:
     # model
     hidden_dims: tuple = (128,)
     latent_dim: int = 64
-    num_classes: int = 2
     # pretraining
     mask_ratio: float = 0.75
     sce_gamma: float = 2.0
@@ -54,9 +55,6 @@ class RunConfig:
     # protocol
     k_folds: int = 5
     seed: int = 0
-    # paths (set per command)
-    data_dir: str = ""
-    checkpoint: str = ""
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -72,8 +70,7 @@ class RunConfig:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         for name, low in (("n", 1), ("m", 1), ("k_folds", 2), ("num_prompts", 1),
                           ("gpf_basis", 1), ("latent_dim", 1), ("tune_epochs", 1),
-                          ("num_classes", 2), ("k", 0), ("prompt_k", 0),
-                          ("pretrain_epochs", 0), ("seed", 0)):
+                          ("k", 0), ("prompt_k", 0), ("pretrain_epochs", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if len(self.dims) != self.m:
@@ -164,11 +161,3 @@ def read_config(path=None, overrides=None) -> dict:
     if overrides:
         values.update(overrides)
     return values
-
-
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Config file (JSON) plus overrides; overrides win."""
-    try:
-        return RunConfig(**read_config(path, overrides))
-    except TypeError as e:
-        raise ValidationError(f"bad config: {e}") from None

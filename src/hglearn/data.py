@@ -11,7 +11,8 @@ round-trip formatting and restores float64 values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ class MultimodalDataset:
     modalities: list
     labels: np.ndarray
     name: str = "dataset"
+    generation: dict = field(default_factory=dict)  # gen-data's class_sep, missing_rate, noise_std
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
@@ -128,7 +130,9 @@ def generate_synthetic(n, m, dims, class_sep, missing_rate, noise_std=1.0, seed=
             modalities[j % m].present[j] = True
     for mod in modalities:
         mod.features[~mod.present] = 0.0
-    return MultimodalDataset(modalities, labels, name=name)
+    generation = {"class_sep": float(class_sep), "missing_rate": float(missing_rate),
+                  "noise_std": float(noise_std)}
+    return MultimodalDataset(modalities, labels, name=name, generation=generation)
 
 
 def _write_float_csv(path: Path, matrix: np.ndarray):
@@ -149,6 +153,7 @@ def save_dataset(dataset: MultimodalDataset, path, extra_meta=None):
         "m": dataset.num_modalities,
         "dims": list(dataset.dims),
         "name": dataset.name,
+        **dataset.generation,
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -192,11 +197,19 @@ def load_dataset(path) -> MultimodalDataset:
         meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as e:
         raise ValidationError(f"unparseable meta file {meta_path}: {e}") from None
-    try:
-        n, m = int(meta["n"]), int(meta["m"])
-        dims = [int(d) for d in meta["dims"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"{meta_path}: needs integer n, m and dims ({e!r})") from None
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{meta_path}: must hold a JSON object")
+    n, m, dims = meta.get("n"), meta.get("m"), meta.get("dims")
+    # bool is an int subclass, and int() would truncate 40.7 or parse "40"
+    if not (type(n) is int and type(m) is int and type(dims) is list
+            and all(type(d) is int for d in dims)):
+        raise ValidationError(f"{meta_path}: needs JSON integers n, m and dims, "
+                              f"got n={n!r}, m={m!r}, dims={dims!r}")
+    generation = {key: meta[key] for key in ("class_sep", "missing_rate", "noise_std")
+                  if key in meta}
+    for key, value in generation.items():
+        if not (type(value) is int or type(value) is float and math.isfinite(value)):
+            raise ValidationError(f"{meta_path}: {key} must be a finite number, got {value!r}")
     if n < 1:
         raise ValidationError(f"{meta_path}: n must be >= 1, got {n}")
     if len(dims) != m or any(d < 1 for d in dims):
@@ -221,7 +234,8 @@ def load_dataset(path) -> MultimodalDataset:
                 raise ValidationError(f"{feat_path}: row {r} has a non-finite value")
         modalities.append(Modality(np.array(feats), _read_flags(root / f"present_{i}.csv", n)))
     labels = _read_flags(root / "labels.csv", n).astype(np.int64)
-    return MultimodalDataset(modalities, labels, name=str(meta.get("name", "dataset")))
+    return MultimodalDataset(modalities, labels, name=str(meta.get("name", "dataset")),
+                             generation=generation)
 
 
 def _present_subjects(dataset: MultimodalDataset, i: int, k: int) -> np.ndarray:

@@ -62,6 +62,9 @@ __all__ = [
     "evaluate_snapshot",
 ]
 
+# the head's width: labels are 0/1 and every metric is binary
+_NUM_CLASSES = 2
+
 
 @dataclass(frozen=True)
 class _ExtraParam:
@@ -144,7 +147,7 @@ def count_tunable_params(strategy, encoder: HGNNStack, cfg: RunConfig):
     counts = {"encoder": _size(encoder.parameters())} if spec.trains_encoder else {}
     if spec.extra is not None:
         counts[spec.extra.count_key] = _extra_rows(spec.extra, cfg) * encoder.input_dim
-    counts["head"] = _size(build_head(encoder.output_dim, cfg.num_classes).parameters())
+    counts["head"] = _size(build_head(encoder.output_dim, _NUM_CLASSES).parameters())
     return counts, sum(counts.values())
 
 
@@ -243,7 +246,7 @@ class _StrategyState:
         self.X = X
         self.encoder = encoder = pretrained.copy(trainable=spec.trains_encoder)
         self.prompt_k = cfg.prompt_k
-        self.head = build_head(encoder.output_dim, cfg.num_classes)
+        self.head = build_head(encoder.output_dim, _NUM_CLASSES)
         self.extra = None
         if spec.extra is not None:
             rows = _extra_rows(spec.extra, cfg)
@@ -318,9 +321,9 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     """Shared epoch loop for every tuning strategy.
 
     Reads `tune_epochs`, `tune_lr`, `tune_weight_decay`, `num_prompts`,
-    `prompt_k`, `gpf_basis`, `num_classes` and `seed` of `cfg`; the
-    strategy is the `strategy` argument, not `cfg.strategy`. The run tunes
-    its own copy of `pretrained`, whatever its `trainable` flags.
+    `prompt_k`, `gpf_basis` and `seed` of `cfg`; the strategy is the
+    `strategy` argument, not `cfg.strategy`. The run tunes its own copy of
+    `pretrained`, whatever its `trainable` flags.
 
     Per epoch: (re)build the prompt structure where applicable, compute the
     training loss on the train mask, step AdamW over the strategy's trainable

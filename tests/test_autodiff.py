@@ -1,6 +1,7 @@
 """Gradient engine tests: analytic examples, finite-difference oracles, AdamW."""
 
 import inspect
+import zlib
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ def _(p):
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # str hashes are salted per process; crc32 lets a failing case be replayed
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     p = Parameter(rng.standard_normal((3, 4)), "p")
     err = finite_difference_check(lambda params: PRIMITIVE_CASES[name](p), [p], 1e-6)
     assert err <= 1e-4, f"{name}: fd error {err}"

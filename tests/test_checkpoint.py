@@ -13,7 +13,7 @@ from hglearn.checkpoint import (
     save_checkpoint,
     save_snapshot,
 )
-from hglearn.config import RunConfig, load_config, parse_override
+from hglearn.config import RunConfig, parse_override, read_config
 from hglearn.model import build_encoder
 from hglearn.prompt import TuneResult
 
@@ -173,19 +173,16 @@ class TestRunConfig:
         for hidden in ((-2,), (0,), (8, 0)):
             with pytest.raises(ValidationError, match="hidden_dims"):
                 RunConfig(hidden_dims=hidden)
-        for num_classes in (-1, 0, 1):
-            with pytest.raises(ValidationError, match="num_classes must be >= 2"):
-                RunConfig(num_classes=num_classes)
         with pytest.raises(ValidationError, match="^k_folds must be >= 2, got 1$"):
             RunConfig(k_folds=1)
         for m, dims in ((2, (16, 16, 16)), (3, (4, 4))):
             with pytest.raises(ValidationError, match=rf"^dims must list m={m} sizes"):
                 RunConfig(m=m, dims=dims)
 
-    def test_load_config_file_with_overrides(self, tmp_path):
+    def test_read_config_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 50, "seed": 3}))
-        cfg = load_config(path, {"seed": 9})
+        cfg = RunConfig(**read_config(path, {"seed": 9}))
         assert cfg.n == 50
         assert cfg.seed == 9  # overrides win
 
@@ -195,8 +192,8 @@ class TestRunConfig:
         # {"class_sep": 3} in a file and --set class_sep=3 are the same run
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({field: value}))
-        from_file = load_config(path)
-        from_flag = load_config(overrides={field: parse_override(field, str(value))})
+        from_file = RunConfig(**read_config(path))
+        from_flag = RunConfig(**read_config(overrides={field: parse_override(field, str(value))}))
         assert type(getattr(from_file, field)) is float
         assert from_file.digest() == from_flag.digest()
 
@@ -204,7 +201,17 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ValidationError, match="bogus"):
-            load_config(path)
+            read_config(path)
+
+    @pytest.mark.parametrize("field", ["num_classes", "data_dir", "checkpoint"])
+    def test_input_paths_and_class_count_are_not_fields(self, tmp_path, field):
+        # the inputs are named by flags and the head always has two outputs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: "2"}))
+        with pytest.raises(ValidationError, match=f"^unknown config field '{field}' in "):
+            read_config(path)
+        with pytest.raises(ValidationError, match=f"^unknown config field '{field}'$"):
+            parse_override(field, "2")
 
     def test_parse_override_types(self):
         assert parse_override("k", "12") == 12

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import sys
 import warnings
 
@@ -421,13 +422,18 @@ class TestBuildsOnce:
 
 
 class TestFieldsTheInputsFix:
-    """`n`, `m`, `dims` and `dataset_name` come from the dataset, `hidden_dims` and
-    `latent_dim` from the checkpoint; a given value must agree with them."""
+    """`n`, `m`, `dims` and `dataset_name` come from the dataset, and so do
+    `class_sep`, `missing_rate` and `noise_std` where its meta records them;
+    `hidden_dims` and `latent_dim` come from the checkpoint. A given value must
+    agree with them."""
 
     @pytest.mark.parametrize("setting, field", [
         ("latent_dim=5", "latent_dim"), ("m=2", "m"), ("dims=4,4", "dims"), ("n=7", "n"),
         ("hidden_dims=1,2,3", "hidden_dims"), ("dataset_name=zzz", "dataset_name"),
-    ], ids=["latent_dim", "m", "dims", "n", "hidden_dims", "dataset_name"])
+        ("class_sep=9.0", "class_sep"), ("missing_rate=0.5", "missing_rate"),
+        ("noise_std=2", "noise_std"),
+    ], ids=["latent_dim", "m", "dims", "n", "hidden_dims", "dataset_name", "class_sep",
+            "missing_rate", "noise_std"])
     def test_disagreeing_value_exits_one(self, tmp_path, dataset_dir, checkpoint_dir,
                                          capsys, setting, field):
         out = tmp_path / "t"
@@ -460,6 +466,51 @@ class TestFieldsTheInputsFix:
             "n": 36, "m": 3, "dims": [4, 4, 4], "hidden_dims": [8], "latent_dim": 8}
         assert omitted["config_digest"] == given["config_digest"]
         assert omitted["aggregate"] == given["aggregate"]
+
+    def test_omitted_generation_settings_are_recorded_from_meta(self, tmp_path):
+        data = tmp_path / "data"
+        drawn = ["--set", "class_sep=2.5", "--set", "missing_rate=0.1", "--set", "noise_std=0.5"]
+        assert run("gen-data", "--out", str(data), *FAST, *drawn) == 0
+        for name, extra in (("given", drawn), ("omitted", [])):
+            assert run("pretrain", "--data", str(data), "--out", str(tmp_path / name),
+                       *FAST, *extra) == 0
+        given, omitted = (json.loads((tmp_path / name / "run.json").read_text())
+                          for name in ("given", "omitted"))
+        assert {f: omitted["config"][f] for f in ("class_sep", "missing_rate", "noise_std")} == {
+            "class_sep": 2.5, "missing_rate": 0.1, "noise_std": 0.5}
+        assert omitted["config_digest"] == given["config_digest"]
+
+    def test_meta_without_generation_settings_fixes_none(self, tmp_path, dataset_dir):
+        meta_path = dataset_dir / "meta"
+        meta = json.loads(meta_path.read_text())
+        for key in ("class_sep", "missing_rate", "noise_std"):
+            del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "p"
+        assert run("pretrain", "--data", str(dataset_dir), "--out", str(out),
+                   *FAST, "--set", "class_sep=9.0") == 0
+        assert json.loads((out / "run.json").read_text())["config"]["class_sep"] == 9.0
+
+
+class TestInputLocation:
+    def test_outputs_do_not_depend_on_where_the_inputs_are(self, tmp_path, monkeypatch,
+                                                           dataset_dir, checkpoint_dir):
+        shutil.copytree(dataset_dir, tmp_path / "copy" / "data")
+        shutil.copy(checkpoint_dir / "encoder.json", tmp_path / "copy" / "encoder.json")
+        monkeypatch.chdir(tmp_path)
+        ways = {"relative": ("./data", "./pre/encoder.json"),
+                "absolute": (str(dataset_dir), str(checkpoint_dir / "encoder.json")),
+                "copy": ("copy/data", "copy/encoder.json")}
+        trees = []
+        for way, (data, checkpoint) in ways.items():
+            out = tmp_path / "out" / way
+            assert run("pretrain", "--data", data, "--out", str(out / "pre"), *FAST) == 0
+            assert run("tune", "--data", data, "--checkpoint", checkpoint,
+                       "--out", str(out / "tune"), *FAST) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                          if p.is_file()})
+        assert len(trees[0]) == 3 + 2 * 5 + 2
+        assert trees[0] == trees[1] == trees[2]
 
 
 class TestArgumentHandling:
@@ -527,26 +578,30 @@ class TestArgumentHandling:
             assert f"error: {field} must be finite" in capsys.readouterr().err
             assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    @pytest.mark.parametrize("command, message", [
-        (["pretrain"], "no dataset directory given (--data)"),
-        (["ablate-modalities"], "no dataset directory given (--data)"),
-        (["tune", "--data", "d"], "no checkpoint given (--checkpoint)"),
+    @pytest.mark.parametrize("command, flag", [
+        (["pretrain"], "--data"),
+        (["ablate-modalities"], "--data"),
+        (["tune", "--data", "d"], "--checkpoint"),
     ], ids=["pretrain-data", "ablate-modalities-data", "tune-checkpoint"])
-    def test_missing_input_exits_one(self, tmp_path, capsys, command, message):
+    def test_missing_input_exits_one(self, tmp_path, capsys, command, flag):
         out = tmp_path / "o"
         assert run(*command, "--out", str(out)) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: the following arguments are required: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("num_classes", [-1, 0, 1])
-    def test_too_few_classes_exits_one(self, tmp_path, capsys, num_classes):
+    @pytest.mark.parametrize("field", ["num_classes", "data_dir", "checkpoint"])
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_input_path_or_class_count_field_exits_one(self, tmp_path, capsys, field,
+                                                        source):
         # rejected before the (missing) dataset and checkpoint are read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: "2"} if source == "config" else {}))
+        extra = ["--set", f"{field}=2"] if source == "set" else []
         out = tmp_path / "o"
         assert run("tune", "--data", str(tmp_path / "missing"),
                    "--checkpoint", str(tmp_path / "missing.json"), "--out", str(out),
-                   "--set", f"num_classes={num_classes}") == 1
-        assert (f"error: num_classes must be >= 2, got {num_classes}"
-                in capsys.readouterr().err)
+                   "--config", str(cfg), *extra) == 1
+        assert f"error: unknown config field {field!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_fold_exits_one_before_pretraining(self, tmp_path, dataset_dir, capsys,

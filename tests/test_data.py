@@ -100,6 +100,8 @@ class TestDiskFormat:
         save_dataset(ds, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
         assert loaded.name == ds.name
+        assert loaded.generation == ds.generation == {
+            "class_sep": 1.5, "missing_rate": 0.2, "noise_std": 1.0}
         assert np.array_equal(loaded.labels, ds.labels)
         for a, b in zip(loaded.modalities, ds.modalities):
             assert np.array_equal(a.features, b.features)
@@ -144,8 +146,23 @@ class TestDiskFormat:
         # and each row's width before dims sizes one
         (lambda meta: meta.update(dims=[10**13, 3]),
          "modality_0.csv: row 0 has 3 values, expected 10000000000000"),
+        # sizes are JSON integers: int() would truncate 12.5 and parse "12"
+        (lambda meta: meta.update(n=12.5), "meta: needs JSON integers n, m and dims"),
+        (lambda meta: meta.update(n="12"), "meta: needs JSON integers n, m and dims"),
+        (lambda meta: meta.update(m=2.0), "meta: needs JSON integers n, m and dims"),
+        (lambda meta: meta.update(m=True), "meta: needs JSON integers n, m and dims"),
+        (lambda meta: meta.update(dims=[3, 3.0]), "meta: needs JSON integers n, m and dims"),
+        (lambda meta: meta.update(dims=[3, "3"]), "meta: needs JSON integers n, m and dims"),
+        (lambda meta: meta.update(class_sep=float("nan")),
+         "meta: class_sep must be a finite number, got nan"),
+        (lambda meta: meta.update(noise_std="1.0"),
+         "meta: noise_std must be a finite number, got '1.0'"),
+        (lambda meta: meta.update(missing_rate=False),
+         "meta: missing_rate must be a finite number, got False"),
     ], ids=["no-n", "no-m", "no-dims", "dims-shorter-than-m", "non-integer-n",
-            "negative-n", "n-beyond-rows", "dims-beyond-columns"])
+            "negative-n", "n-beyond-rows", "dims-beyond-columns", "fractional-n",
+            "string-n", "float-m", "bool-m", "float-in-dims", "string-in-dims",
+            "nan-class_sep", "string-noise_std", "bool-missing_rate"])
     def test_malformed_meta_rejected(self, tmp_path, edit, message):
         ds = generate_synthetic(12, 2, (3, 3), 1.0, 0.0, seed=0)
         save_dataset(ds, tmp_path / "d")

@@ -191,7 +191,7 @@ class TestCountTunableParams:
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.encoder = build_encoder(128, (128,), 64, rng)
-        self.cfg = RunConfig(num_classes=2, num_prompts=16)
+        self.cfg = RunConfig(num_prompts=16)
 
     def test_linear_probe_counts_head_only(self):
         counts, total = count_tunable_params("linear_probe", self.encoder, self.cfg)

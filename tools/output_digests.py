@@ -10,9 +10,8 @@ pairwise hyperedges with k=0, where every node degree is 0.
 
     python3 tools/output_digests.py --out /tmp/digests > change.txt
 
-The reports record the dataset and checkpoint paths, so two checkouts give
-comparable digests only when both are run with the same --out. Each command
-replaces its own subdirectory of --out (--force), so one --out can be reused.
+The listing does not depend on --out. Each command replaces its own
+subdirectory of --out (--force), so one --out can be reused.
 """
 
 from __future__ import annotations
