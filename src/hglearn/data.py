@@ -210,6 +210,9 @@ def load_dataset(path) -> MultimodalDataset:
     for key, value in generation.items():
         if not (type(value) is int or type(value) is float and math.isfinite(value)):
             raise ValidationError(f"{meta_path}: {key} must be a finite number, got {value!r}")
+    name = meta.get("name", "dataset")
+    if type(name) is not str:
+        raise ValidationError(f"{meta_path}: name must be a string, got {name!r}")
     if n < 1:
         raise ValidationError(f"{meta_path}: n must be >= 1, got {n}")
     if len(dims) != m or any(d < 1 for d in dims):
@@ -234,8 +237,7 @@ def load_dataset(path) -> MultimodalDataset:
                 raise ValidationError(f"{feat_path}: row {r} has a non-finite value")
         modalities.append(Modality(np.array(feats), _read_flags(root / f"present_{i}.csv", n)))
     labels = _read_flags(root / "labels.csv", n).astype(np.int64)
-    return MultimodalDataset(modalities, labels, name=str(meta.get("name", "dataset")),
-                             generation=generation)
+    return MultimodalDataset(modalities, labels, name=name, generation=generation)
 
 
 def _present_subjects(dataset: MultimodalDataset, i: int, k: int) -> np.ndarray:
@@ -269,7 +271,10 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
     for i in selected:
         mod = dataset.modalities[i]
         present_idx = _present_subjects(dataset, i, k)
-        neighbors = knn_neighbor_lists(mod.features[present_idx], k)
+        try:
+            neighbors = knn_neighbor_lists(mod.features[present_idx], k)
+        except ValidationError as e:
+            raise ValidationError(f"modality_{i}: {e}") from None
         members, edges, count = _knn_members(neighbors, pairwise)
         rows.append(present_idx[members])
         cols.append(num_edges + edges)

@@ -68,14 +68,24 @@ class Hypergraph:
         return gram, dv
 
 
+# Rows ranked by one GEMM, and feature entries differenced per re-rank step.
+# Both bound a step's temporaries (256 x n and 2^18 floats), however many
+# candidates ties leave.
+_BLOCK_ROWS = 256
+_RERANK_ENTRIES = 1 << 18
+
+
 def knn_neighbor_lists(features: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors of each row, excluding the row itself.
 
-    Euclidean distance; ties broken toward the lower index. Returns an
-    (n x k) integer array with neighbors in increasing distance order.
+    Squared Euclidean distance `np.square(X[i] - X[j]).sum()`, computed as
+    written; ties broken toward the lower index. Returns an (n x k) integer
+    array with neighbors in increasing distance order. Rejects features
+    whose column ranges allow a squared distance within a factor 8 of
+    float64's largest value, which covers every pair that would overflow.
     """
     X = as_matrix(features, "features")
-    n = X.shape[0]
+    n, dim = X.shape
     if n == 0:
         raise ValidationError("knn: empty feature matrix")
     if not np.isfinite(X).all():
@@ -84,13 +94,57 @@ def knn_neighbor_lists(features: np.ndarray, k: int) -> np.ndarray:
         raise ValidationError(f"knn: k={k} must be smaller than the {n} rows")
     if k < 0:
         raise ValidationError(f"knn: k must be >= 0, got {k}")
+    lo = X.min(axis=0)
+    with np.errstate(over="ignore"):
+        span = X.max(axis=0) - lo
+        bound = np.square(span).sum()  # >= every exact squared distance
+    if not bound <= np.finfo(np.float64).max / 8:
+        raise ValidationError("knn: features spread so widely that squared distances "
+                              "overflow float64")
+    if k == 0:
+        return np.empty((n, 0), dtype=np.intp)
+    # Candidates come from g_ij = |c_j|^2 - 2 c_i.c_j on the centered rows
+    # c = fl(x - mid), which is |c_i - c_j|^2 less the row constant |c_i|^2.
+    # Let S = |c_i|^2 + |c_j|^2, u the unit roundoff, gamma = gamma_{d+2} =
+    # (d+2)u / (1 - (d+2)u) and tau the smallest normal float. Error bounds
+    # from Higham, Accuracy and Stability of Numerical Algorithms, ch. 3:
+    # - relative: g_ij + |c_i|^2 is within 2 gamma S of |c_i - c_j|^2 (the
+    #   dot products in any summation order, then one sum); centering moves
+    #   the exact distance by at most 4.01 u S (each c_ik carries a relative
+    #   error of u); the re-rank's own distance d_ij, one subtraction, one
+    #   square and d - 1 sums, is within gamma_{d+2} of the exact one, at most
+    #   2 gamma S. In all, 4 gamma S + 4.01 u S <= 7 gamma S.
+    # - absolute: a subnormal result is off by less than tau per operation,
+    #   also where BLAS flushes it to zero: 6d + 1 operations in g, d squares
+    #   in d_ij, in all at most 8 d tau.
+    # So |g_ij + |c_i|^2 - d_ij| <= E_ij = 7 gamma S + 8 d tau. If j is among
+    # the k nearest by d but not among the k smallest g, one of those k, s, is
+    # not among the k nearest, so d_is >= d_ij and
+    #   g_ij <= g_is + E_is + E_ij <= (k-th g) + 14 gamma (|c_i|^2 + max|c|^2) + 16 d tau.
+    # The margin takes 32 for both 14 and 16, which covers the roundings of
+    # the squared norms, of the margin itself and of the threshold sum.
+    C = X - (lo + span / 2)
+    sq = np.einsum("ij,ij->i", C, C)
+    u = np.finfo(np.float64).eps / 2
+    gamma = (dim + 2) * u / (1 - (dim + 2) * u)
+    margin = 32 * gamma * (sq + sq.max()) + 32 * (dim + 1) * np.finfo(np.float64).tiny
+    step = _RERANK_ENTRIES // max(dim, 1) or 1
     neighbors = np.empty((n, k), dtype=np.intp)
-    idx = np.arange(n)
-    for i in range(n):
-        d = np.square(X[i] - X).sum(axis=1)
-        d[i] = np.inf
-        order = np.lexsort((idx, d))
-        neighbors[i] = order[:k]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, n))
+        g = C[block] @ C.T
+        g *= -2.0
+        g += sq
+        np.fill_diagonal(g[:, start:], np.inf)  # the row itself
+        kth = np.partition(g, k - 1, axis=1)[:, k - 1]
+        local, cols = np.nonzero(g <= (kth + margin[block])[:, None])
+        rows = local + start
+        dist = np.concatenate([np.square(X[rows[a:a + step]] - X[cols[a:a + step]]).sum(axis=1)
+                               for a in range(0, rows.size, step)])
+        order = np.lexsort((cols, dist, local))
+        counts = np.bincount(local, minlength=g.shape[0])  # each >= k
+        first = np.cumsum(counts) - counts
+        neighbors[block] = cols[order][first[:, None] + np.arange(k)]
     return neighbors
 
 

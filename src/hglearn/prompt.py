@@ -361,7 +361,12 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     # a diverging epoch is reported by check_finite, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.tune_epochs):
-            G_p, operator = run.epoch_structure()
+            try:
+                G_p, operator = run.epoch_structure()
+            except ValidationError as e:  # token distances past float64, its only cause
+                raise ValidationError(
+                    f"tune diverged: prompt token distances non-finite at epoch {epoch}"
+                ) from e
             if operator is not logits_operator:
                 logits = run.logits(operator)
             # no name keeps the loss, so at most two graphs are alive at once

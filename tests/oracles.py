@@ -26,6 +26,24 @@ def brute_force_knn(features, k):
     return out
 
 
+def loop_knn(features, k):
+    """The per-row k-NN loop `knn_neighbor_lists` must match bit for bit.
+
+    Row i's squared distances are `np.square(X[i] - X).sum(axis=1)`; the row
+    itself is put last and the rest ordered by (distance, index).
+    """
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    n = X.shape[0]
+    neighbors = np.empty((n, k), dtype=np.intp)
+    idx = np.arange(n)
+    for i in range(n):
+        d = np.square(X[i] - X).sum(axis=1)
+        d[i] = np.inf
+        order = np.lexsort((idx, d))
+        neighbors[i] = order[:k]
+    return neighbors
+
+
 def brute_force_operator(H, w):
     """Per-node summation over shared hyperedges: w_e / (deg_e * sqrt(d_i d_j))."""
     H = np.asarray(H, dtype=float)

@@ -163,6 +163,39 @@ class TestPretrain:
                             capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
+    def test_overflowing_features_exit_one_naming_the_modality(self, tmp_path, dataset_dir,
+                                                               capsys):
+        path = dataset_dir / "modality_1.csv"
+        rows = [[float(c) * 1e160 for c in row.split(",")]
+                for row in path.read_text().splitlines()]
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        code, caught = run_quietly("pretrain", "--data", str(dataset_dir),
+                                   "--out", str(tmp_path / "o"), *FAST)
+        assert (code, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            "error: modality_1: knn: features spread so widely that squared distances "
+            "overflow float64\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    @pytest.mark.parametrize("name, code", [(None, 1), (5, 1), ("missing", 0)],
+                             ids=["null", "integer", "missing"])
+    def test_dataset_name_must_be_a_string(self, tmp_path, dataset_dir, capsys, name, code):
+        meta_path = dataset_dir / "meta"
+        meta = json.loads(meta_path.read_text())
+        if name == "missing":
+            del meta["name"]
+        else:
+            meta["name"] = name
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "o"
+        assert run("pretrain", "--data", str(dataset_dir), "--out", str(out), *FAST) == code
+        if code:
+            assert f"{meta_path}: name must be a string, got {name!r}" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+        else:
+            assert json.loads((out / "run.json").read_text())["config"]["dataset_name"] == (
+                "dataset")
+
 
 class TestTune:
     def test_outputs_and_row_format(self, tmp_path, dataset_dir, checkpoint_dir):

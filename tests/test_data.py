@@ -159,10 +159,14 @@ class TestDiskFormat:
          "meta: noise_std must be a finite number, got '1.0'"),
         (lambda meta: meta.update(missing_rate=False),
          "meta: missing_rate must be a finite number, got False"),
+        # str() would turn these into "None" and "5"
+        (lambda meta: meta.update(name=None), "meta: name must be a string, got None"),
+        (lambda meta: meta.update(name=5), "meta: name must be a string, got 5"),
     ], ids=["no-n", "no-m", "no-dims", "dims-shorter-than-m", "non-integer-n",
             "negative-n", "n-beyond-rows", "dims-beyond-columns", "fractional-n",
             "string-n", "float-m", "bool-m", "float-in-dims", "string-in-dims",
-            "nan-class_sep", "string-noise_std", "bool-missing_rate"])
+            "nan-class_sep", "string-noise_std", "bool-missing_rate", "null-name",
+            "integer-name"])
     def test_malformed_meta_rejected(self, tmp_path, edit, message):
         ds = generate_synthetic(12, 2, (3, 3), 1.0, 0.0, seed=0)
         save_dataset(ds, tmp_path / "d")
@@ -172,6 +176,15 @@ class TestDiskFormat:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValidationError, match=message):
             load_dataset(tmp_path / "d")
+
+    def test_missing_name_defaults(self, tmp_path):
+        ds = generate_synthetic(12, 1, (3,), 1.0, 0.0, seed=0)
+        save_dataset(ds, tmp_path / "d")
+        meta_path = tmp_path / "d" / "meta"
+        meta = json.loads(meta_path.read_text())
+        del meta["name"]
+        meta_path.write_text(json.dumps(meta))
+        assert load_dataset(tmp_path / "d").name == "dataset"
 
     @pytest.mark.parametrize("name", ["modality_0.csv", "present_0.csv", "labels.csv"])
     @pytest.mark.parametrize("fault", ["missing-row", "bad-cell"])

@@ -2,17 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hglearn.autodiff import ValidationError
 from hglearn.hypergraph import (
     Hypergraph,
     knn_hyperedges,
+    knn_neighbor_lists,
     propagation_operator,
 )
 
-from oracles import brute_force_knn, brute_force_operator
+from oracles import brute_force_knn, brute_force_operator, loop_knn
 
 
 class TestKnnHyperedges:
@@ -190,3 +191,68 @@ def test_knn_column_sum_property(n, k, seed):
     X = np.random.default_rng(seed).standard_normal((n, 2))
     G = knn_hyperedges(X, k)
     assert np.array_equal(G.incidence.sum(axis=0), np.full(n, k + 1.0))
+
+
+# where the features sit: the 1e8 offset leaves ~1e-8 of each coordinate's
+# precision to its spread, and at 1e-160 every squared distance is subnormal
+_PLACEMENTS = {"as-is": lambda X: X, "offset-1e8": lambda X: X + 1e8,
+               "scale-1e-160": lambda X: X * 1e-160}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    dim=st.sampled_from([1, 2, 5, 9, 17, 130]),
+    k_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+    rounded=st.booleans(),
+    duplicated=st.booleans(),
+    placement=st.sampled_from(sorted(_PLACEMENTS)),
+)
+@example(n=1, dim=3, k_frac=0.0, seed=0, rounded=False, duplicated=False, placement="as-is")
+@example(n=12, dim=3, k_frac=0.0, seed=1, rounded=True, duplicated=True, placement="as-is")
+@example(n=12, dim=9, k_frac=1.0, seed=2, rounded=True, duplicated=True, placement="as-is")
+@example(n=30, dim=17, k_frac=0.3, seed=3, rounded=False, duplicated=False,
+         placement="offset-1e8")
+# two that a margin without its subnormal term gets wrong
+@example(n=20, dim=9, k_frac=0.5, seed=0, rounded=True, duplicated=False,
+         placement="scale-1e-160")
+@example(n=20, dim=130, k_frac=0.5, seed=0, rounded=False, duplicated=False,
+         placement="scale-1e-160")
+def test_knn_lists_equal_the_loop(n, dim, k_frac, seed, rounded, duplicated, placement):
+    """Equal lists, not close ones: same neighbors, same order, ties to the lower index."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim))
+    if rounded:  # ties
+        X = np.round(X, 1)
+    if duplicated:
+        X = X[rng.integers(0, max(1, n // 3), n)]
+    X = _PLACEMENTS[placement](X)
+    k = min(int(k_frac * n), n - 1)  # k = 0 through k = n - 1
+    assert np.array_equal(knn_neighbor_lists(X, k), loop_knn(X, k))
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_knn_lists_equal_the_loop_across_row_blocks(rounded):
+    # 700 rows span three blocks of ranked rows; rounding to one decimal in
+    # three dimensions leaves many ties at every block boundary
+    X = np.random.default_rng(11).standard_normal((700, 3))
+    if rounded:
+        X = np.round(X, 1)
+    for k in (1, 30, 699):
+        assert np.array_equal(knn_neighbor_lists(X, k), loop_knn(X, k))
+
+
+@pytest.mark.parametrize("X", [
+    np.random.default_rng(2).standard_normal((20, 4)) * 1e160,
+    np.array([[0.0], [1.5e154]]),  # 2.25e308 overflows
+    np.array([[-1e308], [1e308]]),  # so does the span itself
+], ids=["scaled-1e160", "one-pair", "span"])
+def test_knn_rejects_overflowing_squared_distances(X):
+    with pytest.raises(ValidationError, match="knn: .*overflow float64"):
+        knn_neighbor_lists(X, 1)
+
+
+def test_knn_accepts_squared_distances_below_an_eighth_of_the_largest_float():
+    X = np.array([[0.0], [4e153], [1e153], [2e153]])  # (4e153)^2 = 1.6e307
+    assert np.array_equal(knn_neighbor_lists(X, 2), loop_knn(X, 2))

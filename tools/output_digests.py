@@ -1,12 +1,14 @@
-"""sha256 of every file the commands write at three small configs.
+"""sha256 of every file the commands write at four small configs.
 
 Runs gen-data, pretrain, tune for each strategy, compare-strategies,
 ablate-prompts (--sizes 1,2,4) and ablate-modalities through
 `hglearn.cli.main`, in this process, with single-threaded BLAS, once per
 config under its own subdirectory of --out, and prints one
 `sha256  relpath` line per output file, sorted by path. The configs are
-the default hyperedges, pairwise hyperedges with modality dropouts, and
-pairwise hyperedges with k=0, where every node degree is 0.
+the default hyperedges, pairwise hyperedges with modality dropouts,
+pairwise hyperedges with k=0, where every node degree is 0, and default
+hyperedges with dropouts at n=400, where each modality's ~320 present rows
+span two of the row blocks `knn_neighbor_lists` ranks at a time.
 
     python3 tools/output_digests.py --out /tmp/digests > change.txt
 
@@ -41,6 +43,7 @@ CONFIGS = {
     "default": BASE,
     "pairwise_missing": [*BASE, "--set", "pairwise=true", "--set", "missing_rate=0.2"],
     "pairwise_k0": [*BASE, "--set", "pairwise=true", "--set", "k=0"],
+    "missing_blocks": [*BASE, "--set", "n=400", "--set", "missing_rate=0.2"],
 }
 
 
