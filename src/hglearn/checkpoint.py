@@ -5,12 +5,13 @@ Checkpoints and tuning snapshots share one layout: `format`, `version` (2),
 floats), and the document's own fields. A checkpoint holds the encoder's
 `encoder.layer{i}.weight` and `encoder.layer{i}.bias` and adds `seed`,
 `config_digest`, `activations` (one per layer) and `meta`; the `frozen` key
-that older version-2 checkpoints also hold is ignored. A
-snapshot holds one fold's best tuned parameters, plus `prompt.incidence` and
-`prompt.edge_weights` for the prompt strategies, and adds `strategy`,
-`best_epoch` and `config_digest`. Floats are written in shortest round-trip
-form, so the same values always give the same bytes and loading restores
-every float64 exactly. Version 1 files are not read.
+that older version-2 checkpoints also hold is ignored. A snapshot holds one
+fold's best tuned parameters, plus the prompt structure's `prompt.incidence`
+and `prompt.edge_weights` (one row) for the prompt strategies, and adds
+`strategy`, `best_epoch` (an integer) and `config_digest`. Floats are
+written in shortest round-trip form, so the same values always give the same
+bytes and loading restores every float64 exactly. Version 1 files are not
+read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter, ValidationError
+from .autodiff import Parameter, ShapeError, ValidationError
+from .hypergraph import Hypergraph
 from .model import HGNNLayer, HGNNStack
 from .prompt import TuneResult
 
@@ -103,9 +105,9 @@ def load_checkpoint(path):
 def save_snapshot(path, result: TuneResult, config_digest: str):
     """Write a tuning result's best parameters and prompt structure."""
     params = dict(result.snapshot)
-    if result.prompt_incidence is not None:
-        params["prompt.incidence"] = result.prompt_incidence
-        params["prompt.edge_weights"] = result.prompt_edge_weights.reshape(1, -1)
+    if result.prompt_structure is not None:
+        params["prompt.incidence"] = result.prompt_structure.incidence
+        params["prompt.edge_weights"] = result.prompt_structure.edge_weights.reshape(1, -1)
     Path(path).write_bytes(_document_bytes(
         SNAPSHOT_FORMAT, params,
         strategy=result.strategy,
@@ -115,16 +117,32 @@ def save_snapshot(path, result: TuneResult, config_digest: str):
 
 
 def load_snapshot(path):
-    """Returns (TuneResult restorable by `evaluate_snapshot`, info dict with config_digest)."""
+    """Returns (TuneResult restorable by `evaluate_snapshot`, info dict with config_digest).
+
+    The prompt structure is rebuilt and checked here: both of its entries or
+    neither, one row of edge weights per incidence column.
+    """
     doc, params = _read_document(path, SNAPSHOT_FORMAT,
                                  ("strategy", "best_epoch", "config_digest"))
+    if type(doc["best_epoch"]) is not int:  # bool is an int subclass
+        raise ValidationError(f"{path}: best_epoch must be an integer, got {doc['best_epoch']!r}")
     incidence = params.pop("prompt.incidence", None)
     weights = params.pop("prompt.edge_weights", None)
+    if (incidence is None) != (weights is None):
+        raise ValidationError(f"{path}: prompt.incidence and prompt.edge_weights "
+                              "must be present together")
+    structure = None
+    if incidence is not None:
+        if weights.shape[0] != 1:
+            raise ValidationError(f"{path}: prompt.edge_weights must be a single row")
+        try:
+            structure = Hypergraph(incidence.shape[0], incidence, weights)
+        except (ShapeError, ValidationError) as e:
+            raise ValidationError(f"{path}: prompt structure: {e}") from None
     result = TuneResult(
         strategy=doc["strategy"],
         snapshot=params,
-        prompt_incidence=incidence,
-        prompt_edge_weights=None if weights is None else weights.reshape(-1),
+        prompt_structure=structure,
         best_metrics=None,
         best_epoch=doc["best_epoch"],
     )

@@ -187,8 +187,8 @@ def cmd_tune(args, cfg: RunConfig, out: Path, dataset, encoder) -> int:
             strategy=r.strategy,
             best_epoch=r.best_epoch,
             best_metrics=r.best_metrics,
-            param_counts=r.param_counts,
-            tunable_total=r.tunable_total,
+            param_counts=res["param_counts"],
+            tunable_total=res["tunable_total"],
             train_losses=r.train_losses,
             val_bacc=r.val_bacc,
         )

@@ -265,8 +265,7 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
     selected = range(dataset.num_modalities) if modalities is None else list(modalities)
     if not selected:
         raise ValidationError("build_fused_hypergraph: empty modality selection")
-    n = dataset.num_subjects
-    rows, cols, num_edges = [], [], 0  # the fused incidence's ones, modality by modality
+    rows, cols, num_edges = [], [], 0  # (node, hyperedge) pairs, modality by modality
     blocks = []
     for i in selected:
         mod = dataset.modalities[i]
@@ -280,9 +279,9 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
         cols.append(num_edges + edges)
         num_edges += count
         blocks.append(mod.features * mod.present[:, None])
-    inc = np.zeros((n, num_edges))
-    inc[np.concatenate(rows), np.concatenate(cols)] = 1.0
-    return Hypergraph(n, inc), np.hstack(blocks)
+    G = Hypergraph.from_members(dataset.num_subjects, np.concatenate(rows),
+                                np.concatenate(cols), num_edges)
+    return G, np.hstack(blocks)
 
 
 @dataclass

@@ -55,6 +55,13 @@ class Hypergraph:
         object.__setattr__(self, "incidence", inc)
         object.__setattr__(self, "edge_weights", w)
 
+    @classmethod
+    def from_members(cls, num_nodes: int, nodes, edges, num_edges: int) -> Hypergraph:
+        """Unit-weight hypergraph with node `nodes[i]` in hyperedge `edges[i]`."""
+        inc = np.zeros((num_nodes, num_edges))
+        inc[nodes, edges] = 1.0
+        return cls(num_nodes, inc)
+
     @property
     def num_edges(self) -> int:
         return self.incidence.shape[1]
@@ -157,10 +164,7 @@ def knn_hyperedges(features, k: int, pairwise: bool = False) -> Hypergraph:
     emulating an ordinary graph.
     """
     X = as_matrix(features, "features")
-    rows, cols, num_edges = _knn_members(knn_neighbor_lists(X, k), pairwise)
-    inc = np.zeros((X.shape[0], num_edges))
-    inc[rows, cols] = 1.0
-    return Hypergraph(X.shape[0], inc)
+    return Hypergraph.from_members(X.shape[0], *_knn_members(knn_neighbor_lists(X, k), pairwise))
 
 
 def _knn_members(neighbors, pairwise):
@@ -183,22 +187,21 @@ def propagation_operator(G: Hypergraph) -> np.ndarray:
     hyperedge weights and D_e the hyperedge cardinalities. Zero degrees map
     to zero (isolated nodes get all-zero rows).
     """
-    return _data_block(G, 0)[1]
+    return _normalized_gram(G, 0, 0.0)[1]
 
 
-def _data_block(G: Hypergraph, num_prompts: int):
-    """(s, s (H W D_e^{-1} H^T + P/(N+1)) s^T) with s = (H w + P)^{-1/2}.
+def _normalized_gram(G: Hypergraph, degree_shift, add):
+    """(s, s (H W D_e^{-1} H^T + add) s^T) with s = (H w + degree_shift)^{-1/2}.
 
-    The data block of the operator once P prompt tokens are attached, each
-    through one hyperedge over all N data nodes (see `hglearn.prompt`);
-    P = 0 is `propagation_operator`. Zero degrees give s = 0.
+    `add` is a scalar or a matrix of the gram's shape. Zero degrees give
+    s = 0. `propagation_operator` shifts and adds nothing.
     """
     gram, dv = G.edge_gram
-    dv = dv + num_prompts
+    dv = dv + degree_shift
     with np.errstate(divide="ignore"):
         s = np.where(dv > 0, dv**-0.5, 0.0)
-    # scaled in place: the kept gram and one N x N array, nothing more
-    block = gram + num_prompts / (G.num_nodes + 1)
+    # scaled in place: the kept gram and one new array, nothing more
+    block = gram + add
     block *= s[:, None]
     block *= s[None, :]
     return s, block

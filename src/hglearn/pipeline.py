@@ -13,7 +13,7 @@ from .data import _present_subjects, build_fused_hypergraph, split_folds
 from .metrics import aggregate_folds
 from .model import HGNNStack
 from .pretrain import pretrain
-from .prompt import STRATEGIES, tune_with_strategy
+from .prompt import STRATEGIES, count_tunable_params, tune_with_strategy
 
 __all__ = [
     "run_tune",
@@ -39,13 +39,13 @@ def run_tune(G, X, labels, encoder: HGNNStack, cfg: RunConfig) -> dict:
                            folds.train_mask(f), folds.val_mask(f), encoder, cfg)
         for f in range(cfg.k_folds)
     ]
-    aggregate = aggregate_folds([r.best_metrics for r in fold_results])
+    counts, total = count_tunable_params(cfg.strategy, encoder, cfg)
     return {
         "strategy": cfg.strategy,
         "fold_results": fold_results,
-        "aggregate": aggregate,
-        "param_counts": fold_results[0].param_counts,
-        "tunable_total": fold_results[0].tunable_total,
+        "aggregate": aggregate_folds([r.best_metrics for r in fold_results]),
+        "param_counts": counts,
+        "tunable_total": total,
     }
 
 

@@ -20,8 +20,11 @@ s_t = (H_p w_p + 1)^{-1/2}, the blocks are (s scales rows and columns):
 
 The data block is built once per fold from the data hypergraph's gram, which
 the `Hypergraph` computes once; the border and the P x P token block only
-when the token k-NN structure changes. `insert_prompt` keeps the dense
-construction, which the tests use as the oracle for this one.
+when the token k-NN structure changes. `hypergraph._normalized_gram` builds
+both diagonal blocks and knows nothing of prompts: the insertion constants
+above (+P, +1, P/(N+1), I/(N+1), 1/(N+1)) live in `_StrategyState` alone.
+`insert_prompt` keeps the dense construction, which the tests use as the
+oracle for this one.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
@@ -45,7 +48,7 @@ from .autodiff import (
     check_finite,
     forward_backward,
 )
-from .hypergraph import Hypergraph, _data_block, knn_hyperedges
+from .hypergraph import Hypergraph, _normalized_gram, knn_hyperedges
 from .metrics import MetricsReport, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator
 
@@ -155,14 +158,11 @@ def count_tunable_params(strategy, encoder: HGNNStack, cfg: RunConfig):
 class TuneResult:
     strategy: str
     snapshot: dict
-    prompt_incidence: np.ndarray
-    prompt_edge_weights: np.ndarray
+    prompt_structure: Hypergraph | None  # the best epoch's token structure, prompt strategies only
     best_metrics: MetricsReport
     best_epoch: int
     train_losses: list = field(default_factory=list)
     val_bacc: list = field(default_factory=list)
-    param_counts: dict = field(default_factory=dict)
-    tunable_total: int = 0
 
 
 def build_prompt_structure(tokens, k_p: int, structured: bool = True) -> Hypergraph:
@@ -257,8 +257,9 @@ class _StrategyState:
         self.params = ((encoder.parameters() if spec.trains_encoder else [])
                        + ([] if self.extra is None else [self.extra])
                        + self.head.parameters())
-        self.prompt_rows = self.extra.value.shape[0] if spec.prompt_tokens else 0
-        self.s_data, self.data_operator = _data_block(G, self.prompt_rows)
+        p = self.prompt_rows = self.extra.value.shape[0] if spec.prompt_tokens else 0
+        # P insertion hyperedges of N+1 members: every degree + P, gram + P/(N+1)
+        self.s_data, self.data_operator = _normalized_gram(G, p, p / (G.num_nodes + 1))
         self.last_prompt = (None, None)  # (G_p, operator) of the latest call
         # nothing below the head trains (linear_probe): the encoder output is
         # one constant per fold, so the encoder runs once and only its value
@@ -282,10 +283,9 @@ class _StrategyState:
                 and np.array_equal(G_p.edge_weights, last.edge_weights)):
             return op
         n = self.X.shape[0]
-        gram, dv = G_p.edge_gram
-        s_tok = (dv + 1.0) ** -0.5
+        # each token's own insertion hyperedge: degree + 1, diagonal + 1/(N+1)
+        s_tok, tok_block = _normalized_gram(G_p, 1, np.eye(G_p.num_nodes) / (n + 1))
         border = self.s_data[:, None] / (n + 1) * s_tok[None, :]
-        tok_block = s_tok[:, None] * (gram + np.eye(G_p.num_nodes) / (n + 1)) * s_tok[None, :]
         op = np.block([[self.data_operator, border], [border.T, tok_block]])
         self.last_prompt = (G_p, op)
         return op
@@ -340,7 +340,6 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     if y.shape[0] != G.num_nodes or X.shape[0] != G.num_nodes:
         raise ValidationError("labels/features do not match the hypergraph node count")
     run = _StrategyState(spec, G, X, pretrained, cfg)
-    counts, total = count_tunable_params(strategy, pretrained, cfg)
     params = run.params
     n, p_rows = X.shape[0], run.prompt_rows
     y_pad = np.concatenate([y, np.zeros(p_rows, dtype=np.int64)])
@@ -349,12 +348,9 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     result = TuneResult(
         strategy=strategy,
         snapshot=_snapshot_params(params),
-        prompt_incidence=None,
-        prompt_edge_weights=None,
+        prompt_structure=None,
         best_metrics=None,
         best_epoch=-1,
-        param_counts=counts,
-        tunable_total=total,
     )
     best_bacc = -1.0
     logits, logits_operator = None, None
@@ -383,9 +379,7 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
                 result.best_epoch = epoch
                 result.best_metrics = report
                 result.snapshot = _snapshot_params(params)
-                if G_p is not None:
-                    result.prompt_incidence = G_p.incidence.copy()
-                    result.prompt_edge_weights = G_p.edge_weights.copy()
+                result.prompt_structure = G_p  # read-only, so kept without a copy
     return result
 
 
@@ -393,18 +387,30 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
                       pretrained: HGNNStack, cfg: RunConfig) -> MetricsReport:
     """Re-evaluate a stored snapshot on a mask, reproducing its metrics.
 
-    The prompt structure saved with the snapshot is reused as-is (the epoch
-    loop evaluates post-update token values under the structure built from
-    the pre-update ones, so the structure is part of the snapshot).
+    The snapshot must hold exactly the strategy's trainable parameters, each
+    in the shape `cfg` and `pretrained` give it, and a prompt structure
+    exactly when the strategy attaches tokens; anything else raises
+    `ValidationError`. The structure is reused as-is (the epoch loop
+    evaluates post-update token values under the structure built from the
+    pre-update ones, so the structure is part of the snapshot).
     """
     spec = _strategy_spec(result.strategy)
     X = ad.as_matrix(X, "features")
     run = _StrategyState(spec, G, X, pretrained, cfg)
-    for p in run.params:
-        if p.name in result.snapshot:
-            p.value[:] = result.snapshot[p.name]
-    G_p = None
-    if spec.prompt_tokens:
-        G_p = Hypergraph(run.prompt_rows, result.prompt_incidence, result.prompt_edge_weights)
+    trained = {p.name: p for p in run.params}
+    missing = sorted(trained.keys() - result.snapshot.keys())
+    unexpected = sorted(result.snapshot.keys() - trained.keys())
+    if missing or unexpected:
+        raise ValidationError(f"snapshot does not match {result.strategy}'s trainable set: "
+                              f"missing {missing}, unexpected {unexpected}")
+    for name, p in trained.items():
+        value = result.snapshot[name]
+        if np.shape(value) != p.value.shape:
+            raise ValidationError(f"snapshot: {name} has shape {np.shape(value)}, "
+                                  f"{result.strategy} needs {p.value.shape}")
+        p.value[:] = value
+    G_p = result.prompt_structure
+    if (G_p is not None) != spec.prompt_tokens:
+        raise ValidationError(f"snapshot: {result.strategy} needs "
+                              f"{'a' if spec.prompt_tokens else 'no'} prompt structure")
     return evaluate_logits(run.logits(run.operator(G_p)).value[: X.shape[0]], labels, mask)
-

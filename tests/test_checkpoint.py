@@ -14,6 +14,7 @@ from hglearn.checkpoint import (
     save_snapshot,
 )
 from hglearn.config import RunConfig, parse_override, read_config
+from hglearn.hypergraph import Hypergraph
 from hglearn.model import build_encoder
 from hglearn.prompt import TuneResult
 
@@ -118,11 +119,24 @@ class TestSnapshot:
             strategy="phgnn",
             snapshot={"prompt.tokens": rng.standard_normal((3, 4)),
                       "head.weight": rng.standard_normal((4, 2))},
-            prompt_incidence=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-            prompt_edge_weights=np.array([1.0, 2.5]),
+            prompt_structure=Hypergraph(3, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                                        np.array([1.0, 2.5])),
             best_metrics=None,
             best_epoch=4,
         )
+
+    def test_round_trip_rebuilds_the_structure(self, tmp_path):
+        path = tmp_path / "s.json"
+        result = self.make_result()
+        save_snapshot(path, result, "abc")
+        loaded, info = load_snapshot(path)
+        assert info == {"config_digest": "abc"}
+        assert (loaded.strategy, loaded.best_epoch) == ("phgnn", 4)
+        assert loaded.snapshot.keys() == result.snapshot.keys()
+        G_p = loaded.prompt_structure
+        assert G_p.num_nodes == 3
+        assert np.array_equal(G_p.incidence, result.prompt_structure.incidence)
+        assert np.array_equal(G_p.edge_weights, [1.0, 2.5])
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(format="hglearn-checkpoint"), "not a hglearn-snapshot"),
@@ -134,8 +148,23 @@ class TestSnapshot:
          "head.weight is not a matrix of finite numbers"),
         (lambda doc: doc["params"]["prompt.incidence"][0].__setitem__(0, None),
          "prompt.incidence"),
+        (lambda doc: doc["params"]["prompt.edge_weights"][0].append(1.0),
+         "s.json: prompt structure: 3 edge weights for 2 hyperedges"),
+        (lambda doc: doc["params"].update({"prompt.edge_weights": [[1.0], [2.5]]}),
+         "s.json: prompt.edge_weights must be a single row"),
+        (lambda doc: doc["params"]["prompt.incidence"][0].__setitem__(0, 2.0),
+         "s.json: prompt structure: incidence entries must be 0 or 1"),
+        (lambda doc: doc["params"].pop("prompt.edge_weights"),
+         "s.json: prompt.incidence and prompt.edge_weights must be present together"),
+        (lambda doc: doc["params"].pop("prompt.incidence"),
+         "s.json: prompt.incidence and prompt.edge_weights must be present together"),
+        (lambda doc: doc.update(best_epoch="x"), "s.json: best_epoch must be an integer"),
+        (lambda doc: doc.update(best_epoch=True), "s.json: best_epoch must be an integer"),
+        (lambda doc: doc.update(best_epoch=4.0), "s.json: best_epoch must be an integer"),
     ], ids=["wrong-format", "version-1", "no-best-epoch", "params-not-object",
-            "ragged-param", "infinite-param", "null-in-incidence"])
+            "ragged-param", "infinite-param", "null-in-incidence", "wide-edge-weights",
+            "two-row-edge-weights", "non-binary-incidence", "incidence-only",
+            "edge-weights-only", "string-best-epoch", "bool-best-epoch", "float-best-epoch"])
     def test_malformed_snapshot_rejected(self, tmp_path, edit, message):
         path = tmp_path / "s.json"
         save_snapshot(path, self.make_result(), "abc")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import hglearn.pipeline
+import hglearn.prompt
 from hglearn.autodiff import ValidationError
 from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic
@@ -48,7 +50,27 @@ def test_tune_config_clamps_prompt_k(setup):
         res = run_tune(*fused, encoder, cfg.replace(num_prompts=num_prompts, prompt_k=3,
                                                 tune_epochs=1))
         for fold in res["fold_results"]:
-            assert np.array_equal(fold.prompt_incidence, np.ones((num_prompts, num_prompts)))
+            assert np.array_equal(fold.prompt_structure.incidence,
+                                  np.ones((num_prompts, num_prompts)))
+
+
+@pytest.mark.parametrize("k_folds", [2, 5])
+def test_run_tune_counts_parameters_once(setup, monkeypatch, k_folds):
+    cfg, fused, encoder = setup
+    calls = []
+    count = hglearn.prompt.count_tunable_params
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+    # both the name tuning would call and the one run_tune calls
+    monkeypatch.setattr(hglearn.prompt, "count_tunable_params", counted)
+    monkeypatch.setattr(hglearn.pipeline, "count_tunable_params", counted)
+    run_cfg = cfg.replace(k_folds=k_folds, tune_epochs=1)
+    res = run_tune(*fused, encoder, run_cfg)
+    assert len(res["fold_results"]) == k_folds
+    assert calls == [("phgnn", encoder, run_cfg)]
+    assert (res["param_counts"], res["tunable_total"]) == count("phgnn", encoder, run_cfg)
 
 
 def test_ablate_prompts_counts_increase(setup):

@@ -1,5 +1,7 @@
 """Prompt structure, pattern insertion, and the tuning strategies."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,8 +103,9 @@ class TestBuildPromptStructure:
                 "phgnn", G, X, ds.labels, folds.train_mask(0), folds.val_mask(0), encoder,
                 small_config(tune_epochs=1, num_prompts=num_prompts, prompt_k=3),
             )
-            assert result.prompt_incidence.shape == (num_prompts, num_prompts)
-            assert np.all(result.prompt_incidence.sum(axis=0) == k_p + 1)
+            incidence = result.prompt_structure.incidence
+            assert incidence.shape == (num_prompts, num_prompts)
+            assert np.all(incidence.sum(axis=0) == k_p + 1)
 
 
 class TestInsertPrompt:
@@ -240,14 +243,16 @@ class TestBlockOperator:
         ds, G, X, encoder, folds = tuning_setup
         calls = {}
 
-        def count(name, fn):
+        def count(name, fn, counts_call=lambda *args: True):
             def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
+                if counts_call(*args):
+                    calls[name] = calls.get(name, 0) + 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(hglearn.prompt, name, counted)
 
         count("insert_prompt", hglearn.prompt.insert_prompt)
-        count("_data_block", hglearn.prompt._data_block)
+        # the data block; token blocks are normalized per token structure
+        count("_normalized_gram", hglearn.prompt._normalized_gram, lambda g, *_: g is fresh)
         grams = count_grams(monkeypatch, lambda g: g is fresh)
         seen = []
         for epochs in (2, 6):
@@ -259,7 +264,7 @@ class TestBlockOperator:
                                folds.val_mask(0), encoder,
                                small_config(tune_epochs=epochs, strategy=strategy))
             seen.append({**calls, "edge_gram": len(grams)})
-        assert seen[0] == seen[1] == {"_data_block": 1, "edge_gram": 1}
+        assert seen[0] == seen[1] == {"_normalized_gram": 1, "edge_gram": 1}
 
 
 class TestPromptTune:
@@ -292,8 +297,8 @@ class TestPromptTune:
         assert thawed.snapshot.keys() == frozen.snapshot.keys()
         for name, value in thawed.snapshot.items():
             assert np.array_equal(value, frozen.snapshot[name]), name
-        assert (thawed.param_counts, thawed.tunable_total) == (frozen.param_counts,
-                                                               frozen.tunable_total)
+        assert (count_tunable_params(strategy, encoder.copy(trainable=True), cfg)
+                == count_tunable_params(strategy, encoder.copy(trainable=False), cfg))
 
     def test_empty_or_overlapping_masks_rejected(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
@@ -319,11 +324,11 @@ class TestPromptTune:
         ds, G, X, encoder, folds = tuning_setup
         result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder, small_config(tune_epochs=10))
-        assert result.prompt_incidence.shape == (4, 4)
+        assert result.prompt_structure.incidence.shape == (4, 4)
         unstructured = tune_with_strategy("phgnn_no_structure", G, X, ds.labels,
                                           folds.train_mask(0), folds.val_mask(0), encoder,
                                           small_config(tune_epochs=10))
-        assert unstructured.prompt_incidence.shape == (4, 0)
+        assert unstructured.prompt_structure.incidence.shape == (4, 0)
         assert unstructured.strategy == "phgnn_no_structure"
 
 
@@ -347,10 +352,11 @@ class TestTuneWithStrategy:
             "finetune": sum(p.size for p in encoder.parameters()) + head,
         }
         for strategy, count in expected.items():
+            cfg = small_config(tune_epochs=1, strategy=strategy)
             result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
-                                        folds.val_mask(0), encoder,
-                                        small_config(tune_epochs=1, strategy=strategy))
-            assert result.tunable_total == count, strategy
+                                        folds.val_mask(0), encoder, cfg)
+            assert count_tunable_params(strategy, encoder, cfg)[1] == count, strategy
+            assert sum(v.size for v in result.snapshot.values()) == count, strategy
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_counts_come_from_the_trainable_set(self, tuning_setup, strategy):
@@ -359,10 +365,8 @@ class TestTuneWithStrategy:
         result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
                                     folds.val_mask(0), encoder, cfg)
         snapshot_total = sum(v.size for v in result.snapshot.values())
-        assert snapshot_total == result.tunable_total == sum(result.param_counts.values())
         counts, total = count_tunable_params(strategy, encoder, cfg)
-        assert counts == result.param_counts
-        assert total == result.tunable_total
+        assert snapshot_total == total == sum(counts.values())
 
     @pytest.mark.parametrize("strategy",
                              ["linear_probe", "gpf", "gpf_plus", "phgnn", "phgnn_no_structure"])
@@ -422,6 +426,38 @@ class TestTuneWithStrategy:
             replay = evaluate_snapshot(restored, G, X, ds.labels, folds.val_mask(0),
                                        encoder, cfg)
             assert replay == result.best_metrics, strategy
+
+    @pytest.mark.parametrize("strategy, edit, message", [
+        ("phgnn", lambda params: params.pop("head.weight"),
+         r"trainable set: missing \['head.weight'\], unexpected \[\]"),
+        ("phgnn", lambda params: params.update({"gpf.vector": [[0.0] * 12]}),
+         r"trainable set: missing \[\], unexpected \['gpf.vector'\]"),
+        ("phgnn", lambda params: params.update({"head.weight": [[1.0]]}),
+         r"head.weight has shape \(1, 1\), phgnn needs \(8, 2\)"),
+        ("phgnn", lambda params: params["prompt.tokens"].__delitem__(slice(2, None)),
+         r"prompt.tokens has shape \(2, 12\), phgnn needs \(4, 12\)"),
+        ("phgnn", lambda params: [params.pop(f"prompt.{key}") for key in
+                                  ("incidence", "edge_weights")],
+         "phgnn needs a prompt structure"),
+        ("gpf", lambda params: params.update({"prompt.incidence": [[1.0]],
+                                              "prompt.edge_weights": [[1.0]]}),
+         "gpf needs no prompt structure"),
+    ], ids=["missing-head", "foreign-param", "broadcastable-head", "short-tokens",
+            "no-structure", "structure-without-tokens"])
+    def test_replay_rejects_a_mismatched_snapshot(self, tuning_setup, tmp_path, strategy,
+                                                  edit, message):
+        ds, G, X, encoder, folds = tuning_setup
+        cfg = small_config(tune_epochs=3, strategy=strategy)
+        result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+                                    folds.val_mask(0), encoder, cfg)
+        path = tmp_path / "s.json"
+        save_snapshot(path, result, cfg.digest())
+        doc = json.loads(path.read_text())
+        edit(doc["params"])
+        path.write_text(json.dumps(doc))
+        restored, _ = load_snapshot(path)
+        with pytest.raises(ValidationError, match=message):
+            evaluate_snapshot(restored, G, X, ds.labels, folds.val_mask(0), encoder, cfg)
 
     def test_ties_keep_the_earlier_epoch(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
