@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter, ShapeError, ValidationError
+from .autodiff import Parameter, ValidationError
 from .hypergraph import Hypergraph
 from .model import HGNNLayer, HGNNStack
 from .prompt import TuneResult
@@ -136,8 +136,8 @@ def load_snapshot(path):
         if weights.shape[0] != 1:
             raise ValidationError(f"{path}: prompt.edge_weights must be a single row")
         try:
-            structure = Hypergraph(incidence.shape[0], incidence, weights)
-        except (ShapeError, ValidationError) as e:
+            structure = Hypergraph.from_incidence(incidence, weights)
+        except ValidationError as e:
             raise ValidationError(f"{path}: prompt structure: {e}") from None
     result = TuneResult(
         strategy=doc["strategy"],

@@ -279,8 +279,8 @@ def build_fused_hypergraph(dataset: MultimodalDataset, k: int, pairwise=False,
         cols.append(num_edges + edges)
         num_edges += count
         blocks.append(mod.features * mod.present[:, None])
-    G = Hypergraph.from_members(dataset.num_subjects, np.concatenate(rows),
-                                np.concatenate(cols), num_edges)
+    G = Hypergraph(dataset.num_subjects, np.concatenate(rows), np.concatenate(cols),
+                   np.ones(num_edges))
     return G, np.hstack(blocks)
 
 

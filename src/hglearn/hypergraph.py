@@ -1,10 +1,11 @@
 """Hypergraph structure, k-NN hyperedge construction, propagation.
 
-A hypergraph is stored densely: a binary node-by-hyperedge incidence matrix
-plus positive per-hyperedge weights. Instances are immutable after
-construction (the backing arrays are marked read-only) and safe to share;
-each computes its edge gram once, on first use, for every operator built
-on it.
+A hypergraph is stored as its (node, hyperedge) member pairs, sorted by
+hyperedge and then node, plus positive per-hyperedge weights. Instances are
+immutable after construction (the arrays are marked read-only) and safe to
+share; each computes its edge gram once, on first use, for every operator
+built on it. The dense node-by-hyperedge incidence is a view built on each
+access, for readers that want a matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import ShapeError, ValidationError, as_matrix
+from .autodiff import ValidationError, as_matrix
 
 __all__ = [
     "Hypergraph",
@@ -24,53 +25,99 @@ __all__ = [
 ]
 
 
+def _indices(x, name: str) -> np.ndarray:
+    a = np.asarray(x)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise ValidationError(f"{name} must be a 1-D array of integer indices")
+    return a.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
+    """Node `nodes[i]` belongs to hyperedge `edges[i]`, which has weight `edge_weights[edges[i]]`.
+
+    The pairs may come in any order and are kept sorted by (hyperedge, node).
+    Without weights, hyperedges 0 .. max(edges) get weight 1.
+    """
+
     num_nodes: int
-    incidence: np.ndarray
+    nodes: np.ndarray
+    edges: np.ndarray
     edge_weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        inc = as_matrix(self.incidence, "incidence")
-        if inc.shape[0] != self.num_nodes:
-            raise ShapeError(
-                f"incidence has {inc.shape[0]} rows for {self.num_nodes} nodes"
-            )
-        if not np.isin(inc, (0.0, 1.0)).all():
-            raise ValidationError("incidence entries must be 0 or 1")
-        if inc.shape[1] and (inc.sum(axis=0) < 1).any():
-            raise ValidationError("every hyperedge must contain at least one node")
+        n = self.num_nodes
+        nodes, edges = _indices(self.nodes, "nodes"), _indices(self.edges, "edges")
+        if nodes.shape != edges.shape:
+            raise ValidationError(f"{nodes.size} member nodes for {edges.size} hyperedge indices")
+        if nodes.min(initial=0) < 0 or nodes.max(initial=-1) >= n:
+            raise ValidationError(f"member nodes must lie in [0, {n})")
         w = self.edge_weights
-        if w is None:
-            w = np.ones(inc.shape[1])
-        w = np.asarray(w, dtype=np.float64).reshape(-1)
-        if w.shape[0] != inc.shape[1]:
-            raise ShapeError(
-                f"{w.shape[0]} edge weights for {inc.shape[1]} hyperedges"
-            )
-        if (w <= 0).any():
+        w = (np.ones(edges.max(initial=-1) + 1) if w is None
+             else np.array(w, dtype=np.float64).reshape(-1))
+        if edges.min(initial=0) < 0 or edges.max(initial=-1) >= w.size:
+            raise ValidationError(f"hyperedge indices must lie in [0, {w.size}), "
+                                  f"one per edge weight")
+        if not (w > 0).all():
             raise ValidationError("edge weights must be positive")
-        inc.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "incidence", inc)
-        object.__setattr__(self, "edge_weights", w)
+        key = edges * n + nodes  # orders by hyperedge, then node
+        order = np.argsort(key)
+        if (np.diff(key[order]) == 0).any():
+            raise ValidationError("duplicate (node, hyperedge) pair")
+        nodes, edges = nodes[order], edges[order]
+        if (np.bincount(edges, minlength=w.size) == 0).any():
+            raise ValidationError("every hyperedge must contain at least one node")
+        for name, a in (("nodes", nodes), ("edges", edges), ("edge_weights", w)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
-    def from_members(cls, num_nodes: int, nodes, edges, num_edges: int) -> Hypergraph:
-        """Unit-weight hypergraph with node `nodes[i]` in hyperedge `edges[i]`."""
-        inc = np.zeros((num_nodes, num_edges))
-        inc[nodes, edges] = 1.0
-        return cls(num_nodes, inc)
+    def from_incidence(cls, incidence, edge_weights=None) -> Hypergraph:
+        """The hypergraph of a dense 0/1 node-by-hyperedge matrix (unit weights by default)."""
+        inc = as_matrix(incidence, "incidence")
+        if not ((inc == 0) | (inc == 1)).all():
+            raise ValidationError("incidence entries must be 0 or 1")
+        w = np.ones(inc.shape[1]) if edge_weights is None else np.reshape(edge_weights, -1)
+        if w.size != inc.shape[1]:
+            raise ValidationError(f"{w.size} edge weights for {inc.shape[1]} hyperedges")
+        edges, nodes = np.nonzero(inc.T)
+        return cls(inc.shape[0], nodes, edges, w)
 
     @property
     def num_edges(self) -> int:
-        return self.incidence.shape[1]
+        return self.edge_weights.size
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """The dense N x E 0/1 matrix, built on every access and never kept."""
+        inc = np.zeros((self.num_nodes, self.num_edges))
+        inc[self.nodes, self.edges] = 1.0
+        return inc
 
     @cached_property
     def edge_gram(self):
-        """(H W D_e^{-1} H^T, H w), computed on first use and kept read-only."""
-        H, w = self.incidence, self.edge_weights  # every hyperedge has a member: D_e > 0
-        gram, dv = (H * (w * (1.0 / H.sum(axis=0)))) @ H.T, H @ w
+        """(H W D_e^{-1} H^T, H w), computed on first use and kept read-only.
+
+        Summed from the member pairs: each of a hyperedge's c^2 ordered member
+        pairs (i, j) adds w_e / c to entry (i, j). Hyperedges are taken by
+        size, at most N^2 pairs per `bincount` call, so a call's temporaries
+        stay within a few N x N arrays whatever the hyperedge sizes.
+        """
+        n, nodes, w = self.num_nodes, self.nodes, self.edge_weights
+        sizes = np.bincount(self.edges, minlength=w.size)  # each >= 1: D_e > 0
+        first = np.cumsum(sizes) - sizes  # each hyperedge's first pair
+        share = w / sizes
+        gram = np.zeros(n * n)
+        for c in np.unique(sizes):
+            group = np.flatnonzero(sizes == c)
+            per_call = n * n // (c * c)  # c <= n, so at least one hyperedge
+            for a in range(0, group.size, per_call):
+                g = group[a:a + per_call]
+                members = nodes[first[g][:, None] + np.arange(c)]
+                pairs = members[:, :, None] * n + members[:, None, :]
+                gram += np.bincount(pairs.ravel(), np.repeat(share[g], c * c), minlength=n * n)
+        gram = gram.reshape(n, n)
+        dv = np.bincount(nodes, w[self.edges], minlength=n)
         gram.flags.writeable = dv.flags.writeable = False
         return gram, dv
 
@@ -164,7 +211,8 @@ def knn_hyperedges(features, k: int, pairwise: bool = False) -> Hypergraph:
     emulating an ordinary graph.
     """
     X = as_matrix(features, "features")
-    return Hypergraph.from_members(X.shape[0], *_knn_members(knn_neighbor_lists(X, k), pairwise))
+    nodes, edges, _ = _knn_members(knn_neighbor_lists(X, k), pairwise)
+    return Hypergraph(X.shape[0], nodes, edges)
 
 
 def _knn_members(neighbors, pairwise):

@@ -8,7 +8,7 @@ nodes. Tuning optimizes only the tokens and the classification head, on a
 frozen copy of the pretrained encoder.
 
 Tuning builds the propagation operator of that manipulated hypergraph from
-blocks, not from its dense incidence. Each insertion hyperedge has N+1
+blocks, not from its whole edge gram. Each insertion hyperedge has N+1
 members and adds one to every data node's degree. So with N data nodes,
 P tokens, data incidence H (edge weights w, W = diag(w), edge sizes D_e),
 prompt incidence H_p (w_p, W_p, D_e,p), s_d = (H w + P)^{-1/2} and
@@ -23,8 +23,8 @@ the `Hypergraph` computes once; the border and the P x P token block only
 when the token k-NN structure changes. `hypergraph._normalized_gram` builds
 both diagonal blocks and knows nothing of prompts: the insertion constants
 above (+P, +1, P/(N+1), I/(N+1), 1/(N+1)) live in `_StrategyState` alone.
-`insert_prompt` keeps the dense construction, which the tests use as the
-oracle for this one.
+`insert_prompt` builds the whole manipulated hypergraph by concatenating
+member pairs; the tests use its operator as the oracle for the blocks.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
@@ -174,7 +174,7 @@ def build_prompt_structure(tokens, k_p: int, structured: bool = True) -> Hypergr
     t = ad.as_matrix(tokens, "tokens")
     p = t.shape[0]
     if not structured:
-        return Hypergraph(p, np.zeros((p, 0)))
+        return Hypergraph(p, [], [])
     if k_p >= p:
         raise ValidationError(f"prompt structure: k_p={k_p} must be < {p} tokens")
     return knn_hyperedges(t, k_p)
@@ -208,13 +208,12 @@ def insert_prompt(G: Hypergraph, X, G_p: Hypergraph, tokens):
         return G, X
     _check_prompt(d, t, G_p)
     e, e_p = G.num_edges, G_p.num_edges
-    inc = np.zeros((n + p, e + e_p + p))
-    inc[:n, :e] = G.incidence
-    inc[n:, e : e + e_p] = G_p.incidence
-    inc[:n, e + e_p :] = 1.0
-    inc[n + np.arange(p), e + e_p + np.arange(p)] = 1.0
+    # token j's insertion hyperedge holds every data node, then node n + j
+    inserted = np.column_stack([np.tile(np.arange(n), (p, 1)), n + np.arange(p)])
+    nodes = np.concatenate([G.nodes, n + G_p.nodes, inserted.ravel()])
+    edges = np.concatenate([G.edges, e + G_p.edges, np.repeat(e + e_p + np.arange(p), n + 1)])
     weights = np.concatenate([G.edge_weights, G_p.edge_weights, np.ones(p)])
-    return Hypergraph(n + p, inc, weights), np.vstack([X, t])
+    return Hypergraph(n + p, nodes, edges, weights), np.vstack([X, t])
 
 
 def _validate_masks(labels, train_mask, val_mask):
@@ -279,8 +278,8 @@ class _StrategyState:
             return self.data_operator
         _check_prompt(self.X.shape[1], self.extra.value, G_p)
         last, op = self.last_prompt
-        if (last is not None and np.array_equal(G_p.incidence, last.incidence)
-                and np.array_equal(G_p.edge_weights, last.edge_weights)):
+        if last is not None and all(np.array_equal(getattr(G_p, f), getattr(last, f))
+                                    for f in ("nodes", "edges", "edge_weights")):
             return op
         n = self.X.shape[0]
         # each token's own insertion hyperedge: degree + 1, diagonal + 1/(N+1)
@@ -389,7 +388,8 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
 
     The snapshot must hold exactly the strategy's trainable parameters, each
     in the shape `cfg` and `pretrained` give it, and a prompt structure
-    exactly when the strategy attaches tokens; anything else raises
+    exactly when the strategy attaches tokens, with one hyperedge per token
+    for `phgnn` and none for `phgnn_no_structure`; anything else raises
     `ValidationError`. The structure is reused as-is (the epoch loop
     evaluates post-update token values under the structure built from the
     pre-update ones, so the structure is part of the snapshot).
@@ -413,4 +413,9 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
     if (G_p is not None) != spec.prompt_tokens:
         raise ValidationError(f"snapshot: {result.strategy} needs "
                               f"{'a' if spec.prompt_tokens else 'no'} prompt structure")
+    # one k-NN hyperedge per token when structured, none otherwise
+    expected = run.prompt_rows if spec.structured else 0
+    if G_p is not None and G_p.num_edges != expected:
+        raise ValidationError(f"snapshot: {result.strategy} needs {expected} prompt "
+                              f"hyperedges, the structure has {G_p.num_edges}")
     return evaluate_logits(run.logits(run.operator(G_p)).value[: X.shape[0]], labels, mask)

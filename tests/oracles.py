@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's vectorized code paths: plain loops,
-exhaustive enumeration, and pair counting.
+exhaustive enumeration, pair counting, and dense products where the library
+works on member pairs.
 """
 
 import math
@@ -61,6 +62,12 @@ def brute_force_operator(H, w):
                     total += w[c] / (de[c] * math.sqrt(dv[i]) * math.sqrt(dv[j]))
             P[i, j] = total
     return P
+
+
+def dense_edge_gram(H, w):
+    """(H W D_e^{-1} H^T, H w) as two dense products of the incidence H."""
+    H = np.asarray(H, dtype=float)
+    return (H * (w / H.sum(axis=0))) @ H.T, H @ w
 
 
 def pair_count_auc(scores, labels):

@@ -191,7 +191,7 @@ def test_criterion_03_propagation_oracle():
             if H[:, c].sum() == 0:
                 H[int(rng.integers(0, n)), c] = 1.0
         w = rng.uniform(0.5, 2.0, e)
-        got = propagation_operator(Hypergraph(n, H, w))
+        got = propagation_operator(Hypergraph.from_incidence(H, w))
         worst = max(worst, float(np.abs(got - brute_force_operator(H, w)).max()))
     report(3, worst <= 1e-10, f"operator vs brute force, max abs diff {worst:.2e} (limit 1e-10)")
 

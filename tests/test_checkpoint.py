@@ -119,8 +119,8 @@ class TestSnapshot:
             strategy="phgnn",
             snapshot={"prompt.tokens": rng.standard_normal((3, 4)),
                       "head.weight": rng.standard_normal((4, 2))},
-            prompt_structure=Hypergraph(3, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                                        np.array([1.0, 2.5])),
+            prompt_structure=Hypergraph.from_incidence(
+                np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.5])),
             best_metrics=None,
             best_epoch=4,
         )
@@ -137,6 +137,21 @@ class TestSnapshot:
         assert G_p.num_nodes == 3
         assert np.array_equal(G_p.incidence, result.prompt_structure.incidence)
         assert np.array_equal(G_p.edge_weights, [1.0, 2.5])
+
+    @pytest.mark.parametrize("structure", [
+        Hypergraph.from_incidence(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                                  np.array([1.0, 2.5])),
+        Hypergraph(3, [], []),
+        None,
+    ], ids=["weighted", "no-hyperedges", "no-structure"])
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path, structure):
+        result = self.make_result()
+        result.prompt_structure = structure
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_snapshot(first, result, "abc")
+        loaded, info = load_snapshot(first)
+        save_snapshot(second, loaded, info["config_digest"])
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(format="hglearn-checkpoint"), "not a hglearn-snapshot"),

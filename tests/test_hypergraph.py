@@ -1,5 +1,7 @@
 """Hypergraph construction and propagation tests against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from hglearn.hypergraph import (
     propagation_operator,
 )
 
-from oracles import brute_force_knn, brute_force_operator, loop_knn
+from oracles import brute_force_knn, brute_force_operator, dense_edge_gram, loop_knn
 
 
 class TestKnnHyperedges:
@@ -91,11 +93,11 @@ class TestKnnHyperedges:
 
 class TestPropagationOperator:
     def test_identity_incidence_gives_identity(self):
-        G = Hypergraph(5, np.eye(5))
+        G = Hypergraph.from_incidence(np.eye(5))
         assert np.allclose(propagation_operator(G), np.eye(5), atol=1e-15)
 
     def test_two_nodes_one_hyperedge(self):
-        G = Hypergraph(2, np.array([[1.0], [1.0]]))
+        G = Hypergraph.from_incidence(np.array([[1.0], [1.0]]))
         assert np.allclose(propagation_operator(G), np.full((2, 2), 0.5), atol=1e-15)
 
     def test_matches_brute_force_on_random_hypergraphs(self):
@@ -108,7 +110,7 @@ class TestPropagationOperator:
                 if H[:, c].sum() == 0:
                     H[int(rng.integers(0, n)), c] = 1.0
             w = rng.uniform(0.5, 2.0, e)
-            G = Hypergraph(n, H, w)
+            G = Hypergraph.from_incidence(H, w)
             expected = brute_force_operator(H, w)
             assert np.abs(propagation_operator(G) - expected).max() <= 1e-10
 
@@ -119,7 +121,7 @@ class TestPropagationOperator:
         for c in range(5):
             if H[:, c].sum() == 0:
                 H[0, c] = 1.0
-        P = propagation_operator(Hypergraph(7, H))
+        P = propagation_operator(Hypergraph.from_incidence(H))
         assert np.abs(P - P.T).max() <= 1e-12
         assert np.array_equal(P[3], np.zeros(7))
         assert np.array_equal(P[:, 3], np.zeros(7))
@@ -133,7 +135,7 @@ class TestPropagationOperator:
         H = (rng.random((6, 4)) < 0.5).astype(float)
         H[0] = 1.0  # every hyperedge has a member
         w = rng.uniform(0.5, 2.0, 4)
-        G = Hypergraph(6, H, w)
+        G = Hypergraph.from_incidence(H, w)
         gram, dv = G.edge_gram
         assert G.edge_gram[0] is gram and G.edge_gram[1] is dv
         np.testing.assert_allclose(gram, H @ np.diag(w / H.sum(axis=0)) @ H.T,
@@ -145,8 +147,8 @@ class TestPropagationOperator:
 
     def test_edgeless_graph_gives_zero_operator(self):
         # pairwise k=0 hyperedges: no edges, every degree 0
-        assert np.array_equal(propagation_operator(Hypergraph(4, np.zeros((4, 0)))),
-                              np.zeros((4, 4)))
+        G = Hypergraph(4, [], [])
+        assert np.array_equal(propagation_operator(G), np.zeros((4, 4)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -155,7 +157,7 @@ class TestPropagationOperator:
             G = knn_hyperedges(X, 2)
             P = propagation_operator(G)
             perm = rng.permutation(8)
-            Gp = Hypergraph(8, G.incidence[perm], G.edge_weights)
+            Gp = Hypergraph.from_incidence(G.incidence[perm], G.edge_weights)
             Pp = propagation_operator(Gp)
             assert np.allclose(Pp, P[np.ix_(perm, perm)], atol=1e-12)
 
@@ -163,20 +165,150 @@ class TestPropagationOperator:
 class TestHypergraphValidation:
     def test_non_binary_incidence_rejected(self):
         with pytest.raises(ValidationError, match="0 or 1"):
-            Hypergraph(2, np.array([[0.5, 1.0], [1.0, 0.0]]))
+            Hypergraph.from_incidence(np.array([[0.5, 1.0], [1.0, 0.0]]))
 
     def test_empty_hyperedge_rejected(self):
         with pytest.raises(ValidationError, match="at least one node"):
-            Hypergraph(2, np.array([[1.0, 0.0], [1.0, 0.0]]))
+            Hypergraph.from_incidence(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
-            Hypergraph(2, np.ones((2, 1)), [0.0])
+            Hypergraph.from_incidence(np.ones((2, 1)), [0.0])
 
     def test_incidence_is_immutable(self):
-        G = Hypergraph(2, np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            G.incidence[0, 0] = 0.0
+        G = Hypergraph.from_incidence(np.ones((2, 1)))
+        for array in (G.nodes, G.edges, G.edge_weights):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        view = G.incidence
+        view[0, 0] = 0.0  # a fresh copy: the hypergraph does not change
+        assert np.array_equal(G.incidence, np.ones((2, 1)))
+
+
+@st.composite
+def member_sets(draw, max_nodes=9, max_edges=30):
+    """(n, member list per hyperedge, weights or None): mixed sizes, maybe one of all n nodes."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    members = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1).map(sorted),
+                            max_size=max_edges))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), list(range(n)))
+    weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=len(members),
+                                        max_size=len(members)))
+    return n, members, weights
+
+
+def member_pairs(members, seed):
+    """(nodes, edges) of the member lists, in a shuffled order."""
+    nodes = np.array([v for m in members for v in m], dtype=np.intp)
+    edges = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    order = np.random.default_rng(seed).permutation(nodes.size)
+    return nodes[order], edges[order]
+
+
+def dense_incidence(n, members):
+    H = np.zeros((n, len(members)))
+    for e, m in enumerate(members):
+        H[m, e] = 1.0
+    return H
+
+
+# 5 nodes: at most 25 pairs per bincount call, and nine 3-node hyperedges have 81
+_SEVERAL_CALLS = (5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]] * 3 + [[0, 1], [0, 1, 2, 3, 4]], None)
+
+
+class TestMemberPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=member_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_from_incidence_round_trips_the_members(self, graph, seed):
+        n, members, weights = graph
+        G = Hypergraph(n, *member_pairs(members, seed), weights)
+        order = np.lexsort((G.nodes, G.edges))  # sorted by hyperedge, then node
+        assert np.array_equal(order, np.arange(G.nodes.size))
+        assert np.array_equal(G.incidence, dense_incidence(n, members))
+        back = Hypergraph.from_incidence(G.incidence, G.edge_weights)
+        assert back.num_nodes == n
+        for name in ("nodes", "edges", "edge_weights"):
+            assert np.array_equal(getattr(back, name), getattr(G, name)), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=member_sets(), seed=st.integers(0, 2**32 - 1))
+    @example(graph=_SEVERAL_CALLS, seed=0)
+    def test_edge_gram_matches_the_dense_oracle(self, graph, seed):
+        n, members, weights = graph
+        G = Hypergraph(n, *member_pairs(members, seed), weights)
+        w = np.ones(len(members)) if weights is None else np.array(weights)
+        for got, expected in zip(G.edge_gram, dense_edge_gram(dense_incidence(n, members), w)):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(
+                initial=0.0)
+
+    def test_edge_gram_spans_several_bincount_calls(self, monkeypatch):
+        n, members, _ = _SEVERAL_CALLS
+        calls = []
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return bincount(*args, **kwargs)
+        G = Hypergraph(n, *member_pairs(members, 0))
+        monkeypatch.setattr(np, "bincount", counted)
+        gram, _ = G.edge_gram
+        monkeypatch.undo()
+        # entries per call: the hyperedge sizes over all 34 pairs; the 2-node
+        # edge; the nine 3-node edges two at a time (9 pairs each, 25 // 9 = 2
+        # per call); the 5-node edge; the degrees over all pairs
+        assert calls == [34, 4, 18, 18, 18, 18, 9, 25, 34]
+        expected, _ = dense_edge_gram(dense_incidence(n, members), np.ones(len(members)))
+        assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    _CORRUPTIONS = {
+        "node-negative": (lambda n, v, e, w: (np.append(-1, v[1:]), e, w),
+                          r"member nodes must lie in \[0, "),
+        "node-beyond": (lambda n, v, e, w: (np.append(n, v[1:]), e, w),
+                        r"member nodes must lie in \[0, "),
+        "duplicate-pair": (lambda n, v, e, w: (np.append(v, v[0]), np.append(e, e[0]), w),
+                           r"duplicate \(node, hyperedge\) pair"),
+        "empty-hyperedge": (lambda n, v, e, w: (v, e + (e >= e[0]), np.append(w, 1.0)),
+                            "every hyperedge must contain at least one node"),
+        "extra-weight": (lambda n, v, e, w: (v, e, np.append(w, 1.0)),
+                         "every hyperedge must contain at least one node"),
+        "missing-weight": (lambda n, v, e, w: (v, e, w[:-1]),
+                           r"hyperedge indices must lie in \[0, \d+\), one per edge weight"),
+        "length-mismatch": (lambda n, v, e, w: (v[1:], e, w), "member nodes for"),
+        "negative-hyperedge": (lambda n, v, e, w: (v, np.where(e == e[0], -1, e), w),
+                               r"hyperedge indices must lie in \[0, "),
+        "float-indices": (lambda n, v, e, w: (v.astype(float), e, w), "integer indices"),
+        "two-d-nodes": (lambda n, v, e, w: (v[:, None], e, w), "1-D array"),
+        "zero-weight": (lambda n, v, e, w: (v, e, np.where(np.arange(w.size) == e[0], 0.0, w)),
+                        "edge weights must be positive"),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=member_sets(), seed=st.integers(0, 2**32 - 1),
+           corruption=st.sampled_from(sorted(_CORRUPTIONS)))
+    def test_malformed_members_rejected(self, graph, seed, corruption):
+        n, members, weights = graph
+        if not members:  # a corruption needs a pair to work on
+            members, weights = [[0]], None
+        nodes, edges = member_pairs(members, seed)
+        w = np.ones(len(members)) if weights is None else np.array(weights)
+        corrupt, message = self._CORRUPTIONS[corruption]
+        with pytest.raises(ValidationError, match=message):
+            Hypergraph(n, *corrupt(n, nodes, edges, w))
+
+    def test_incidence_is_built_on_each_access_and_no_field_is_node_by_hyperedge(self):
+        G = knn_hyperedges(np.random.default_rng(4).standard_normal((9, 2)), 2, pairwise=True)
+        n, e = G.num_nodes, G.num_edges  # 9 nodes, 18 hyperedges
+        assert G.incidence is not G.incidence
+        assert np.array_equal(G.incidence, G.incidence)
+        assert [f.name for f in dataclasses.fields(G)] == ["num_nodes", "nodes", "edges",
+                                                           "edge_weights"]
+        G.edge_gram  # cached on the instance, next to the fields
+        for name, value in vars(G).items():
+            for array in value if isinstance(value, tuple) else (value,):
+                assert np.size(array) < n * e, name
+        assert G.nodes.size == G.edges.size == 2 * e
 
 
 @settings(max_examples=25, deadline=None)

@@ -38,13 +38,13 @@ def identity_layer(d, activation="identity"):
 
 class TestHGNNForward:
     def test_identity_pipeline_returns_input(self):
-        G = Hypergraph(4, np.eye(4))
+        G = Hypergraph.from_incidence(np.eye(4))
         X = np.random.default_rng(0).standard_normal((4, 3))
         out = hgnn_forward_operator(propagation_operator(G), X, HGNNStack([identity_layer(3)]))
         assert np.allclose(out.value, X, atol=1e-15)
 
     def test_single_hyperedge_averages_rows(self):
-        G = Hypergraph(2, np.array([[1.0], [1.0]]))
+        G = Hypergraph.from_incidence(np.array([[1.0], [1.0]]))
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = hgnn_forward_operator(propagation_operator(G), X, HGNNStack([identity_layer(2)]))
         assert np.allclose(out.value, np.full((2, 2), 0.5), atol=1e-15)
@@ -70,12 +70,12 @@ class TestHGNNForward:
             stack = build_encoder(4, (6,), 3, np.random.default_rng(1))
             out = hgnn_forward_operator(propagation_operator(G), X, stack).value
             perm = rng.permutation(8)
-            Gp = Hypergraph(8, G.incidence[perm], G.edge_weights)
+            Gp = Hypergraph.from_incidence(G.incidence[perm], G.edge_weights)
             out_p = hgnn_forward_operator(propagation_operator(Gp), X[perm], stack).value
             assert np.allclose(out_p, out[perm], atol=1e-10)
 
     def test_dimension_mismatch_rejected(self):
-        G = Hypergraph(3, np.eye(3))
+        G = Hypergraph.from_incidence(np.eye(3))
         with pytest.raises(ShapeError):
             hgnn_forward_operator(propagation_operator(G), np.ones((3, 5)),
                                   HGNNStack([identity_layer(3)]))

@@ -112,12 +112,12 @@ class TestInsertPrompt:
     def setup_method(self):
         rng = np.random.default_rng(2)
         self.X = rng.standard_normal((3, 4))
-        self.G = Hypergraph(3, np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
+        self.G = Hypergraph.from_incidence(np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
         self.tokens = rng.standard_normal((2, 4))
         self.G_p = build_prompt_structure(self.tokens, 1)
 
     def test_zero_tokens_is_identity(self):
-        G_m, X_m = insert_prompt(self.G, self.X, Hypergraph(0, np.zeros((0, 0))),
+        G_m, X_m = insert_prompt(self.G, self.X, Hypergraph.from_incidence(np.zeros((0, 0))),
                                  np.zeros((0, 4)))
         assert G_m is self.G
         assert np.array_equal(X_m, self.X)
@@ -191,7 +191,7 @@ class TestBlockOperator:
         X = rng.standard_normal((n, 5))
         G = knn_hyperedges(X, min(k, n - 1), pairwise=pairwise)
         if weighted:
-            G = Hypergraph(n, G.incidence, rng.uniform(0.5, 2.0, G.num_edges))
+            G = Hypergraph(n, G.nodes, G.edges, rng.uniform(0.5, 2.0, G.num_edges))
         strategy = "phgnn" if structured else "phgnn_no_structure"
         run = prompt_state(strategy, G, X, rng.standard_normal((p, 5)))
         built = []
@@ -213,7 +213,7 @@ class TestBlockOperator:
         X = np.random.default_rng(2).standard_normal((3, 4))
         tokens = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 2.0]])
         G_p = build_prompt_structure(tokens, 1)
-        run = prompt_state("phgnn", Hypergraph(3, H, w), X, tokens)
+        run = prompt_state("phgnn", Hypergraph.from_incidence(H, w), X, tokens)
         H_m = np.zeros((5, 3 + 2 + 2))
         H_m[:3, :3] = H
         H_m[3:, 3:5] = 1.0  # each token's k-NN edge holds both tokens
@@ -224,7 +224,7 @@ class TestBlockOperator:
                                    rtol=0, atol=1e-12)
 
     def test_shape_checks_match_insert_prompt(self):
-        G = Hypergraph(3, np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
+        G = Hypergraph.from_incidence(np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
         X = np.random.default_rng(2).standard_normal((3, 4))
         tokens = np.random.default_rng(3).standard_normal((2, 4))
         run = prompt_state("phgnn", G, X, tokens)
@@ -259,7 +259,7 @@ class TestBlockOperator:
             calls.clear()
             grams.clear()
             # a fresh copy of the data graph, whose gram no earlier run computed
-            fresh = Hypergraph(G.num_nodes, G.incidence, G.edge_weights)
+            fresh = Hypergraph(G.num_nodes, G.nodes, G.edges, G.edge_weights)
             tune_with_strategy(strategy, fresh, X, ds.labels, folds.train_mask(0),
                                folds.val_mask(0), encoder,
                                small_config(tune_epochs=epochs, strategy=strategy))
@@ -458,6 +458,42 @@ class TestTuneWithStrategy:
         restored, _ = load_snapshot(path)
         with pytest.raises(ValidationError, match=message):
             evaluate_snapshot(restored, G, X, ds.labels, folds.val_mask(0), encoder, cfg)
+
+    @pytest.mark.parametrize("saved, replayed, message", [
+        ("phgnn", "phgnn_no_structure",
+         "phgnn_no_structure needs 0 prompt hyperedges, the structure has 4"),
+        ("phgnn_no_structure", "phgnn", "phgnn needs 4 prompt hyperedges, the structure has 0"),
+    ], ids=["structured-as-unstructured", "unstructured-as-structured"])
+    def test_replay_rejects_a_relabelled_prompt_structure(self, tuning_setup, tmp_path, saved,
+                                                          replayed, message):
+        # both strategies train the same parameters; only the structure tells them apart
+        ds, G, X, encoder, folds = tuning_setup
+        cfg = small_config(tune_epochs=3, strategy=saved)
+        result = tune_with_strategy(saved, G, X, ds.labels, folds.train_mask(0),
+                                    folds.val_mask(0), encoder, cfg)
+        path = tmp_path / "s.json"
+        save_snapshot(path, result, cfg.digest())
+        doc = json.loads(path.read_text())
+        doc["strategy"] = replayed
+        path.write_text(json.dumps(doc))
+        restored, _ = load_snapshot(path)
+        with pytest.raises(ValidationError, match=message):
+            evaluate_snapshot(restored, G, X, ds.labels, folds.val_mask(0), encoder,
+                              cfg.replace(strategy=replayed))
+
+    def test_fusion_pretraining_and_tuning_never_build_the_dense_incidence(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError(f"dense {G.num_nodes} x {G.num_edges} incidence built")
+        monkeypatch.setattr(Hypergraph, "incidence", property(refuse))
+        ds = generate_synthetic(40, 2, (4, 4), 3.0, 0.2, seed=6)
+        G, X = build_fused_hypergraph(ds, 4)
+        cfg = small_config(tune_epochs=4, pretrain_epochs=3, hidden_dims=(8,), latent_dim=6)
+        encoder = pretrain(G, X, cfg).encoder
+        folds = split_folds(ds.labels, 5, seed=0)
+        for strategy in STRATEGIES:
+            result = tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0),
+                                        folds.val_mask(0), encoder, cfg)
+            evaluate_snapshot(result, G, X, ds.labels, folds.val_mask(0), encoder, cfg)
 
     def test_ties_keep_the_earlier_epoch(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
