@@ -29,6 +29,7 @@ __all__ = [
     "as_matrix",
     "const",
     "matmul",
+    "propagate",
     "transpose",
     "add",
     "relu",
@@ -154,10 +155,9 @@ def const(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
+    # g may also be another node's gradient or a view of one, so it is kept
+    # without a copy and no gradient array is ever written in place
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def matmul(a, b) -> Tensor:
@@ -173,6 +173,24 @@ def matmul(a, b) -> Tensor:
             _accum(b, a.value.T @ g)
 
     return Tensor(out_val, (a, b), "matmul", backward)
+
+
+def propagate(op, a) -> Tensor:
+    """op @ a for a constant symmetric operator `op`.
+
+    `op` is a matrix or any object with a `shape` and an `@` that applies
+    it to an array. It is symmetric, so the backward applies it to the
+    output gradient again; it is not on the tape and gets no gradient.
+    """
+    a = const(a)
+    if op.shape[1] != a.value.shape[0]:
+        raise ShapeError(f"propagate: operator is {op.shape}, operand has "
+                         f"{a.value.shape[0]} rows")
+
+    def backward(g, a=a, op=op):
+        _accum(a, op @ g)
+
+    return Tensor(op @ a.value, (a,), "propagate", backward)
 
 
 def transpose(a) -> Tensor:

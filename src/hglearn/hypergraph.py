@@ -32,12 +32,13 @@ def _indices(x, name: str) -> np.ndarray:
     return a.astype(np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Node `nodes[i]` belongs to hyperedge `edges[i]`, which has weight `edge_weights[edges[i]]`.
 
     The pairs may come in any order and are kept sorted by (hyperedge, node).
-    Without weights, hyperedges 0 .. max(edges) get weight 1.
+    Without weights, hyperedges 0 .. max(edges) get weight 1. Equality and
+    hashing are by identity.
     """
 
     num_nodes: int
@@ -101,7 +102,10 @@ class Hypergraph:
         Summed from the member pairs: each of a hyperedge's c^2 ordered member
         pairs (i, j) adds w_e / c to entry (i, j). Hyperedges are taken by
         size, at most N^2 pairs per `bincount` call, so a call's temporaries
-        stay within a few N x N arrays whatever the hyperedge sizes.
+        stay within a few N x N arrays whatever the hyperedge sizes. A
+        hyperedge that would fill a call alone (c^2 > N^2 / 2) is added as one
+        dense block instead: its c member rows, each plus w_e / c on the
+        member columns.
         """
         n, nodes, w = self.num_nodes, self.nodes, self.edge_weights
         sizes = np.bincount(self.edges, minlength=w.size)  # each >= 1: D_e > 0
@@ -111,6 +115,14 @@ class Hypergraph:
         for c in np.unique(sizes):
             group = np.flatnonzero(sizes == c)
             per_call = n * n // (c * c)  # c <= n, so at least one hyperedge
+            if per_call == 1:
+                square = gram.reshape(n, n)
+                for e in group:
+                    m = nodes[first[e]:first[e] + c]
+                    row = np.zeros(n)
+                    row[m] = share[e]
+                    square[m] += row  # adds w_e / c on columns m, an exact 0 elsewhere
+                continue
             for a in range(0, group.size, per_call):
                 g = group[a:a + per_call]
                 members = nodes[first[g][:, None] + np.arange(c)]

@@ -121,31 +121,51 @@ def build_head(d_z, num_classes, name="head") -> HGNNLayer:
     )
 
 
-def _affine(h: Tensor, layer: HGNNLayer) -> Tensor:
-    """act(h @ W + bias) for one layer."""
-    h = ad.broadcast_add_row(ad.matmul(h, layer.weight.leaf()), layer.bias.leaf())
-    return ad.relu(h) if layer.activation == "relu" else h
+def _activate(z: Tensor, layer: HGNNLayer) -> Tensor:
+    """act(z + bias) for one layer."""
+    z = ad.broadcast_add_row(z, layer.bias.leaf())
+    return ad.relu(z) if layer.activation == "relu" else z
 
 
-def hgnn_forward_operator(operator: np.ndarray, X, stack: HGNNStack) -> Tensor:
-    """Run the stack with a precomputed propagation matrix.
+def _propagated_product(operator, h: Tensor, layer: HGNNLayer) -> Tensor:
+    """operator @ h @ W, the operator applied on the narrower side of W.
 
-    Per layer: X <- act(operator @ X @ W + bias).
+    A layer that narrows (d_out < d_in) forms operator @ (h @ W), any other
+    (operator @ h) @ W, so the N x N product runs over min(d_in, d_out)
+    columns.
     """
-    h = ad.const(X)
-    if h.value.shape[1] != stack.input_dim:
-        raise ShapeError(
-            f"hgnn_forward_operator: input dim {h.value.shape[1]} does not match "
-            f"stack input dim {stack.input_dim}"
-        )
-    if operator.shape[0] != h.value.shape[0]:
-        raise ShapeError(
-            f"hgnn_forward_operator: operator is {operator.shape[0]}-node, features have "
-            f"{h.value.shape[0]} rows"
-        )
-    op = ad.const(operator)
-    for layer in stack.layers:
-        h = _affine(ad.matmul(op, h), layer)
+    w = layer.weight.leaf()
+    if layer.d_out < layer.d_in:
+        return ad.propagate(operator, ad.matmul(h, w))
+    return ad.matmul(ad.propagate(operator, h), w)
+
+
+def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = None) -> Tensor:
+    """Run the stack with a precomputed propagation operator.
+
+    Per layer: X <- act(operator @ X @ W + bias), with the product associated
+    by the layer's shape (`_propagated_product`). `operator` is a symmetric
+    matrix, or a symmetric operator applied by `@` (see `autodiff.propagate`).
+    `first`, when given, is the first layer's product operator @ X @ W,
+    formed by a caller that keeps its constant parts; `X` is then not read.
+    """
+    layers = stack.layers
+    if first is None:
+        h = ad.const(X)
+        if h.value.shape[1] != stack.input_dim:
+            raise ShapeError(
+                f"hgnn_forward_operator: input dim {h.value.shape[1]} does not match "
+                f"stack input dim {stack.input_dim}"
+            )
+        if operator.shape[0] != h.value.shape[0]:
+            raise ShapeError(
+                f"hgnn_forward_operator: operator is {operator.shape[0]}-node, features have "
+                f"{h.value.shape[0]} rows"
+            )
+        first = _propagated_product(operator, h, layers[0])
+    h = _activate(first, layers[0])
+    for layer in layers[1:]:
+        h = _activate(_propagated_product(operator, h, layer), layer)
     return h
 
 
@@ -157,4 +177,4 @@ def classify(Z, head: HGNNLayer) -> Tensor:
             f"classify: latent dim {z.value.shape[1]} does not match head "
             f"input dim {head.d_in}"
         )
-    return _affine(z, head)
+    return _activate(ad.matmul(z, head.weight.leaf()), head)

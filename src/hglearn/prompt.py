@@ -1,30 +1,39 @@
 """Prompt sub-hypergraph learning and the baseline tuning strategies.
 
 A prompt is a small set of learnable token vectors living in the fused
-feature space. Tokens get their own k-NN hyperedge structure (recomputed
-from the latest token values at the start of every epoch), and each token is
-attached to the data hypergraph through one hyperedge covering all data
-nodes. Tuning optimizes only the tokens and the classification head, on a
-frozen copy of the pretrained encoder.
+feature space. Tokens get their own k-NN hyperedge structure (from the latest
+token values at the start of every epoch), and each token is attached to the
+data hypergraph through one hyperedge covering all data nodes. Tuning
+optimizes only the tokens and the classification head, on a frozen copy of
+the pretrained encoder.
 
 Tuning builds the propagation operator of that manipulated hypergraph from
-blocks, not from its whole edge gram. Each insertion hyperedge has N+1
-members and adds one to every data node's degree. So with N data nodes,
-P tokens, data incidence H (edge weights w, W = diag(w), edge sizes D_e),
-prompt incidence H_p (w_p, W_p, D_e,p), s_d = (H w + P)^{-1/2} and
-s_t = (H_p w_p + 1)^{-1/2}, the blocks are (s scales rows and columns):
+blocks, not from its whole edge gram, and applies it as blocks. Each
+insertion hyperedge has N+1 members and adds one to every data node's
+degree. So with N data nodes, P tokens, data incidence H (edge weights w,
+W = diag(w), edge sizes D_e), prompt incidence H_p (w_p, W_p, D_e,p),
+s_d = (H w + P)^{-1/2} and s_t = (H_p w_p + 1)^{-1/2}, the blocks are (s
+scales rows and columns):
 
-    data x data     s_d (H W D_e^{-1} H^T + P/(N+1)) s_d^T
-    data x token    s_d s_t^T / (N+1)                  (rank one)
-    token x token   s_t (H_p W_p D_e,p^{-1} H_p^T + I/(N+1)) s_t^T
+    data x data     D = s_d (H W D_e^{-1} H^T + P/(N+1)) s_d^T
+    data x token    u v^T with u = s_d / (N+1), v = s_t   (rank one)
+    token x token   T = s_t (H_p W_p D_e,p^{-1} H_p^T + I/(N+1)) s_t^T
 
-The data block is built once per fold from the data hypergraph's gram, which
-the `Hypergraph` computes once; the border and the P x P token block only
-when the token k-NN structure changes. `hypergraph._normalized_gram` builds
-both diagonal blocks and knows nothing of prompts: the insertion constants
-above (+P, +1, P/(N+1), I/(N+1), 1/(N+1)) live in `_StrategyState` alone.
+and the operator maps [Y_d; Y_t] to [D Y_d + u (v^T Y_t); v (u^T Y_d) + T Y_t],
+so no (N+P) x (N+P) array is formed. D is built once per fold from the data
+hypergraph's gram, which the `Hypergraph` computes once; the token columns
+[u v^T; T] only when the tokens' k-NN lists change. `hypergraph._normalized_gram`
+builds D and T and knows nothing of prompts: the insertion constants above
+(+P, +1, P/(N+1), I/(N+1), 1/(N+1)) live in `_StrategyState` alone.
 `insert_prompt` builds the whole manipulated hypergraph by concatenating
 member pairs; the tests use its operator as the oracle for the blocks.
+
+The first encoder layer's product, operator @ input @ W1, is split into a
+part that is constant within a fold, computed once, and the trainable part,
+computed per epoch (`_Strategy.first_layer`). Under a frozen encoder the
+constants are D X W1 and u^T X W1, and an epoch adds (D 1)(v^T W1) for
+`gpf`, (D A)(B W1) for `gpf_plus` and the token columns applied to T W1 for
+`phgnn` and `phgnn_no_structure`; `finetune` keeps D X for its trained W1.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
@@ -35,6 +44,7 @@ place a strategy is defined; everything else reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -48,7 +58,13 @@ from .autodiff import (
     check_finite,
     forward_backward,
 )
-from .hypergraph import Hypergraph, _normalized_gram, knn_hyperedges
+from .hypergraph import (
+    Hypergraph,
+    _knn_members,
+    _normalized_gram,
+    knn_hyperedges,
+    knn_neighbor_lists,
+)
 from .metrics import MetricsReport, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator
 
@@ -79,18 +95,6 @@ class _ExtraParam:
     init: Callable  # (rng, shape) -> initial value
 
 
-@dataclass(frozen=True)
-class _Strategy:
-    trains_encoder: bool = False
-    extra: _ExtraParam | None = None
-    # (features, extra parameter leaf or None) -> encoder input
-    transform: Callable = lambda X, extra: X
-    # the extra rows are token nodes attached to the hypergraph
-    prompt_tokens: bool = False
-    # the tokens get k-NN hyperedges among themselves
-    structured: bool = False
-
-
 def _small_normal(rng, shape):
     return rng.normal(0.0, 0.02, size=shape)
 
@@ -99,9 +103,44 @@ def _zeros(rng, shape):
     return np.zeros(shape)
 
 
-def _attend_basis(X, basis):
-    attn = ad.row_softmax(ad.matmul(X, ad.transpose(basis)))
-    return ad.add(ad.const(X), ad.matmul(attn, basis))
+# First-layer products: (state, operator, extra parameter leaf or None, the
+# first layer's weight leaf W1) -> operator @ (encoder input) @ W1, formed
+# from the state's per-fold constants, so that only the trainable part is
+# computed per epoch. D is the data block of the operator.
+
+
+def _features_first_layer(run, operator, extra, w):
+    """The features alone: (D X) W1."""
+    return ad.matmul(run.dx, w)
+
+
+def _tokens_first_layer(run, operator, tokens, w):
+    """[X; T] under the prompted operator: only T W1 is on the tape."""
+    return operator.first_layer(run.dxw, run.uxw, ad.matmul(tokens, w))
+
+
+def _shifted_first_layer(run, operator, vector, w):
+    """X + 1 v^T: D X W1 + (D 1)(v^T W1)."""
+    return ad.add(ad.const(run.dxw), ad.matmul(run.d_ones, ad.matmul(vector, w)))
+
+
+def _attended_first_layer(run, operator, basis, w):
+    """X + A B with A = softmax(X B^T) per row: D X W1 + (D A)(B W1)."""
+    attn = ad.row_softmax(ad.matmul(run.X, ad.transpose(basis)))
+    return ad.add(ad.const(run.dxw),
+                  ad.matmul(ad.propagate(operator, attn), ad.matmul(basis, w)))
+
+
+@dataclass(frozen=True)
+class _Strategy:
+    trains_encoder: bool = False
+    extra: _ExtraParam | None = None
+    # the first layer's product, one of the functions above
+    first_layer: Callable = _features_first_layer
+    # the extra rows are token nodes attached to the hypergraph
+    prompt_tokens: bool = False
+    # the tokens get k-NN hyperedges among themselves
+    structured: bool = False
 
 
 _TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", _small_normal)
@@ -109,15 +148,15 @@ _TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", _small_no
 _STRATEGY_TABLE = {
     "finetune": _Strategy(trains_encoder=True),
     "linear_probe": _Strategy(),
-    "phgnn": _Strategy(extra=_TOKENS, transform=ad.concat_rows, prompt_tokens=True,
+    "phgnn": _Strategy(extra=_TOKENS, first_layer=_tokens_first_layer, prompt_tokens=True,
                       structured=True),
-    "phgnn_no_structure": _Strategy(extra=_TOKENS, transform=ad.concat_rows,
+    "phgnn_no_structure": _Strategy(extra=_TOKENS, first_layer=_tokens_first_layer,
                                    prompt_tokens=True),
     "gpf": _Strategy(extra=_ExtraParam("prompt_vector", "gpf.vector", None, _zeros),
-                    transform=ad.broadcast_add_row),
+                    first_layer=_shifted_first_layer),
     "gpf_plus": _Strategy(extra=_ExtraParam("prompt_basis", "gpf.basis", "gpf_basis",
                                           _small_normal),
-                         transform=_attend_basis),
+                         first_layer=_attended_first_layer),
 }
 
 STRATEGIES = tuple(_STRATEGY_TABLE)
@@ -232,12 +271,48 @@ def _validate_masks(labels, train_mask, val_mask):
     return y, mt, mv
 
 
+class _PromptedOperator:
+    """The propagation matrix of the data hypergraph with a prompt attached, as blocks.
+
+    [[D, u v^T], [v u^T, T]] with D the data block, u = s_d / (N+1), v = s_t
+    and T the token block (see the module docstring). `@` applies it to an
+    (N+P)-row array block by block, so no (N+P) x (N+P) array is formed.
+    """
+
+    def __init__(self, data_block, u, v, token_block):
+        self.data_block, self.u, self.v = data_block, u, v
+        self.token_columns = np.vstack([u * v.T, token_block])  # [u v^T; T]
+        self.shape = (self.token_columns.shape[0],) * 2
+        self._fixed_rows = None
+
+    def __matmul__(self, Y):
+        n = self.u.shape[0]
+        Y_d = Y[:n]
+        out = self.token_columns @ Y[n:]
+        out[:n] += self.data_block @ Y_d
+        out[n:] += self.v * (self.u.T @ Y_d)
+        return out
+
+    def first_layer(self, dxw, uxw, tw):
+        """This operator applied to [X W; T W] for fixed features X.
+
+        `dxw` = D X W and `uxw` = u^T X W are the fixed features' constants,
+        the same in every call; the first call builds the rows they give,
+        [D X W; v u^T X W]. Only the token columns applied to `tw` = T W are
+        on the tape.
+        """
+        if self._fixed_rows is None:
+            self._fixed_rows = np.vstack([dxw, self.v @ uxw])
+        return ad.add(ad.const(self._fixed_rows), ad.matmul(self.token_columns, tw))
+
+
 class _StrategyState:
     """One strategy's encoder, head, extra parameter, and forward pass on a fixed graph.
 
     The encoder is a copy of the caller's, trainable exactly when the strategy
     table says so, so tuning never touches the caller's parameters. The head
     starts at zero; only the extra parameter draws from `default_rng(cfg.seed)`.
+    The first layer's constant parts are computed once per fold, on first use.
     """
 
     def __init__(self, spec: _Strategy, G, X, pretrained: HGNNStack, cfg: RunConfig):
@@ -257,58 +332,83 @@ class _StrategyState:
                        + ([] if self.extra is None else [self.extra])
                        + self.head.parameters())
         p = self.prompt_rows = self.extra.value.shape[0] if spec.prompt_tokens else 0
+        n = G.num_nodes
         # P insertion hyperedges of N+1 members: every degree + P, gram + P/(N+1)
-        self.s_data, self.data_operator = _normalized_gram(G, p, p / (G.num_nodes + 1))
-        self.last_prompt = (None, None)  # (G_p, operator) of the latest call
+        s_data, self.data_operator = _normalized_gram(G, p, p / (n + 1))
+        self.border = s_data[:, None] / (n + 1)  # u of `_PromptedOperator`
+        # (token k-NN lists, G_p, operator) of the latest structure
+        self.structure = (None, None, self.data_operator)
+        if spec.prompt_tokens and not spec.structured:
+            G_p = build_prompt_structure(self.extra.value, 0, structured=False)
+            self.structure = (None, G_p, self.operator(G_p))
         # nothing below the head trains (linear_probe): the encoder output is
         # one constant per fold, so the encoder runs once and only its value
         # stays on the tape
         self.frozen_z = None
         if not spec.trains_encoder and spec.extra is None:
-            self.frozen_z = ad.const(hgnn_forward_operator(self.data_operator, X, encoder).value)
+            self.frozen_z = ad.const(self.encode(self.data_operator).value)
+
+    @cached_property
+    def dx(self):
+        """D X."""
+        return self.data_operator @ self.X
+
+    @cached_property
+    def dxw(self):
+        """D X W1, for a frozen first layer."""
+        return self.dx @ self.encoder.layers[0].weight.value
+
+    @cached_property
+    def uxw(self):
+        """u^T X W1, for a frozen first layer."""
+        return self.border.T @ self.X @ self.encoder.layers[0].weight.value
+
+    @cached_property
+    def d_ones(self):
+        """D 1, as a column."""
+        return self.data_operator.sum(axis=1, keepdims=True)
 
     def operator(self, G_p):
-        """Propagation matrix with the prompt structure G_p attached, if any.
+        """Propagation operator with the prompt structure G_p attached, if any.
 
         Equals `propagation_operator(insert_prompt(G, X, G_p, tokens)[0])`,
-        built from the fixed data block (see the module docstring). It
-        depends on G_p alone, so an unchanged G_p returns the last matrix.
+        applied as blocks around the fixed data block (see the module
+        docstring).
         """
         if G_p is None:
             return self.data_operator
         _check_prompt(self.X.shape[1], self.extra.value, G_p)
-        last, op = self.last_prompt
-        if last is not None and all(np.array_equal(getattr(G_p, f), getattr(last, f))
-                                    for f in ("nodes", "edges", "edge_weights")):
-            return op
-        n = self.X.shape[0]
         # each token's own insertion hyperedge: degree + 1, diagonal + 1/(N+1)
-        s_tok, tok_block = _normalized_gram(G_p, 1, np.eye(G_p.num_nodes) / (n + 1))
-        border = self.s_data[:, None] / (n + 1) * s_tok[None, :]
-        op = np.block([[self.data_operator, border], [border.T, tok_block]])
-        self.last_prompt = (G_p, op)
-        return op
+        s_tok, tok_block = _normalized_gram(G_p, 1, np.eye(G_p.num_nodes) / (self.X.shape[0] + 1))
+        return _PromptedOperator(self.data_operator, self.border, s_tok[:, None], tok_block)
 
     def epoch_structure(self):
-        """Prompt-internal hyperedges from the latest token values."""
-        G_p = None
-        if self.spec.prompt_tokens:
-            # P tokens have at most P - 1 neighbours each
-            k_p = min(self.prompt_k, self.prompt_rows - 1)
-            G_p = build_prompt_structure(self.extra.value, k_p, self.spec.structured)
-        return G_p, self.operator(G_p)
+        """The prompt structure for the latest token values, and its operator.
+
+        Under `phgnn` both are rebuilt when a token's set of k nearest
+        neighbours changes and kept otherwise; every other strategy's are fixed
+        per fold.
+        """
+        if self.spec.structured:
+            # P tokens have at most P - 1 neighbours each; sorted, a row is the
+            # member set of its token's hyperedge, whatever the distance order
+            lists = np.sort(knn_neighbor_lists(self.extra.value,
+                                               min(self.prompt_k, self.prompt_rows - 1)), axis=1)
+            if not np.array_equal(lists, self.structure[0]):
+                G_p = Hypergraph(self.prompt_rows, *_knn_members(lists, False)[:2])
+                self.structure = (lists, G_p, self.operator(G_p))
+        return self.structure[1:]
+
+    def encode(self, operator):
+        """The encoder's output; rows beyond the first n belong to prompt tokens."""
+        extra = None if self.extra is None else self.extra.leaf()
+        first = self.spec.first_layer(self, operator, extra, self.encoder.layers[0].weight.leaf())
+        return hgnn_forward_operator(operator, None, self.encoder, first)
 
     def logits(self, operator):
-        """Forward pass; rows beyond the first n belong to prompt tokens.
-
-        A frozen encoder output is reused; its operator is the fixed one.
-        """
-        z = self.frozen_z
-        if z is None:
-            extra = None if self.extra is None else self.extra.leaf()
-            x = self.spec.transform(self.X, extra)
-            z = hgnn_forward_operator(operator, x, self.encoder)
-        return classify(z, self.head)
+        """Head logits; a frozen encoder output is reused, its operator the fixed one."""
+        return classify(self.encode(operator) if self.frozen_z is None else self.frozen_z,
+                        self.head)
 
 
 def _snapshot_params(params) -> dict:

@@ -77,6 +77,11 @@ def _(p):
     return sum_all(mul(ad.matmul(p.leaf(), ad.const(_C43)), ad.const(_C34 @ _C43)))
 
 
+@_case("propagate")
+def _(p):
+    return sum_all(mul(ad.propagate(_C34[:, :3] + _C34[:, :3].T, p.leaf()), ad.const(_C34)))
+
+
 @_case("transpose")
 def _(p):
     return sum_all(mul(ad.transpose(p.leaf()), ad.const(_C43)))

@@ -4,9 +4,13 @@ import json
 import re
 import shutil
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hglearn.pipeline
 from hglearn.cli import main
@@ -293,6 +297,57 @@ class TestTune:
             outs.append(out)
         for fname in ("summary.txt", "summary.json", "fold_0.json", "fold_4.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pretrained_document(tmp_path_factory):
+    """A dataset directory and the parsed `encoder.json` pretrained on it."""
+    root = tmp_path_factory.mktemp("pretrained")
+    assert run("gen-data", "--out", str(root / "data"), "--seed", "1", *FAST) == 0
+    assert run("pretrain", "--data", str(root / "data"), "--out", str(root / "pre"),
+               "--seed", "1", *FAST) == 0
+    return root / "data", json.loads((root / "pre" / "encoder.json").read_text())
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+                 | st.text(max_size=4))
+_JSON_VALUES = _JSON_SCALARS | st.lists(st.lists(st.floats(), min_size=1, max_size=3),
+                                        max_size=3) | st.lists(_JSON_SCALARS, max_size=3)
+
+
+def mutate_checkpoint(draw, doc):
+    """`doc` with one matrix cell, or one field at any depth, replaced or removed."""
+    params = doc["params"]
+    if draw(st.booleans()):  # a cell
+        name = draw(st.sampled_from(sorted(params)))
+        r = draw(st.integers(0, len(params[name]) - 1))
+        c = draw(st.integers(0, len(params[name][r]) - 1))
+        params[name][r][c] = draw(st.floats() | _JSON_SCALARS)
+        return doc
+    owner = draw(st.sampled_from([doc, params, doc["meta"], doc["activations"]]))
+    key = draw(st.sampled_from(sorted(owner) if isinstance(owner, dict) else range(len(owner))))
+    if draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = draw(_JSON_VALUES | st.sampled_from(["relu", "identity"]))
+    return doc
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_exits_zero_or_one(self, pretrained_document, data):
+        dataset, document = pretrained_document
+        doc = mutate_checkpoint(data.draw, json.loads(json.dumps(document)))
+        strategy = data.draw(st.sampled_from(STRATEGIES))
+        with tempfile.TemporaryDirectory() as work:
+            encoder, out = Path(work) / "encoder.json", Path(work) / "tune"
+            encoder.write_text(json.dumps(doc))
+            code, _ = run_quietly("tune", "--data", str(dataset), "--checkpoint", str(encoder),
+                                  "--out", str(out), *FAST, "--set", f"strategy={strategy}")
+            assert code in (0, 1)
+            if code == 1:
+                assert not out.exists()
 
 
 class TestAblatePrompts:

@@ -184,6 +184,13 @@ class TestHypergraphValidation:
         view[0, 0] = 0.0  # a fresh copy: the hypergraph does not change
         assert np.array_equal(G.incidence, np.ones((2, 1)))
 
+    def test_equality_and_hashing_are_by_identity(self):
+        G = Hypergraph.from_incidence(np.ones((2, 1)))
+        same_members = Hypergraph(G.num_nodes, G.nodes, G.edges, G.edge_weights)
+        assert G == G and G != same_members
+        assert hash(G) == hash(G)
+        assert len({G, same_members, G}) == 2
+
 
 @st.composite
 def member_sets(draw, max_nodes=9, max_edges=30):
@@ -193,6 +200,9 @@ def member_sets(draw, max_nodes=9, max_edges=30):
                             max_size=max_edges))
     if draw(st.booleans()):
         members.insert(draw(st.integers(0, len(members))), list(range(n)))
+    if n > 1 and draw(st.booleans()):  # insert_prompt's shape: the first d nodes and one more
+        d = draw(st.integers(1, n - 1))
+        members += [list(range(d)) + [t] for t in range(d, n)]
     weights = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=len(members),
                                         max_size=len(members)))
     return n, members, weights
@@ -215,6 +225,10 @@ def dense_incidence(n, members):
 
 # 5 nodes: at most 25 pairs per bincount call, and nine 3-node hyperedges have 81
 _SEVERAL_CALLS = (5, [[0, 1, 2], [1, 2, 3], [2, 3, 4]] * 3 + [[0, 1], [0, 1, 2, 3, 4]], None)
+# 7 data nodes and 2 tokens, each token's insertion hyperedge holding all 7 data
+# nodes: 8 members of 9 nodes, so each fills a bincount call alone
+_INSERTED = (9, [[0, 1, 2], [2, 3], [4, 5, 6], [7, 8], [0, 1, 2, 3, 4, 5, 6, 7],
+                 [0, 1, 2, 3, 4, 5, 6, 8]], [0.5, 1.0, 2.0, 3.0, 1.0, 1.5])
 
 
 class TestMemberPairs:
@@ -234,6 +248,7 @@ class TestMemberPairs:
     @settings(max_examples=150, deadline=None)
     @given(graph=member_sets(), seed=st.integers(0, 2**32 - 1))
     @example(graph=_SEVERAL_CALLS, seed=0)
+    @example(graph=_INSERTED, seed=1)
     def test_edge_gram_matches_the_dense_oracle(self, graph, seed):
         n, members, weights = graph
         G = Hypergraph(n, *member_pairs(members, seed), weights)
@@ -257,8 +272,9 @@ class TestMemberPairs:
         monkeypatch.undo()
         # entries per call: the hyperedge sizes over all 34 pairs; the 2-node
         # edge; the nine 3-node edges two at a time (9 pairs each, 25 // 9 = 2
-        # per call); the 5-node edge; the degrees over all pairs
-        assert calls == [34, 4, 18, 18, 18, 18, 9, 25, 34]
+        # per call); no call for the 5-node edge, which would fill one alone
+        # and is added as a dense block; the degrees over all pairs
+        assert calls == [34, 4, 18, 18, 18, 18, 9, 34]
         expected, _ = dense_edge_gram(dense_incidence(n, members), np.ones(len(members)))
         assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
 

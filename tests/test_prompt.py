@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 
 import hglearn.prompt
 from hglearn import autodiff as ad
-from hglearn.autodiff import AdamWState, Parameter, ValidationError, adamw_step, forward_backward
+from hglearn.autodiff import (
+    AdamWState,
+    Parameter,
+    ValidationError,
+    adamw_step,
+    finite_difference_check,
+    forward_backward,
+)
 from hglearn.checkpoint import load_snapshot, save_snapshot
 from hglearn.config import RunConfig
 from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.metrics import evaluate_logits
-from hglearn.model import build_encoder
+from hglearn.model import build_encoder, classify, hgnn_forward_operator
 from hglearn.pretrain import pretrain
 from hglearn.prompt import (
     _STRATEGY_TABLE,
@@ -28,6 +35,7 @@ from hglearn.prompt import (
     tune_with_strategy,
 )
 from oracles import brute_force_operator
+from tape_ops import mul, sum_all
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +169,11 @@ class TestInsertPrompt:
         assert not G_m.incidence[:3, 3:5].any()
 
 
+def as_dense(operator):
+    """The matrix of an operator applied by `@`."""
+    return operator @ np.eye(operator.shape[1])
+
+
 def prompt_state(strategy, G, X, tokens):
     """A prompt strategy's per-fold state on (G, X), its tokens set to `tokens`."""
     cfg = RunConfig(num_prompts=tokens.shape[0], hidden_dims=(4,), latent_dim=8)
@@ -200,11 +213,28 @@ class TestBlockOperator:
             run.extra.value[:] = tokens
             G_p = build_prompt_structure(tokens, k_p, structured)
             dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
-            np.testing.assert_allclose(run.operator(G_p), dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(as_dense(run.operator(G_p)), dense, rtol=0, atol=1e-12)
             built.append((G_p, dense))
         # the first structure again, after the state has moved on from it
         G_p, dense = built[0]
-        np.testing.assert_allclose(run.operator(G_p), dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(as_dense(run.operator(G_p)), dense, rtol=0, atol=1e-12)
+
+    def test_structure_rebuilt_only_when_a_neighbour_set_changes(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((12, 5))
+        tokens = rng.standard_normal((6, 5))
+        run = prompt_state("phgnn", knn_hyperedges(X, 3), X, tokens)
+        first = run.epoch_structure()
+        expected = build_prompt_structure(tokens, run.prompt_k)
+        for name in ("nodes", "edges", "edge_weights"):
+            assert np.array_equal(getattr(first[0], name), getattr(expected, name))
+        # the same neighbour sets in another order: the same graph and operator
+        knn = hglearn.prompt.knn_neighbor_lists
+        monkeypatch.setattr(hglearn.prompt, "knn_neighbor_lists", lambda *a: knn(*a)[:, ::-1])
+        assert run.epoch_structure() == first
+        run.extra.value[:] = rng.standard_normal((6, 5))
+        moved = run.epoch_structure()
+        assert moved[0] != first[0] and moved[1] is not first[1]
 
     def test_tiny_case_matches_brute_force(self):
         # 3 data nodes with weighted edges, 2 tokens joined by k_p = 1
@@ -220,7 +250,7 @@ class TestBlockOperator:
         H_m[:3, 5:] = 1.0
         H_m[3, 5] = H_m[4, 6] = 1.0
         w_m = np.concatenate([w, np.ones(4)])
-        np.testing.assert_allclose(run.operator(G_p), brute_force_operator(H_m, w_m),
+        np.testing.assert_allclose(as_dense(run.operator(G_p)), brute_force_operator(H_m, w_m),
                                    rtol=0, atol=1e-12)
 
     def test_shape_checks_match_insert_prompt(self):
@@ -265,6 +295,108 @@ class TestBlockOperator:
                                small_config(tune_epochs=epochs, strategy=strategy))
             seen.append({**calls, "edge_gram": len(grams)})
         assert seen[0] == seen[1] == {"_normalized_gram": 1, "edge_gram": 1}
+
+
+class TestBlockPropagation:
+    """The block operator through `autodiff.propagate` and its first-layer form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        k=st.integers(min_value=0, max_value=4),
+        p=st.integers(min_value=1, max_value=7),
+        structured=st.booleans(),
+        cols=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_forward_and_backward_match_the_dense_operator(self, n, k, p, structured, cols,
+                                                          seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 5))
+        G = knn_hyperedges(X, min(k, n - 1))
+        tokens = rng.standard_normal((p, 5))
+        G_p = build_prompt_structure(tokens, min(2, p - 1), structured)
+        dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
+        run = prompt_state("phgnn" if structured else "phgnn_no_structure", G, X, tokens)
+        op = run.operator(G_p)
+        Y = Parameter(rng.standard_normal((n + p, cols)), "Y")
+        R = rng.standard_normal((n + p, cols))
+        out = ad.propagate(op, Y.leaf())
+        forward_backward(sum_all(mul(out, ad.const(R))))
+        np.testing.assert_allclose(out.value, dense @ Y.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Y.grad, dense.T @ R, rtol=0, atol=1e-12)
+        # the first layer: data rows fixed, only the token rows on the tape
+        W = rng.standard_normal((5, cols))
+        T = Parameter(tokens, "T")
+        first = op.first_layer(run.data_operator @ X @ W, run.border.T @ X @ W,
+                               ad.matmul(T.leaf(), ad.const(W)))
+        forward_backward(sum_all(mul(first, ad.const(R))))
+        np.testing.assert_allclose(first.value, dense @ np.vstack([X, tokens]) @ W,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(T.grad, (dense.T @ R)[n:] @ W.T, rtol=0, atol=1e-12)
+
+
+def dense_logits(strategy, run, G, G_p):
+    """A strategy's logits the plain way: its whole input through a dense operator."""
+    X, extra = run.X, None if run.extra is None else run.extra.value
+    if G_p is not None:
+        G, x = insert_prompt(G, X, G_p, extra)
+    elif strategy == "gpf":
+        x = X + extra
+    elif strategy == "gpf_plus":
+        scores = X @ extra.T
+        attn = np.exp(scores - scores.max(axis=1, keepdims=True))
+        x = X + attn / attn.sum(axis=1, keepdims=True) @ extra
+    else:
+        x = X
+    return classify(hgnn_forward_operator(propagation_operator(G), x, run.encoder),
+                    run.head).value
+
+
+# each strategy that trains below the head, and the parameter it trains there
+_BELOW_HEAD = {"finetune": "encoder.layer0.weight", "gpf": "gpf.vector",
+               "gpf_plus": "gpf.basis", "phgnn": "prompt.tokens",
+               "phgnn_no_structure": "prompt.tokens"}
+
+
+class TestFirstLayer:
+    """The first layer formed from per-fold constants, against the plain forward."""
+
+    def state(self, strategy):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((20, 6))
+        G = knn_hyperedges(X, 3)
+        # the first layer widens (6 -> 8) and the second narrows (8 -> 4)
+        encoder = build_encoder(6, (8,), 4, rng)
+        cfg = RunConfig(num_prompts=4, prompt_k=2, gpf_basis=3, hidden_dims=(8,),
+                        latent_dim=4, seed=0)
+        run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
+        run.head.weight.value[:] = rng.normal(0.0, 0.5, run.head.weight.value.shape)
+        if run.extra is not None:
+            run.extra.value[:] = rng.normal(0.0, 0.5, run.extra.value.shape)
+        return run, G, rng.integers(0, 2, 20)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_logits_match_the_plain_forward(self, strategy):
+        run, G, _ = self.state(strategy)
+        G_p, operator = run.epoch_structure()
+        expected = dense_logits(strategy, run, G, G_p)
+        got = run.logits(operator).value
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("strategy", sorted(_BELOW_HEAD))
+    def test_finite_differences_through_the_logits(self, strategy):
+        run, _, labels = self.state(strategy)
+        _, operator = run.epoch_structure()
+        param = {p.name: p for p in run.params}[_BELOW_HEAD[strategy]]
+        y = np.concatenate([labels, np.zeros(run.prompt_rows, np.int64)])
+        mask = np.concatenate([np.ones(20, bool), np.zeros(run.prompt_rows, bool)])
+
+        def loss(params):
+            return ad.softmax_cross_entropy(run.logits(operator), y, mask)
+
+        # criterion 01's limit
+        assert finite_difference_check(loss, [param], 1e-6) <= 1e-4
 
 
 class TestPromptTune:
