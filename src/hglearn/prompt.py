@@ -28,12 +28,15 @@ builds D and T and knows nothing of prompts: the insertion constants above
 `insert_prompt` builds the whole manipulated hypergraph by concatenating
 member pairs; the tests use its operator as the oracle for the blocks.
 
-The first encoder layer's product, operator @ input @ W1, is split into a
-part that is constant within a fold, computed once, and the trainable part,
-computed per epoch (`_Strategy.first_layer`). Under a frozen encoder the
-constants are D X W1 and u^T X W1, and an epoch adds (D 1)(v^T W1) for
-`gpf`, (D A)(B W1) for `gpf_plus` and the token columns applied to T W1 for
-`phgnn` and `phgnn_no_structure`; `finetune` keeps D X for its trained W1.
+Every strategy's encoder input is [X; 0], a zero row per prompt token, plus
+one term L R for its extra parameter R: L = 1 for `gpf`, L = softmax(X B^T)
+per row for `gpf_plus`, L = [0; I] for `phgnn` and `phgnn_no_structure`, and
+no term for `finetune` and `linear_probe`. So the first encoder layer is
+op [X W1; 0] + (op L)(R W1). Under a frozen encoder its fixed rows
+op [X W1; 0] are formed once per operator, where the operator is built, and
+an epoch computes only (op L)(R W1), with op L the per-fold D 1, the token
+columns [u v^T; T], or op applied to the attention (`_StrategyState.encode`).
+`finetune` trains W1 and forms (D X) W1.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
@@ -44,7 +47,6 @@ place a strategy is defined; everything else reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -87,12 +89,13 @@ _NUM_CLASSES = 2
 
 @dataclass(frozen=True)
 class _ExtraParam:
-    """The one parameter a strategy adds next to the encoder and head."""
+    """The one parameter R a strategy adds; the encoder input is [X; 0] + L R."""
 
     count_key: str  # its entry in the reported parameter counts
     name: str  # parameter and snapshot name
     rows: str | None  # RunConfig field holding the row count; None is one row
     init: Callable  # (rng, shape) -> initial value
+    input_term: Callable  # (state, operator, R's leaf) -> op L
 
 
 def _small_normal(rng, shape):
@@ -103,60 +106,40 @@ def _zeros(rng, shape):
     return np.zeros(shape)
 
 
-# First-layer products: (state, operator, extra parameter leaf or None, the
-# first layer's weight leaf W1) -> operator @ (encoder input) @ W1, formed
-# from the state's per-fold constants, so that only the trainable part is
-# computed per epoch. D is the data block of the operator.
+def _token_columns(run, operator, tokens):
+    """L = [0; I]: R's rows are token nodes, and op L is the operator's token columns."""
+    return operator.token_columns
 
 
-def _features_first_layer(run, operator, extra, w):
-    """The features alone: (D X) W1."""
-    return ad.matmul(run.dx, w)
+def _row_sums(run, operator, vector):
+    """L = 1: the per-fold D 1."""
+    return run.d_ones
 
 
-def _tokens_first_layer(run, operator, tokens, w):
-    """[X; T] under the prompted operator: only T W1 is on the tape."""
-    return operator.first_layer(run.dxw, run.uxw, ad.matmul(tokens, w))
-
-
-def _shifted_first_layer(run, operator, vector, w):
-    """X + 1 v^T: D X W1 + (D 1)(v^T W1)."""
-    return ad.add(ad.const(run.dxw), ad.matmul(run.d_ones, ad.matmul(vector, w)))
-
-
-def _attended_first_layer(run, operator, basis, w):
-    """X + A B with A = softmax(X B^T) per row: D X W1 + (D A)(B W1)."""
-    attn = ad.row_softmax(ad.matmul(run.X, ad.transpose(basis)))
-    return ad.add(ad.const(run.dxw),
-                  ad.matmul(ad.propagate(operator, attn), ad.matmul(basis, w)))
+def _propagated_attention(run, operator, basis):
+    """L = softmax(X B^T) per row, propagated."""
+    return ad.propagate(operator, ad.row_softmax(ad.matmul(run.X, ad.transpose(basis))))
 
 
 @dataclass(frozen=True)
 class _Strategy:
     trains_encoder: bool = False
     extra: _ExtraParam | None = None
-    # the first layer's product, one of the functions above
-    first_layer: Callable = _features_first_layer
-    # the extra rows are token nodes attached to the hypergraph
-    prompt_tokens: bool = False
     # the tokens get k-NN hyperedges among themselves
     structured: bool = False
 
 
-_TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", _small_normal)
+_TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", _small_normal,
+                      _token_columns)
 
 _STRATEGY_TABLE = {
     "finetune": _Strategy(trains_encoder=True),
     "linear_probe": _Strategy(),
-    "phgnn": _Strategy(extra=_TOKENS, first_layer=_tokens_first_layer, prompt_tokens=True,
-                      structured=True),
-    "phgnn_no_structure": _Strategy(extra=_TOKENS, first_layer=_tokens_first_layer,
-                                   prompt_tokens=True),
-    "gpf": _Strategy(extra=_ExtraParam("prompt_vector", "gpf.vector", None, _zeros),
-                    first_layer=_shifted_first_layer),
+    "phgnn": _Strategy(extra=_TOKENS, structured=True),
+    "phgnn_no_structure": _Strategy(extra=_TOKENS),
+    "gpf": _Strategy(extra=_ExtraParam("prompt_vector", "gpf.vector", None, _zeros, _row_sums)),
     "gpf_plus": _Strategy(extra=_ExtraParam("prompt_basis", "gpf.basis", "gpf_basis",
-                                          _small_normal),
-                         first_layer=_attended_first_layer),
+                                          _small_normal, _propagated_attention)),
 }
 
 STRATEGIES = tuple(_STRATEGY_TABLE)
@@ -204,18 +187,16 @@ class TuneResult:
     val_bacc: list = field(default_factory=list)
 
 
-def build_prompt_structure(tokens, k_p: int, structured: bool = True) -> Hypergraph:
+def build_prompt_structure(tokens, k_p: int) -> Hypergraph:
     """k-NN hyperedges among the prompt tokens (Euclidean on token vectors).
 
-    Unstructured mode keeps the tokens as independent prompts: a hypergraph
-    with zero hyperedges.
+    This is `phgnn`'s token structure. `phgnn_no_structure` keeps its tokens
+    as independent prompts, a hypergraph with zero hyperedges, which its
+    tuning state builds itself.
     """
     t = ad.as_matrix(tokens, "tokens")
-    p = t.shape[0]
-    if not structured:
-        return Hypergraph(p, [], [])
-    if k_p >= p:
-        raise ValidationError(f"prompt structure: k_p={k_p} must be < {p} tokens")
+    if k_p >= t.shape[0]:
+        raise ValidationError(f"prompt structure: k_p={k_p} must be < {t.shape[0]} tokens")
     return knn_hyperedges(t, k_p)
 
 
@@ -277,13 +258,16 @@ class _PromptedOperator:
     [[D, u v^T], [v u^T, T]] with D the data block, u = s_d / (N+1), v = s_t
     and T the token block (see the module docstring). `@` applies it to an
     (N+P)-row array block by block, so no (N+P) x (N+P) array is formed.
+    `fixed_rows` is this operator applied to [X W1; 0] for the fold's fixed
+    features X and frozen W1, [D X W1; v u^T X W1], from the constants
+    `dxw` = D X W1 and `uxw` = u^T X W1.
     """
 
-    def __init__(self, data_block, u, v, token_block):
+    def __init__(self, data_block, u, v, token_block, dxw, uxw):
         self.data_block, self.u, self.v = data_block, u, v
         self.token_columns = np.vstack([u * v.T, token_block])  # [u v^T; T]
         self.shape = (self.token_columns.shape[0],) * 2
-        self._fixed_rows = None
+        self.fixed_rows = np.vstack([dxw, v @ uxw])
 
     def __matmul__(self, Y):
         n = self.u.shape[0]
@@ -293,18 +277,6 @@ class _PromptedOperator:
         out[n:] += self.v * (self.u.T @ Y_d)
         return out
 
-    def first_layer(self, dxw, uxw, tw):
-        """This operator applied to [X W; T W] for fixed features X.
-
-        `dxw` = D X W and `uxw` = u^T X W are the fixed features' constants,
-        the same in every call; the first call builds the rows they give,
-        [D X W; v u^T X W]. Only the token columns applied to `tw` = T W are
-        on the tape.
-        """
-        if self._fixed_rows is None:
-            self._fixed_rows = np.vstack([dxw, self.v @ uxw])
-        return ad.add(ad.const(self._fixed_rows), ad.matmul(self.token_columns, tw))
-
 
 class _StrategyState:
     """One strategy's encoder, head, extra parameter, and forward pass on a fixed graph.
@@ -312,7 +284,6 @@ class _StrategyState:
     The encoder is a copy of the caller's, trainable exactly when the strategy
     table says so, so tuning never touches the caller's parameters. The head
     starts at zero; only the extra parameter draws from `default_rng(cfg.seed)`.
-    The first layer's constant parts are computed once per fold, on first use.
     """
 
     def __init__(self, spec: _Strategy, G, X, pretrained: HGNNStack, cfg: RunConfig):
@@ -331,15 +302,22 @@ class _StrategyState:
         self.params = ((encoder.parameters() if spec.trains_encoder else [])
                        + ([] if self.extra is None else [self.extra])
                        + self.head.parameters())
-        p = self.prompt_rows = self.extra.value.shape[0] if spec.prompt_tokens else 0
+        p = self.prompt_rows = self.extra.value.shape[0] if spec.extra is _TOKENS else 0
         n = G.num_nodes
         # P insertion hyperedges of N+1 members: every degree + P, gram + P/(N+1)
         s_data, self.data_operator = _normalized_gram(G, p, p / (n + 1))
         self.border = s_data[:, None] / (n + 1)  # u of `_PromptedOperator`
+        # the first layer's per-fold constants (see `encode`): D X, D 1, and,
+        # read while W1 is frozen, D X W1 and u^T X W1
+        w1 = encoder.layers[0].weight.value
+        self.dx = self.data_operator @ X
+        self.d_ones = self.data_operator.sum(axis=1, keepdims=True)
+        self.dxw = self.dx @ w1
+        self.uxw = self.border.T @ X @ w1
         # (token k-NN lists, G_p, operator) of the latest structure
         self.structure = (None, None, self.data_operator)
-        if spec.prompt_tokens and not spec.structured:
-            G_p = build_prompt_structure(self.extra.value, 0, structured=False)
+        if spec.extra is _TOKENS and not spec.structured:
+            G_p = Hypergraph(p, [], [])
             self.structure = (None, G_p, self.operator(G_p))
         # nothing below the head trains (linear_probe): the encoder output is
         # one constant per fold, so the encoder runs once and only its value
@@ -347,26 +325,6 @@ class _StrategyState:
         self.frozen_z = None
         if not spec.trains_encoder and spec.extra is None:
             self.frozen_z = ad.const(self.encode(self.data_operator).value)
-
-    @cached_property
-    def dx(self):
-        """D X."""
-        return self.data_operator @ self.X
-
-    @cached_property
-    def dxw(self):
-        """D X W1, for a frozen first layer."""
-        return self.dx @ self.encoder.layers[0].weight.value
-
-    @cached_property
-    def uxw(self):
-        """u^T X W1, for a frozen first layer."""
-        return self.border.T @ self.X @ self.encoder.layers[0].weight.value
-
-    @cached_property
-    def d_ones(self):
-        """D 1, as a column."""
-        return self.data_operator.sum(axis=1, keepdims=True)
 
     def operator(self, G_p):
         """Propagation operator with the prompt structure G_p attached, if any.
@@ -380,7 +338,8 @@ class _StrategyState:
         _check_prompt(self.X.shape[1], self.extra.value, G_p)
         # each token's own insertion hyperedge: degree + 1, diagonal + 1/(N+1)
         s_tok, tok_block = _normalized_gram(G_p, 1, np.eye(G_p.num_nodes) / (self.X.shape[0] + 1))
-        return _PromptedOperator(self.data_operator, self.border, s_tok[:, None], tok_block)
+        return _PromptedOperator(self.data_operator, self.border, s_tok[:, None], tok_block,
+                                 self.dxw, self.uxw)
 
     def epoch_structure(self):
         """The prompt structure for the latest token values, and its operator.
@@ -400,9 +359,19 @@ class _StrategyState:
         return self.structure[1:]
 
     def encode(self, operator):
-        """The encoder's output; rows beyond the first n belong to prompt tokens."""
-        extra = None if self.extra is None else self.extra.leaf()
-        first = self.spec.first_layer(self, operator, extra, self.encoder.layers[0].weight.leaf())
+        """The encoder's output; rows beyond the first n belong to prompt tokens.
+
+        Its first layer is op [X W1; 0] + (op L)(R W1), or (D X) W1 when W1 trains.
+        """
+        w = self.encoder.layers[0].weight.leaf()
+        if self.spec.trains_encoder:
+            first = ad.matmul(self.dx, w)
+        else:
+            first = ad.const(self.dxw if operator is self.data_operator else operator.fixed_rows)
+            if self.extra is not None:
+                r = self.extra.leaf()
+                first = ad.add(first, ad.matmul(self.spec.extra.input_term(self, operator, r),
+                                                ad.matmul(r, w)))
         return hgnn_forward_operator(operator, None, self.encoder, first)
 
     def logits(self, operator):
@@ -510,9 +479,9 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
                                   f"{result.strategy} needs {p.value.shape}")
         p.value[:] = value
     G_p = result.prompt_structure
-    if (G_p is not None) != spec.prompt_tokens:
+    if (G_p is not None) != (spec.extra is _TOKENS):
         raise ValidationError(f"snapshot: {result.strategy} needs "
-                              f"{'a' if spec.prompt_tokens else 'no'} prompt structure")
+                              f"{'a' if spec.extra is _TOKENS else 'no'} prompt structure")
     # one k-NN hyperedge per token when structured, none otherwise
     expected = run.prompt_rows if spec.structured else 0
     if G_p is not None and G_p.num_edges != expected:

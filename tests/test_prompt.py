@@ -70,12 +70,6 @@ def small_config(**kwargs):
 
 
 class TestBuildPromptStructure:
-    def test_unstructured_has_zero_hyperedges(self):
-        G_p = build_prompt_structure(np.random.default_rng(0).standard_normal((4, 3)), 2,
-                                     structured=False)
-        assert G_p.num_edges == 0
-        assert G_p.num_nodes == 4
-
     def test_two_tokens_single_possible_neighbor(self):
         G_p = build_prompt_structure(np.array([[0.0, 0.0], [5.0, 5.0]]), 1)
         assert G_p.incidence.shape == (2, 2)
@@ -211,7 +205,7 @@ class TestBlockOperator:
         for k_p in range(p):
             tokens = rng.standard_normal((p, 5))
             run.extra.value[:] = tokens
-            G_p = build_prompt_structure(tokens, k_p, structured)
+            G_p = build_prompt_structure(tokens, k_p) if structured else Hypergraph(p, [], [])
             dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
             np.testing.assert_allclose(as_dense(run.operator(G_p)), dense, rtol=0, atol=1e-12)
             built.append((G_p, dense))
@@ -315,7 +309,8 @@ class TestBlockPropagation:
         X = rng.standard_normal((n, 5))
         G = knn_hyperedges(X, min(k, n - 1))
         tokens = rng.standard_normal((p, 5))
-        G_p = build_prompt_structure(tokens, min(2, p - 1), structured)
+        G_p = (build_prompt_structure(tokens, min(2, p - 1)) if structured
+               else Hypergraph(p, [], []))
         dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
         run = prompt_state("phgnn" if structured else "phgnn_no_structure", G, X, tokens)
         op = run.operator(G_p)
@@ -325,11 +320,13 @@ class TestBlockPropagation:
         forward_backward(sum_all(mul(out, ad.const(R))))
         np.testing.assert_allclose(out.value, dense @ Y.value, rtol=0, atol=1e-12)
         np.testing.assert_allclose(Y.grad, dense.T @ R, rtol=0, atol=1e-12)
-        # the first layer: data rows fixed, only the token rows on the tape
-        W = rng.standard_normal((5, cols))
+        # the first layer: the operator's fixed rows for [X W1; 0], plus the
+        # token columns applied to T W1, the only part on the tape
+        W = run.encoder.layers[0].weight.value
         T = Parameter(tokens, "T")
-        first = op.first_layer(run.data_operator @ X @ W, run.border.T @ X @ W,
-                               ad.matmul(T.leaf(), ad.const(W)))
+        R = rng.standard_normal((n + p, W.shape[1]))
+        first = ad.add(ad.const(op.fixed_rows),
+                       ad.matmul(op.token_columns, ad.matmul(T.leaf(), ad.const(W))))
         forward_backward(sum_all(mul(first, ad.const(R))))
         np.testing.assert_allclose(first.value, dense @ np.vstack([X, tokens]) @ W,
                                    rtol=0, atol=1e-12)
@@ -397,6 +394,24 @@ class TestFirstLayer:
 
         # criterion 01's limit
         assert finite_difference_check(loss, [param], 1e-6) <= 1e-4
+
+    @pytest.mark.parametrize("strategy", [s for s in STRATEGIES
+                                          if not _STRATEGY_TABLE[s].trains_encoder])
+    def test_no_product_with_w1_runs_over_the_data_rows(self, strategy):
+        # under a frozen W1, D X W1 is a per-fold constant: the only product
+        # with W1 on a forward's tape is the extra parameter's R W1
+        run, _, _ = self.state(strategy)
+        _, operator = run.epoch_structure()
+        tape, stack = {}, [run.logits(operator)]
+        while stack:
+            t = stack.pop()
+            if t._id not in tape:
+                tape[t._id] = t
+                stack.extend(t.parents)
+        w1 = run.encoder.layers[0].weight
+        lefts = [t.parents[0] for t in tape.values()
+                 if t.op == "matmul" and t.parents[1].param is w1]
+        assert all(a.value.shape[0] < 20 for a in lefts), [a.value.shape for a in lefts]
 
 
 class TestPromptTune:
