@@ -11,6 +11,10 @@ needs one when its parameter is trainable, any other node when one of its
 parents does. The backward pass visits only nodes that need a gradient and
 forms no product toward an operand that does not (activity analysis), so
 constants and frozen weights cost nothing beyond their forward values.
+
+A `Parameter`'s `grad` is None until `forward_backward` sets it to an array
+no node or other parameter shares; `adamw_step` uses it up, setting it back
+to None, so each gradient drives one update.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "relu",
     "broadcast_add_row",
     "row_softmax",
-    "concat_rows",
     "mask_rows",
     "softmax_cross_entropy",
     "sce_loss",
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 NORM_EPS = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 
 
 class ShapeError(ValueError):
@@ -110,16 +114,15 @@ class Tensor:
 
 
 class Parameter:
-    """A named trainable (or frozen) matrix with a persistent gradient slot."""
+    """A named trainable (or frozen) matrix; `grad` is None until a backward pass sets it."""
 
-    __slots__ = ("value", "grad", "trainable", "name", "grad_populated")
+    __slots__ = ("value", "grad", "trainable", "name")
 
     def __init__(self, value, name, trainable=True):
         self.value = as_matrix(value, name)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.trainable = bool(trainable)
         self.name = name
-        self.grad_populated = False
 
     @property
     def size(self) -> int:
@@ -129,13 +132,8 @@ class Parameter:
         """A fresh graph leaf reading the parameter's current value."""
         return Tensor(self.value, op=f"param:{self.name}", param=self)
 
-    def reset_grad(self):
-        self.grad[:] = 0.0
-        self.grad_populated = False
-
-    def copy(self, trainable=None) -> "Parameter":
-        t = self.trainable if trainable is None else trainable
-        return Parameter(self.value.copy(), self.name, trainable=t)
+    def copy(self, trainable) -> "Parameter":
+        return Parameter(self.value.copy(), self.name, trainable=trainable)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape}, trainable={self.trainable})"
@@ -256,24 +254,6 @@ def row_softmax(a) -> Tensor:
     return Tensor(out_val, (a,), "row_softmax", backward)
 
 
-def concat_rows(a, b) -> Tensor:
-    """Stack a on top of b along the row axis."""
-    a, b = const(a), const(b)
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(
-            f"concat_rows: column counts differ, {a.value.shape} vs {b.value.shape}"
-        )
-    na = a.value.shape[0]
-
-    def backward(g, a=a, b=b, na=na):
-        if a.needs:
-            _accum(a, g[:na])
-        if b.needs:
-            _accum(b, g[na:])
-
-    return Tensor(np.vstack([a.value, b.value]), (a, b), "concat_rows", backward)
-
-
 def mask_rows(a, row_indices, token) -> Tensor:
     """Replace the selected rows of `a` with the (1 x d) token row."""
     a, token = const(a), const(token)
@@ -291,11 +271,8 @@ def mask_rows(a, row_indices, token) -> Tensor:
             keep = np.ones((n, 1))
             keep[idx] = 0.0
             _accum(a, g * keep)
-        if token.needs:
-            if idx.size:
-                _accum(token, g[idx].sum(axis=0, keepdims=True))
-            else:
-                _accum(token, np.zeros_like(token.value))
+        if token.needs and idx.size:
+            _accum(token, g[idx].sum(axis=0, keepdims=True))
 
     return Tensor(out_val, (a, token), "mask_rows", backward)
 
@@ -402,37 +379,33 @@ def _collect(root: Tensor) -> list[Tensor]:
 
 
 def forward_backward(loss: Tensor) -> float:
-    """Backpropagate from a scalar root; populate gradients on trainable params.
+    """Backpropagate from a scalar root; set `grad` on the trainable params it reaches.
 
-    Returns the forward loss value. Gradients are set (not accumulated) per
-    call: ∂loss/∂value for every trainable parameter reachable from the root,
-    exact zeros for reachable parameters the loss does not depend on.
-    Non-trainable parameters are left untouched. Only nodes that need a
-    gradient are visited; every other node, constants and frozen parameter
-    leaves included, keeps `grad` None.
+    Returns the forward loss value. Sets (never accumulates) a new array of
+    ∂loss/∂value as `grad` of every trainable parameter reachable from the
+    root, exact zeros when the loss does not depend on it; it stays set until
+    `adamw_step` uses it up. Non-trainable parameters are left untouched.
+    Only nodes that need a gradient are visited; every other node, constants
+    and frozen parameter leaves included, keeps `grad` None.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(
             f"forward_backward: root must be scalar, got shape {loss.value.shape}"
         )
     nodes = _collect(loss)
-    params = {}
     for t in nodes:
         t.grad = None
-        if t.param is not None:
-            params[id(t.param)] = t.param
-    for p in params.values():
-        p.reset_grad()
     if loss.needs:
         loss.grad = np.ones((1, 1))
     for t in reversed(nodes):
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)
+    reached = set()  # a parameter read through several leaves sums their gradients
     for t in nodes:
-        if t.param is not None and t.grad is not None:
-            t.param.grad += t.grad
-    for p in params.values():
-        p.grad_populated = True
+        if t.param is not None:
+            g = np.zeros_like(t.value) if t.grad is None else t.grad
+            t.param.grad = t.param.grad + g if t.param in reached else g.copy()
+            reached.add(t.param)
     return loss.item()
 
 
@@ -452,12 +425,13 @@ def finite_difference_check(loss_fn, params, eps=1e-6) -> float:
             "finite_difference_check: loss_fn is not deterministic "
             f"({first!r} != {second!r})"
         )
-    forward_backward(loss_fn(params))
     trainable = [p for p in params if p.trainable]
-    analytic = {p.name: p.grad.copy() for p in trainable}
+    for p in trainable:  # a parameter the loss does not reach keeps None: zero
+        p.grad = None
+    forward_backward(loss_fn(params))
     worst = 0.0
     for p in trainable:
-        g_ad = analytic[p.name]
+        g_ad = np.zeros_like(p.value) if p.grad is None else p.grad
         for r in range(p.value.shape[0]):
             for c in range(p.value.shape[1]):
                 orig = p.value[r, c]
@@ -473,12 +447,9 @@ def finite_difference_check(loss_fn, params, eps=1e-6) -> float:
 
 
 class AdamWState:
-    """Per-parameter AdamW moments keyed by parameter name."""
+    """The step count and per-parameter AdamW moments keyed by parameter name."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self):
         self.t = 0
         self.m = {}
         self.v = {}
@@ -488,7 +459,9 @@ def adamw_step(params, state: AdamWState, lr: float, weight_decay: float):
     """One AdamW step with decoupled weight decay over the trainable params.
 
     The value is scaled by (1 - lr * wd) before the bias-corrected moment
-    update is applied. Non-trainable parameters are never touched.
+    update is applied. It uses up each trainable parameter's gradient,
+    setting `grad` back to None, so a second step needs a new backward pass.
+    Non-trainable parameters are never touched.
     """
     if lr <= 0:
         raise ValidationError(f"adamw_step: lr must be > 0, got {lr}")
@@ -499,10 +472,10 @@ def adamw_step(params, state: AdamWState, lr: float, weight_decay: float):
     if len(set(names)) != len(names):
         raise ValidationError("adamw_step: duplicate parameter names")
     for p in trainable:
-        if not p.grad_populated:
+        if p.grad is None:
             raise ValidationError(f"adamw_step: gradient of {p.name!r} not populated")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p in trainable:
@@ -516,7 +489,8 @@ def adamw_step(params, state: AdamWState, lr: float, weight_decay: float):
         v += (1.0 - b2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.grad = None
 
 
 def check_finite(stage: str, epoch: int, loss: float, params):

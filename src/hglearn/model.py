@@ -94,29 +94,29 @@ def init_layer(d_in, d_out, activation, rng, name) -> HGNNLayer:
     )
 
 
-def build_encoder(d_in, hidden_dims, d_z, rng, name="encoder") -> HGNNStack:
+def build_encoder(d_in, hidden_dims, d_z, rng) -> HGNNStack:
     """Relu on every layer except the last, which is linear."""
     dims = [d_in, *hidden_dims, d_z]
     layers = []
     for i, (a, b) in enumerate(zip(dims, dims[1:])):
         act = "identity" if i == len(dims) - 2 else "relu"
-        layers.append(init_layer(a, b, act, rng, f"{name}.layer{i}"))
+        layers.append(init_layer(a, b, act, rng, f"encoder.layer{i}"))
     return HGNNStack(layers)
 
 
-def build_decoder(d_z, d_out, rng, name="decoder") -> HGNNStack:
-    return HGNNStack([init_layer(d_z, d_out, "identity", rng, f"{name}.layer0")])
+def build_decoder(d_z, d_out, rng) -> HGNNStack:
+    return HGNNStack([init_layer(d_z, d_out, "identity", rng, "decoder.layer0")])
 
 
-def build_head(d_z, num_classes, name="head") -> HGNNLayer:
+def build_head(d_z, num_classes) -> HGNNLayer:
     """Zero-initialized linear readout: logits start at zero for every strategy.
 
     The first optimizer steps then move the head along the class direction,
     which is what makes ranking metrics usable within short tuning budgets.
     """
     return HGNNLayer(
-        Parameter(np.zeros((d_z, num_classes)), f"{name}.weight"),
-        Parameter(np.zeros((1, num_classes)), f"{name}.bias"),
+        Parameter(np.zeros((d_z, num_classes)), "head.weight"),
+        Parameter(np.zeros((1, num_classes)), "head.bias"),
         "identity",
     )
 

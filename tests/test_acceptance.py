@@ -113,8 +113,12 @@ def test_criterion_01_gradient_suite():
     labels_pad = np.concatenate([labels, np.zeros(4, np.int64)])
     mask_pad = np.concatenate([mask, np.zeros(4, bool)])
 
+    # the input as tuning forms it: [X; 0] + [0; I] T
+    x_pad = np.vstack([X, np.zeros((4, 12))])
+    token_rows = np.vstack([np.zeros((len(X), 4)), np.eye(4)])
+
     def phgnn_loss(params):
-        xm = ad.concat_rows(X, tokens.leaf())
+        xm = ad.add(x_pad, ad.matmul(token_rows, tokens.leaf()))
         z = hgnn_forward_operator(op_m, xm, encoder)
         return ad.softmax_cross_entropy(classify(z, head), labels_pad, mask_pad)
 

@@ -25,8 +25,8 @@ def test_annihilation_gives_zero_loss_and_grad():
     theta = Parameter([[1.5, -2.0], [0.25, 7.0]], "theta")
     loss = sum_all(mul(theta.leaf(), ad.const(np.zeros((2, 2)))))
     assert forward_backward(loss) == 0.0
+    assert theta.grad is not None
     assert np.array_equal(theta.grad, np.zeros((2, 2)))
-    assert theta.grad_populated
 
 
 def test_square_at_three():
@@ -118,12 +118,6 @@ def _(p):
     return sum_all(mul(ad.row_softmax(p.leaf()), ad.const(_C34)))
 
 
-@_case("concat_rows")
-def _(p):
-    stacked = ad.concat_rows(ad.const(_C34[:2]), p.leaf())
-    return sum_all(_square(stacked))
-
-
 @_case("mask_rows")
 def _(p):
     token = ad.matmul(ad.const(np.ones((1, 3))), p.leaf())
@@ -190,6 +184,18 @@ def test_finite_difference_rejects_nondeterministic_loss():
         finite_difference_check(loss_fn, [p], 1e-6)
 
 
+def test_finite_difference_ignores_a_gradient_from_an_earlier_loss():
+    a = Parameter([[0.5, -1.0]], "a")
+    b = Parameter([[2.0, 0.25]], "b")
+    forward_backward(ad.softmax_cross_entropy(ad.add(a.leaf(), b.leaf()), [0], [True]))
+    assert b.grad.any()
+    # the checked loss does not reach b, so its gradient there is zero
+    err = finite_difference_check(
+        lambda ps: ad.softmax_cross_entropy(a.leaf(), [0], [True]), [a, b])
+    assert err <= 1e-8
+    assert b.grad is None
+
+
 def test_finite_difference_rejects_bad_eps():
     p = Parameter([[1.0]], "p")
     with pytest.raises(ValidationError):
@@ -209,7 +215,6 @@ def test_non_scalar_root_rejected():
         (lambda a, b: ad.add(a, ad.transpose(b)), "add"),
         (lambda a, b: mul(a, ad.transpose(b)), "mul"),
         (lambda a, b: ad.sce_loss(a, ad.transpose(b), [0], 2.0), "sce_loss"),
-        (lambda a, b: ad.concat_rows(a, ad.const(np.ones((1, 5)))), "concat_rows"),
         (lambda a, b: ad.broadcast_add_row(a, ad.const(np.ones((1, 5)))), "broadcast_add_row"),
     ],
 )
@@ -223,12 +228,23 @@ def test_shape_mismatch_names_offending_operation(build, opname):
 def test_non_trainable_params_receive_no_gradient():
     frozen = Parameter([[2.0]], "frozen", trainable=False)
     live = Parameter([[3.0]], "live")
-    before = frozen.grad.copy()
     loss = mul(frozen.leaf(), live.leaf())
     forward_backward(loss)
-    assert np.array_equal(frozen.grad, before)
-    assert not frozen.grad_populated
+    assert frozen.grad is None
     assert live.grad[0, 0] == 2.0
+
+
+def test_reached_parameter_without_a_gradient_gets_exact_zeros():
+    # an empty mask sends the token no gradient, though the loss reaches it
+    token = Parameter([[1.0, 2.0]], "token")
+    live = Parameter([[0.5, -0.5]], "live")
+    masked = ad.mask_rows(ad.broadcast_add_row(np.ones((3, 2)), live.leaf()), [], token.leaf())
+    forward_backward(sum_all(masked))
+    assert np.array_equal(token.grad, np.zeros((1, 2)))
+    assert np.copysign(1.0, token.grad).min() == 1.0  # +0.0, not -0.0
+    assert np.array_equal(live.grad, np.full((1, 2), 3.0))
+    adamw_step([token, live], AdamWState(), 0.1, 0.0)
+    assert np.array_equal(token.value, [[1.0, 2.0]])
 
 
 def test_gradients_are_set_not_accumulated_across_calls():
@@ -236,6 +252,18 @@ def test_gradients_are_set_not_accumulated_across_calls():
     for _ in range(3):
         forward_backward(mul(p.leaf(), p.leaf()))
     assert p.grad[0, 0] == 6.0
+
+
+def test_each_parameter_gradient_is_its_own_array():
+    # add hands the same output gradient to both operands
+    p = Parameter([[1.0]], "p")
+    q = Parameter([[2.0]], "q")
+    loss = ad.add(p.leaf(), q.leaf())
+    forward_backward(loss)
+    assert p.grad is not q.grad
+    assert p.grad is not loss.grad and q.grad is not loss.grad
+    p.grad[0, 0] = 5.0
+    assert q.grad[0, 0] == 1.0 and loss.grad[0, 0] == 1.0
 
 
 def test_determinism_bit_identical_losses_and_grads():
@@ -273,8 +301,6 @@ def _random_stack(leaves, ops):
             out = ad.add(a, b)
         elif op == "broadcast_add_row" and b.value.shape[0] == 1:
             out = ad.broadcast_add_row(a, b)
-        elif op == "concat_rows" and a.value.shape[0] + b.value.shape[0] <= 64:
-            out = ad.concat_rows(a, b)
         elif op == "row_softmax":
             out = ad.row_softmax(a)
         else:
@@ -284,7 +310,7 @@ def _random_stack(leaves, ops):
     return ad.softmax_cross_entropy(pool[-1], np.arange(rows) % d, np.ones(rows, bool))
 
 
-_OPS = ("matmul", "add", "broadcast_add_row", "relu", "concat_rows", "row_softmax")
+_OPS = ("matmul", "add", "broadcast_add_row", "relu", "row_softmax")
 
 
 class TestPruning:
@@ -318,10 +344,9 @@ class TestPruning:
         for p, ref in zip(params, reference):
             if p is not None and p.trainable:
                 assert np.array_equal(p.grad, ref.grad)
-                assert p.grad_populated == ref.grad_populated
+                assert (p.grad is None) == (ref.grad is None)
             elif p is not None:
-                assert not p.grad_populated
-                assert not p.grad.any()
+                assert p.grad is None
         # the needs rule, recomputed from the graph; unneeded nodes keep grad None
         needs = {}
         for t in tape_nodes(pruned):
@@ -336,13 +361,13 @@ class TestPruning:
         loss = mul(frozen.leaf(), ad.const([[3.0]]))
         assert forward_backward(loss) == 6.0
         assert not loss.needs and loss.grad is None
-        assert not frozen.grad_populated
+        assert frozen.grad is None
 
 
 class TestAdamW:
     def test_zero_gradient_no_decay_leaves_params_unchanged(self):
         p = Parameter([[1.0, -2.0]], "p")
-        p.grad_populated = True
+        p.grad = np.full((1, 2), 0.0)
         state = AdamWState()
         before = p.value.copy()
         adamw_step([p], state, 0.1, 0.0)
@@ -351,16 +376,14 @@ class TestAdamW:
     def test_hand_computed_single_step(self):
         # m_hat = v_hat = 1 after one step, so theta moves by lr/(1 + eps)
         p = Parameter([[1.0]], "p")
-        p.grad[:] = 1.0
-        p.grad_populated = True
+        p.grad = np.full((1, 1), 1.0)
         adamw_step([p], AdamWState(), 0.1, 0.0)
         assert p.value[0, 0] == pytest.approx(0.9, abs=1e-6)
         assert p.value[0, 0] == 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
 
     def test_decoupled_weight_decay_applies_before_update(self):
         p = Parameter([[1.0]], "p")
-        p.grad[:] = 0.0
-        p.grad_populated = True
+        p.grad = np.full((1, 1), 0.0)
         adamw_step([p], AdamWState(), 0.1, 0.5)
         assert p.value[0, 0] == 1.0 * (1.0 - 0.1 * 0.5)
 
@@ -369,13 +392,23 @@ class TestAdamW:
         with pytest.raises(ValidationError, match="not populated"):
             adamw_step([p], AdamWState(), 0.1, 0.0)
 
+    def test_gradient_is_used_once(self):
+        p = Parameter([[1.0]], "p")
+        state = AdamWState()
+        forward_backward(mul(p.leaf(), ad.const([[1.0]])))
+        adamw_step([p], state, 0.1, 0.0)
+        after = p.value.copy()
+        with pytest.raises(ValidationError, match="not populated"):
+            adamw_step([p], state, 0.1, 0.0)
+        assert np.array_equal(p.value, after) and state.t == 1
+        assert p.grad is None
+
     def test_step_counter_and_moments(self):
         p = Parameter([[1.0]], "p")
         state = AdamWState()
         assert state.t == 0 and not state.m
         for expected in (1, 2, 3):
-            p.grad[:] = 0.5
-            p.grad_populated = True
+            p.grad = np.full((1, 1), 0.5)
             adamw_step([p], state, 0.01, 0.0)
             assert state.t == expected
 
@@ -385,14 +418,13 @@ class TestAdamW:
         before = frozen.value.copy()
         state = AdamWState()
         for _ in range(25):
-            live.grad[:] = 1.0
-            live.grad_populated = True
+            live.grad = np.full((2, 2), 1.0)
             adamw_step([frozen, live], state, 0.05, 0.01)
         assert np.array_equal(frozen.value, before)
 
     def test_invalid_rates_rejected(self):
         p = Parameter([[1.0]], "p")
-        p.grad_populated = True
+        p.grad = np.full((1, 1), 0.0)
         with pytest.raises(ValidationError):
             adamw_step([p], AdamWState(), 0.0, 0.0)
         with pytest.raises(ValidationError):
@@ -405,7 +437,6 @@ class TestAdamW:
         assert cfg.pretrain_lr == 3e-4 and cfg.pretrain_weight_decay == 1e-4
         assert cfg.tune_lr == 3e-4 and cfg.tune_weight_decay == 1e-4
         p = Parameter([[1.0]], "p")
-        p.grad[:] = 1.0
-        p.grad_populated = True
+        p.grad = np.full((1, 1), 1.0)
         adamw_step([p], AdamWState(), cfg.tune_lr, cfg.tune_weight_decay)
         assert p.value[0, 0] < 1.0

@@ -145,9 +145,9 @@ class TestFrozenEncoderBackward:
         reached = {id(t) for t in targets}
         for t in constants:
             assert t.grad is None and id(t) not in reached, t.op
-        assert all(not p.grad_populated and not p.grad.any() for p in encoder.parameters())
-        assert head.weight.grad_populated and head.weight.grad.any()
-        assert prompt.grad_populated == prompted
+        assert all(p.grad is None for p in encoder.parameters())
+        assert head.weight.grad is not None and head.weight.grad.any()
+        assert (prompt.grad is not None) == prompted
         if not prompted:  # only the logits, Z @ W and the two head leaves
             assert len(targets) == 4
 
