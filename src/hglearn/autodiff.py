@@ -162,7 +162,8 @@ def matmul(a, b) -> Tensor:
     a, b = const(a), const(b)
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}")
-    out_val = a.value @ b.value
+    # an inner dimension of 1 is one multiply per entry: a broadcast, not a GEMM
+    out_val = a.value * b.value if b.value.shape[0] == 1 else a.value @ b.value
 
     def backward(g, a=a, b=b):
         if a.needs:
@@ -479,8 +480,9 @@ def adamw_step(params, state: AdamWState, lr: float, weight_decay: float):
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p in trainable:
-        m = state.m.setdefault(p.name, np.zeros_like(p.value))
-        v = state.v.setdefault(p.name, np.zeros_like(p.value))
+        if p.name not in state.m:  # the first step of this parameter
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.value), np.zeros_like(p.value)
+        m, v = state.m[p.name], state.v[p.name]
         g = p.grad
         p.value *= 1.0 - lr * weight_decay
         m *= b1

@@ -127,20 +127,22 @@ def _activate(z: Tensor, layer: HGNNLayer) -> Tensor:
     return ad.relu(z) if layer.activation == "relu" else z
 
 
-def _propagated_product(operator, h: Tensor, layer: HGNNLayer) -> Tensor:
-    """operator @ h @ W, the operator applied on the narrower side of W.
+def _propagated_product(operator, h: Tensor, w: Tensor) -> Tensor:
+    """operator @ h @ w, the operator applied on the narrower side of w.
 
-    A layer that narrows (d_out < d_in) forms operator @ (h @ W), any other
-    (operator @ h) @ W, so the N x N product runs over min(d_in, d_out)
-    columns.
+    A weight that narrows (d_out < d_in) forms operator @ (h @ w), any other
+    (operator @ h) @ w, so the N x N product runs over min(d_in, d_out)
+    columns. `w` is a layer's weight leaf, or the last layer's weight times
+    the head's when `hgnn_forward_operator` folds the head in.
     """
-    w = layer.weight.leaf()
-    if layer.d_out < layer.d_in:
+    d_in, d_out = w.value.shape
+    if d_out < d_in:
         return ad.propagate(operator, ad.matmul(h, w))
     return ad.matmul(ad.propagate(operator, h), w)
 
 
-def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = None) -> Tensor:
+def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = None,
+                          head: HGNNLayer | None = None) -> Tensor:
     """Run the stack with a precomputed propagation operator.
 
     Per layer: X <- act(operator @ X @ W + bias), with the product associated
@@ -148,6 +150,12 @@ def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = 
     matrix, or a symmetric operator applied by `@` (see `autodiff.propagate`).
     `first`, when given, is the first layer's product operator @ X @ W,
     formed by a caller that keeps its constant parts; `X` is then not read.
+
+    With a `head`, returns its logits instead of the stack's output. When
+    the last layer is linear and not the first, the head is folded into it:
+    operator @ h @ (W_L W_head) + (b_L W_head + b_head), so that layer's
+    products run over the head's columns. Otherwise the head reads the
+    output as `classify` does.
     """
     layers = stack.layers
     if first is None:
@@ -162,11 +170,17 @@ def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = 
                 f"hgnn_forward_operator: operator is {operator.shape[0]}-node, features have "
                 f"{h.value.shape[0]} rows"
             )
-        first = _propagated_product(operator, h, layers[0])
+        first = _propagated_product(operator, h, layers[0].weight.leaf())
     h = _activate(first, layers[0])
-    for layer in layers[1:]:
-        h = _activate(_propagated_product(operator, h, layer), layer)
-    return h
+    fold = head is not None and len(layers) > 1 and layers[-1].activation == "identity"
+    for layer in layers[1:-1] if fold else layers[1:]:
+        h = _activate(_propagated_product(operator, h, layer.weight.leaf()), layer)
+    if not fold:
+        return h if head is None else classify(h, head)
+    last, w_head = layers[-1], head.weight.leaf()  # one leaf: its gradient sums both uses
+    logits = _propagated_product(operator, h, ad.matmul(last.weight.leaf(), w_head))
+    return ad.broadcast_add_row(
+        logits, ad.add(ad.matmul(last.bias.leaf(), w_head), head.bias.leaf()))
 
 
 def classify(Z, head: HGNNLayer) -> Tensor:

@@ -38,6 +38,12 @@ an epoch computes only (op L)(R W1), with op L the per-fold D 1, the token
 columns [u v^T; T], or op applied to the attention (`_StrategyState.encode`).
 `finetune` trains W1 and forms (D X) W1.
 
+Every strategy whose encoder runs each epoch (all but `linear_probe`, whose
+encoder output is one constant per fold) reads its logits with the head
+folded into the encoder's last layer, op h (W2 W_head) + (b2 W_head +
+b_head), so that layer's N x N products run over the head's two columns
+(`model.hgnn_forward_operator`).
+
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
 a basis with per-node softmax attention). `_STRATEGY_TABLE` is the one
@@ -358,10 +364,11 @@ class _StrategyState:
                 self.structure = (lists, G_p, self.operator(G_p))
         return self.structure[1:]
 
-    def encode(self, operator):
-        """The encoder's output; rows beyond the first n belong to prompt tokens.
+    def encode(self, operator, head=None):
+        """The encoder's output, or its logits under `head`; rows past n are prompt tokens.
 
-        Its first layer is op [X W1; 0] + (op L)(R W1), or (D X) W1 when W1 trains.
+        Its first layer is op [X W1; 0] + (op L)(R W1), or (D X) W1 when W1
+        trains. A `head` is folded into the last layer (`hgnn_forward_operator`).
         """
         w = self.encoder.layers[0].weight.leaf()
         if self.spec.trains_encoder:
@@ -372,12 +379,13 @@ class _StrategyState:
                 r = self.extra.leaf()
                 first = ad.add(first, ad.matmul(self.spec.extra.input_term(self, operator, r),
                                                 ad.matmul(r, w)))
-        return hgnn_forward_operator(operator, None, self.encoder, first)
+        return hgnn_forward_operator(operator, None, self.encoder, first, head)
 
     def logits(self, operator):
         """Head logits; a frozen encoder output is reused, its operator the fixed one."""
-        return classify(self.encode(operator) if self.frozen_z is None else self.frozen_z,
-                        self.head)
+        if self.frozen_z is not None:
+            return classify(self.frozen_z, self.head)
+        return self.encode(operator, self.head)
 
 
 def _snapshot_params(params) -> dict:

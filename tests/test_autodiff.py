@@ -154,6 +154,44 @@ def test_every_exported_op_has_a_gradient_case():
     assert ops - set(PRIMITIVE_CASES) == set()
 
 
+class TestRankOneMatmul:
+    """An inner dimension of 1 is formed by broadcasting, not by a GEMM."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        cols=st.integers(min_value=1, max_value=40),
+        scale=st.integers(min_value=-200, max_value=200),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_the_gemm_bitwise(self, rows, cols, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, 1)) * 10.0**scale
+        b = rng.standard_normal((1, cols)) * 10.0 ** (-scale // 2)
+        out = ad.matmul(a, b).value
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, a @ b)
+
+    def test_no_gemm_is_formed(self):
+        class NoGemm(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("a rank-one product went through a GEMM")
+
+        a = ad.Tensor(np.arange(3.0).reshape(3, 1).view(NoGemm))
+        assert np.array_equal(ad.matmul(a, np.ones((1, 4))).value, np.repeat(a.value, 4, axis=1))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        a = Parameter(rng.standard_normal((5, 1)), "a")
+        b = Parameter(rng.standard_normal((1, 4)), "b")
+        target = ad.const(rng.standard_normal((5, 4)))
+
+        def loss_fn(params):
+            return sum_all(_square(ad.add(ad.matmul(a.leaf(), b.leaf()), target)))
+
+        assert finite_difference_check(loss_fn, [a, b], 1e-6) <= 1e-6
+
+
 def test_finite_difference_linear_is_exact():
     # power-of-two eps keeps the perturbed points exactly representable
     p = Parameter([[1.0, -2.0]], "p")
@@ -411,6 +449,17 @@ class TestAdamW:
             p.grad = np.full((1, 1), 0.5)
             adamw_step([p], state, 0.01, 0.0)
             assert state.t == expected
+
+    def test_moments_allocated_on_the_first_step_only(self, monkeypatch):
+        p = Parameter([[1.0, -1.0]], "p")
+        state = AdamWState()
+        zeros_like, made = np.zeros_like, []
+        monkeypatch.setattr(ad.np, "zeros_like", lambda a: made.append(a) or zeros_like(a))
+        for _ in range(3):
+            p.grad = np.full((1, 2), 0.5)
+            adamw_step([p], state, 0.01, 0.0)
+        assert len(made) == 2  # m and v, once
+        assert state.m["p"].shape == state.v["p"].shape == (1, 2)
 
     def test_non_trainable_bit_identical_across_steps(self):
         frozen = Parameter([[0.1, 0.2], [0.3, 0.4]], "frozen", trainable=False)

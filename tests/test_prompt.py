@@ -35,7 +35,7 @@ from hglearn.prompt import (
     tune_with_strategy,
 )
 from oracles import brute_force_operator
-from tape_ops import mul, sum_all
+from tape_ops import mul, sum_all, tape_nodes
 
 
 @pytest.fixture(scope="module")
@@ -356,22 +356,31 @@ _BELOW_HEAD = {"finetune": "encoder.layer0.weight", "gpf": "gpf.vector",
                "phgnn_no_structure": "prompt.tokens"}
 
 
+def random_state(strategy, n=20, d=6, hidden_dims=(8,), latent_dim=4, num_prompts=4,
+                 seed=8):
+    """A strategy's state on random data, with a random head and extra parameter."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    G = knn_hyperedges(X, min(3, n - 1))
+    encoder = build_encoder(d, hidden_dims, latent_dim, rng)
+    for layer in encoder.layers:
+        layer.bias.value[:] = rng.normal(0.0, 0.5, layer.bias.value.shape)
+    cfg = RunConfig(num_prompts=num_prompts, prompt_k=2, gpf_basis=3,
+                    hidden_dims=hidden_dims, latent_dim=latent_dim, seed=0)
+    run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
+    run.head.weight.value[:] = rng.normal(0.0, 0.5, run.head.weight.value.shape)
+    run.head.bias.value[:] = rng.normal(0.0, 0.5, run.head.bias.value.shape)
+    if run.extra is not None:
+        run.extra.value[:] = rng.normal(0.0, 0.5, run.extra.value.shape)
+    return run, G, rng.integers(0, 2, n)
+
+
 class TestFirstLayer:
     """The first layer formed from per-fold constants, against the plain forward."""
 
     def state(self, strategy):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((20, 6))
-        G = knn_hyperedges(X, 3)
         # the first layer widens (6 -> 8) and the second narrows (8 -> 4)
-        encoder = build_encoder(6, (8,), 4, rng)
-        cfg = RunConfig(num_prompts=4, prompt_k=2, gpf_basis=3, hidden_dims=(8,),
-                        latent_dim=4, seed=0)
-        run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
-        run.head.weight.value[:] = rng.normal(0.0, 0.5, run.head.weight.value.shape)
-        if run.extra is not None:
-            run.extra.value[:] = rng.normal(0.0, 0.5, run.extra.value.shape)
-        return run, G, rng.integers(0, 2, 20)
+        return random_state(strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_logits_match_the_plain_forward(self, strategy):
@@ -412,6 +421,101 @@ class TestFirstLayer:
         lefts = [t.parents[0] for t in tape.values()
                  if t.op == "matmul" and t.parents[1].param is w1]
         assert all(a.value.shape[0] < 20 for a in lefts), [a.value.shape for a in lefts]
+
+
+def relative_error(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+def tape_propagations(root):
+    """The propagate nodes below root, except `gpf_plus`'s propagated attention."""
+    return [t for t in tape_nodes(root)
+            if t.op == "propagate" and t.parents[0].op != "row_softmax"]
+
+
+# the strategies whose encoder runs every epoch, so the head folds into it
+_FOLDED = [s for s in STRATEGIES if s != "linear_probe"]
+
+
+class TestHeadFold:
+    """The head folded into the encoder's last layer, against `classify` of its output."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_folded_logits_match_classify(self, strategy):
+        run, _, _ = random_state(strategy)
+        _, operator = run.epoch_structure()
+        # the data operator, or the prompted one of the token strategies
+        assert isinstance(operator, np.ndarray) != (run.prompt_rows > 0)
+        expected = classify(run.encode(operator), run.head).value
+        for got in (run.encode(operator, run.head), run.logits(operator)):
+            assert relative_error(got.value, expected) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strategy=st.sampled_from(STRATEGIES),
+        n=st.integers(min_value=4, max_value=24),
+        d=st.integers(min_value=1, max_value=7),
+        hidden_dims=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+        latent_dim=st.integers(min_value=1, max_value=9),
+        num_prompts=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_folded_logits_match_classify_on_random_shapes(self, strategy, n, d, hidden_dims,
+                                                           latent_dim, num_prompts, seed):
+        run, _, _ = random_state(strategy, n, d, tuple(hidden_dims), latent_dim, num_prompts,
+                                 seed)
+        _, operator = run.epoch_structure()
+        expected = classify(run.encode(operator), run.head).value
+        got = run.encode(operator, run.head).value
+        assert relative_error(got, expected) <= 1e-12
+
+    @pytest.mark.parametrize("encoder", ["relu-last", "one-layer"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unfoldable_encoders_keep_the_classify_path(self, strategy, encoder):
+        if encoder == "one-layer":
+            run, _, _ = random_state(strategy, hidden_dims=())
+        else:
+            run, _, _ = random_state(strategy)
+            run.encoder.layers[-1].activation = "relu"  # as a checkpoint may say
+        _, operator = run.epoch_structure()
+        logits = run.encode(operator, run.head)
+        expected = classify(run.encode(operator), run.head).value
+        assert np.array_equal(logits.value, expected)
+        # the head weight is read once, by Z @ W_head
+        z, w_head = logits.parents[0].parents
+        assert w_head.param is run.head.weight and z.value.shape[1] == run.head.d_in
+
+    @pytest.mark.parametrize("strategy, names", [
+        ("finetune", ["encoder.layer1.weight", "encoder.layer1.bias", "head.weight",
+                      "head.bias"]),
+        ("phgnn", ["prompt.tokens", "head.weight"]),
+    ])
+    def test_finite_differences_through_the_fold(self, strategy, names):
+        run, _, labels = random_state(strategy)
+        _, operator = run.epoch_structure()
+        params = {p.name: p for p in run.params}
+        y = np.concatenate([labels, np.zeros(run.prompt_rows, np.int64)])
+        mask = np.concatenate([np.ones(20, bool), np.zeros(run.prompt_rows, bool)])
+
+        def loss(params):
+            return ad.softmax_cross_entropy(run.logits(operator), y, mask)
+
+        # criterion 01's limit
+        assert finite_difference_check(loss, [params[name] for name in names], 1e-6) <= 1e-4
+
+    @pytest.mark.parametrize("strategy", _FOLDED)
+    def test_propagations_after_the_first_layer_have_the_head_width(self, strategy):
+        run, _, labels = random_state(strategy, hidden_dims=(8,), latent_dim=6)
+        _, operator = run.epoch_structure()
+        logits = run.logits(operator)
+        propagations = tape_propagations(logits)
+        assert propagations
+        assert {t.value.shape[1] for t in propagations} == {2}
+        # the backward applies the operator to gradients of the same width
+        y = np.concatenate([labels, np.zeros(run.prompt_rows, np.int64)])
+        mask = np.concatenate([np.ones(20, bool), np.zeros(run.prompt_rows, bool)])
+        forward_backward(ad.softmax_cross_entropy(logits, y, mask))
+        assert all(t.grad.shape[1] == 2 for t in propagations)
 
 
 class TestPromptTune:
@@ -662,9 +766,15 @@ class TestTuneWithStrategy:
 
 
 def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg):
-    """The tuning loop with a fresh training forward every epoch and no cached Z."""
+    """The tuning loop with a fresh training forward every epoch and no cached Z.
+
+    `linear_probe`'s fresh forward is the unfolded `classify(encode(op), head)`,
+    the Z its cache stands for; every other strategy's is its own `logits`.
+    """
     run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
-    run.frozen_z = None
+    forward = run.logits
+    if strategy == "linear_probe":
+        forward = lambda operator: classify(run.encode(operator), run.head)  # noqa: E731
     n, p_rows = X.shape[0], run.prompt_rows
     y_pad = np.concatenate([labels, np.zeros(p_rows, dtype=np.int64)])
     mt_pad = np.concatenate([train_mask, np.zeros(p_rows, dtype=bool)])
@@ -672,9 +782,9 @@ def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg)
     for _ in range(cfg.tune_epochs):
         _, operator = run.epoch_structure()
         losses.append(forward_backward(
-            ad.softmax_cross_entropy(run.logits(operator), y_pad, mt_pad)))
+            ad.softmax_cross_entropy(forward(operator), y_pad, mt_pad)))
         adamw_step(run.params, state, cfg.tune_lr, cfg.tune_weight_decay)
-        baccs.append(evaluate_logits(run.logits(operator).value[:n], labels, val_mask).bacc)
+        baccs.append(evaluate_logits(forward(operator).value[:n], labels, val_mask).bacc)
     return losses, baccs
 
 
