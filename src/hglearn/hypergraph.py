@@ -169,6 +169,14 @@ def knn_neighbor_lists(features: np.ndarray, k: int) -> np.ndarray:
                               "overflow float64")
     if k == 0:
         return np.empty((n, 0), dtype=np.intp)
+    if n * n * dim <= _RERANK_ENTRIES:
+        # Every pair at once. Entry (i, j) of the last-axis sum reduces the
+        # dim contiguous squares of X[i] - X[j] with the same inner loop, in
+        # the same order, as the formula's 1-D sum, so it is that value bit
+        # for bit; the stable sort breaks ties toward the lower index.
+        dist = np.square(X[:, None, :] - X[None, :, :]).sum(axis=2)
+        np.fill_diagonal(dist, np.inf)  # the row itself
+        return np.argsort(dist, axis=1, kind="stable")[:, :k]
     # Candidates come from g_ij = |c_j|^2 - 2 c_i.c_j on the centered rows
     # c = fl(x - mid), which is |c_i - c_j|^2 less the row constant |c_i|^2.
     # Let S = |c_i|^2 + |c_j|^2, u the unit roundoff, gamma = gamma_{d+2} =

@@ -73,15 +73,16 @@ def evaluate_logits(logits, labels, mask) -> MetricsReport:
     its argmax class, ties going to the lower index, so a prediction of
     class 2 or above is a miss for either class.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
     m = np.asarray(mask, dtype=bool).reshape(-1)
     if not m.any():
         raise ValidationError("evaluate_logits: empty mask")
+    # every step below works row by row, so the masked rows are taken first
+    z = np.asarray(logits, dtype=np.float64)[m]
+    t = np.asarray(labels, dtype=np.int64).reshape(-1)[m]
     e = np.exp(z - z.max(axis=1, keepdims=True))
     # auc rejects a mask without both classes, so neither rate divides by zero
-    a = auc(e[:, 1] / e.sum(axis=1), y, m)
-    hit, t = (np.argmax(z, axis=1) == y)[m], y[m]
+    a = auc(e[:, 1] / e.sum(axis=1), t, np.ones(t.size, dtype=bool))
+    hit = np.argmax(z, axis=1) == t
     sen = int((hit & (t == 1)).sum()) / int((t == 1).sum())
     spe = int((hit & (t == 0)).sum()) / int((t == 0).sum())
     return MetricsReport(bacc=(sen + spe) / 2.0, sen=sen, spe=spe, auc=a)

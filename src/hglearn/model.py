@@ -134,15 +134,21 @@ def _propagated_product(operator, h: Tensor, w: Tensor) -> Tensor:
     (operator @ h) @ w, so the N x N product runs over min(d_in, d_out)
     columns. `w` is a layer's weight leaf, or the last layer's weight times
     the head's when `hgnn_forward_operator` folds the head in.
+
+    A symmetric `operator` is applied by `ad.propagate`. A constant Tensor
+    is a row slice of one, which is not symmetric: it is applied by
+    `ad.matmul`, whose backward multiplies by its transpose and forms no
+    gradient toward it.
     """
+    apply = ad.matmul if isinstance(operator, Tensor) else ad.propagate
     d_in, d_out = w.value.shape
     if d_out < d_in:
-        return ad.propagate(operator, ad.matmul(h, w))
-    return ad.matmul(ad.propagate(operator, h), w)
+        return apply(operator, ad.matmul(h, w))
+    return ad.matmul(apply(operator, h), w)
 
 
 def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = None,
-                          head: HGNNLayer | None = None) -> Tensor:
+                          head: HGNNLayer | None = None, last_rows=None) -> Tensor:
     """Run the stack with a precomputed propagation operator.
 
     Per layer: X <- act(operator @ X @ W + bias), with the product associated
@@ -150,6 +156,9 @@ def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = 
     matrix, or a symmetric operator applied by `@` (see `autodiff.propagate`).
     `first`, when given, is the first layer's product operator @ X @ W,
     formed by a caller that keeps its constant parts; `X` is then not read.
+    `last_rows`, when given, is a row slice operator[R] of the operator as a
+    constant matrix: the last layer, if it is not the first, then forms only
+    the rows R, and the stack's output has |R| rows.
 
     With a `head`, returns its logits instead of the stack's output. When
     the last layer is linear and not the first, the head is folded into it:
@@ -173,12 +182,14 @@ def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = 
         first = _propagated_product(operator, h, layers[0].weight.leaf())
     h = _activate(first, layers[0])
     fold = head is not None and len(layers) > 1 and layers[-1].activation == "identity"
-    for layer in layers[1:-1] if fold else layers[1:]:
-        h = _activate(_propagated_product(operator, h, layer.weight.leaf()), layer)
+    last_operator = operator if last_rows is None else ad.const(last_rows)
+    for i, layer in enumerate(layers[1:-1] if fold else layers[1:], 2):
+        op = last_operator if i == len(layers) else operator
+        h = _activate(_propagated_product(op, h, layer.weight.leaf()), layer)
     if not fold:
         return h if head is None else classify(h, head)
     last, w_head = layers[-1], head.weight.leaf()  # one leaf: its gradient sums both uses
-    logits = _propagated_product(operator, h, ad.matmul(last.weight.leaf(), w_head))
+    logits = _propagated_product(last_operator, h, ad.matmul(last.weight.leaf(), w_head))
     return ad.broadcast_add_row(
         logits, ad.add(ad.matmul(last.bias.leaf(), w_head), head.bias.leaf()))
 

@@ -4,6 +4,31 @@ Each epoch draws a fresh node mask, replaces the masked feature rows with a
 learnable input token, encodes, replaces the masked latent rows with a second
 learnable token, decodes, and penalizes the reconstruction of the masked rows
 with a scaled cosine error. Encoder, decoder, and both tokens train jointly.
+
+An epoch forms only the rows the next step reads (`reconstruction_loss`).
+With K the kept rows, M the masked rows, t_in and t_lat the two tokens, the
+symmetric operator `op` and u = op 1_M (one matrix-vector product):
+
+- Encoder layer 1 forms all N rows as (op[:, K] X[K]) W1 + u (t_in W1). The
+  masked input is X on K and t_in on M, so this is op @ input @ W1 split by
+  rows; it is the tuning rule op [X W1; 0] + (op L)(R W1) with L = 1_M and
+  R = t_in. X is constant, so op[:, K] X[K] is one constant product and
+  t_in's gradient is u^T G W1^T, with no N x N backward.
+- Middle layers form all N rows, as in `model.hgnn_forward_operator`.
+- The encoder's last layer forms the K rows only, op[K, :] (h W_L): the M
+  rows of the latent are overwritten by t_lat, so nothing reads them.
+- The decoder forms the M rows only, op[M, K] (z_K W_d) + u[M] (t_lat W_d),
+  and the loss reads exactly those rows.
+- A one-layer encoder's layer 1 is its last: op[K, K] X[K] W1 + u[K] (t_in W1).
+
+Each of these is the full-row expression restricted to rows whose values
+the loss reads, so loss and gradients are those of the masked form (masked
+input, N-row encoder, masked latent, N-row decoder) up to rounding. `op` is
+symmetric, so op[:, K] is op[K, :]^T, a view of the gathered rows, and
+op[M, K] is a row gather of that view. The row slices are not symmetric;
+they are applied as constant matrices by `autodiff.matmul`, whose backward
+multiplies by their transpose, never by `autodiff.propagate`, whose
+backward assumes a symmetric operator.
 """
 
 from __future__ import annotations
@@ -24,12 +49,19 @@ from .autodiff import (
 )
 from .config import RunConfig
 from .hypergraph import Hypergraph, propagation_operator
-from .model import HGNNStack, build_decoder, build_encoder, hgnn_forward_operator
+from .model import (
+    HGNNStack,
+    _propagated_product,
+    build_decoder,
+    build_encoder,
+    hgnn_forward_operator,
+)
 
 __all__ = [
     "MaskTokens",
     "PretrainResult",
     "sample_mask",
+    "reconstruction_loss",
     "pretrain",
 ]
 
@@ -58,6 +90,43 @@ def sample_mask(num_nodes: int, mask_ratio: float, rng) -> np.ndarray:
     count = math.floor(mask_ratio * num_nodes)
     picked = rng.choice(num_nodes, size=count, replace=False)
     return np.sort(picked.astype(np.intp))
+
+
+def _with_token(product, u_rows, token, w):
+    """product + u_rows (token w): a layer's product whose input holds `token` on rows M.
+
+    `product` covers the other input rows, and u_rows is op 1_M on the rows formed.
+    """
+    return ad.add(product, ad.matmul(ad.const(u_rows), ad.matmul(token, w)))
+
+
+def reconstruction_loss(operator, X, masked, encoder: HGNNStack, decoder: HGNNStack,
+                        tokens: MaskTokens, gamma: float):
+    """The scaled cosine error of one epoch's node mask, formed on the rows it reads.
+
+    `operator` is the symmetric N x N propagation matrix, `X` the N x d
+    features and `masked` the sorted masked rows, at least one, that leave
+    at least one row kept. See the module docstring for the rows each layer
+    forms.
+    """
+    n = X.shape[0]
+    keep = np.ones(n, dtype=bool)
+    keep[masked] = False
+    kept = np.flatnonzero(keep)
+    u = operator @ (~keep).astype(np.float64)[:, None]  # op 1_M
+    rows = operator[kept]  # op[K, :]; op[:, K] is rows.T
+    w1 = encoder.layers[0].weight.leaf()
+    if len(encoder.layers) == 1:  # layer 1 is the last: its K rows
+        x_operator, u_in = rows[:, kept], u[kept]
+    else:
+        x_operator, u_in = rows.T, u
+    first = _with_token(ad.matmul(x_operator @ X[kept], w1), u_in, tokens.input_token.leaf(), w1)
+    z_kept = hgnn_forward_operator(operator, None, encoder, first, last_rows=rows)
+    w_d = decoder.layers[0].weight.leaf()
+    product = _propagated_product(ad.const(rows.T[masked]), z_kept, w_d)  # op[M, K]
+    recon = hgnn_forward_operator(
+        None, None, decoder, _with_token(product, u[masked], tokens.latent_token.leaf(), w_d))
+    return ad.sce_loss(X[masked], recon, np.arange(masked.size), gamma)
 
 
 def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
@@ -89,12 +158,8 @@ def pretrain(G: Hypergraph, X, cfg: RunConfig) -> PretrainResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.pretrain_epochs):
             masked = sample_mask(n, cfg.mask_ratio, rng)
-            x_masked = ad.mask_rows(X, masked, tokens.input_token.leaf())
-            z = hgnn_forward_operator(operator, x_masked, encoder)
-            z_masked = ad.mask_rows(z, masked, tokens.latent_token.leaf())
-            recon = hgnn_forward_operator(operator, z_masked, decoder)
-            loss = ad.sce_loss(X, recon, masked, cfg.sce_gamma)
-            losses.append(forward_backward(loss))
+            losses.append(forward_backward(reconstruction_loss(
+                operator, X, masked, encoder, decoder, tokens, cfg.sce_gamma)))
             adamw_step(params, state, cfg.pretrain_lr, cfg.pretrain_weight_decay)
             check_finite("pretrain", epoch, losses[-1], params)
     return PretrainResult(encoder, decoder, tokens, losses)

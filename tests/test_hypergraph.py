@@ -1,12 +1,14 @@
 """Hypergraph construction and propagation tests against brute-force oracles."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hglearn.hypergraph
 from hglearn.autodiff import ValidationError
 from hglearn.hypergraph import (
     Hypergraph,
@@ -367,8 +369,14 @@ _PLACEMENTS = {"as-is": lambda X: X, "offset-1e8": lambda X: X + 1e8,
          placement="scale-1e-160")
 @example(n=20, dim=130, k_frac=0.5, seed=0, rounded=False, duplicated=False,
          placement="scale-1e-160")
+# phgnn's 16 tokens of 48 features
+@example(n=16, dim=48, k_frac=0.2, seed=0, rounded=True, duplicated=True, placement="as-is")
 def test_knn_lists_equal_the_loop(n, dim, k_frac, seed, rounded, duplicated, placement):
-    """Equal lists, not close ones: same neighbors, same order, ties to the lower index."""
+    """Equal lists, not close ones: same neighbors, same order, ties to the lower index.
+
+    Every input here fits the all-pairs budget, so the ranked path is run
+    again with the budget taken away.
+    """
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, dim))
     if rounded:  # ties
@@ -377,7 +385,11 @@ def test_knn_lists_equal_the_loop(n, dim, k_frac, seed, rounded, duplicated, pla
         X = X[rng.integers(0, max(1, n // 3), n)]
     X = _PLACEMENTS[placement](X)
     k = min(int(k_frac * n), n - 1)  # k = 0 through k = n - 1
-    assert np.array_equal(knn_neighbor_lists(X, k), loop_knn(X, k))
+    expected = loop_knn(X, k)
+    assert np.array_equal(knn_neighbor_lists(X, k), expected)
+    assert n * n * dim <= hglearn.hypergraph._RERANK_ENTRIES
+    with mock.patch.object(hglearn.hypergraph, "_RERANK_ENTRIES", 0):
+        assert np.array_equal(knn_neighbor_lists(X, k), expected)
 
 
 @pytest.mark.parametrize("rounded", [False, True])

@@ -187,6 +187,40 @@ class TestPositiveProbabilities:
         assert probs[0] == 0.0 and probs[1] == 1.0
 
 
+def all_rows_report(logits, labels, mask):
+    """evaluate_logits as it was first written: every row's softmax, then the mask."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    m = np.asarray(mask, dtype=bool).reshape(-1)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    a = auc(e[:, 1] / e.sum(axis=1), y, m)
+    hit, t = (np.argmax(z, axis=1) == y)[m], y[m]
+    sen = int((hit & (t == 1)).sum()) / int((t == 1).sum())
+    spe = int((hit & (t == 0)).sum()) / int((t == 0).sum())
+    return MetricsReport(bacc=(sen + spe) / 2.0, sen=sen, spe=spe, auc=a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    classes=st.integers(min_value=2, max_value=4),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    decimals=st.sampled_from([None, 0, 1]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_masked_rows_first_gives_the_all_rows_report_exactly(n, classes, scale, decimals,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((n, classes)) * scale
+    if decimals is not None:  # tied logits within a row and tied scores across rows
+        logits = np.round(logits / scale, decimals) * scale
+    labels = rng.integers(0, 2, n)
+    mask = rng.random(n) < rng.uniform(0.1, 1.0)
+    picked = rng.choice(n, 2, replace=False)  # both classes in the mask
+    labels[picked], mask[picked] = [0, 1], True
+    assert evaluate_logits(logits, labels, mask) == all_rows_report(logits, labels, mask)
+
+
 class TestAggregateFolds:
     def test_single_fold_zero_std(self):
         r = report(3 / 5, 4 / 5, 0.8)

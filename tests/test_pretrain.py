@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hglearn.autodiff import Parameter, ValidationError, forward_backward, mask_rows, sce_loss
+from hglearn.autodiff import (
+    Parameter,
+    ValidationError,
+    finite_difference_check,
+    forward_backward,
+    mask_rows,
+    sce_loss,
+)
 from hglearn.config import RunConfig
-from hglearn.hypergraph import knn_hyperedges
-from hglearn.pretrain import pretrain, sample_mask
+from hglearn.hypergraph import knn_hyperedges, propagation_operator
+from hglearn.model import build_decoder, build_encoder, hgnn_forward_operator
+from hglearn.pretrain import MaskTokens, pretrain, reconstruction_loss, sample_mask
+from tape_ops import tape_nodes
 
 
 class TestSampleMask:
@@ -214,3 +223,126 @@ class TestPretrain:
         result = pretrain(self.G, self.X, cfg)
         assert result.mask_tokens.input_token.trainable
         assert np.abs(result.mask_tokens.input_token.value).sum() > 0
+
+
+def masked_form_loss(operator, X, masked, encoder, decoder, tokens, gamma):
+    """The loss as the paper states it: every row of every layer, masked by `mask_rows`."""
+    x_masked = mask_rows(X, masked, tokens.input_token.leaf())
+    z = hgnn_forward_operator(operator, x_masked, encoder)
+    z_masked = mask_rows(z, masked, tokens.latent_token.leaf())
+    recon = hgnn_forward_operator(operator, z_masked, decoder)
+    return sce_loss(X, recon, masked, gamma)
+
+
+def random_model(n, d, hidden_dims, latent_dim, seed):
+    """Features, operator, and encoder, decoder and tokens with nonzero biases and tokens."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) + 1.0
+    operator = propagation_operator(knn_hyperedges(X, min(2, n - 1)))
+    encoder = build_encoder(d, hidden_dims, latent_dim, rng)
+    decoder = build_decoder(latent_dim, d, rng)
+    tokens = MaskTokens(Parameter(rng.standard_normal((1, d)), "mask.input_token"),
+                        Parameter(rng.standard_normal((1, latent_dim)), "mask.latent_token"))
+    params = encoder.parameters() + decoder.parameters() + tokens.parameters()
+    for p in params:
+        p.value[:] = rng.standard_normal(p.value.shape)
+    return rng, X, operator, encoder, decoder, tokens, params
+
+
+def loss_and_grads(loss_fn, params, *args):
+    loss = forward_backward(loss_fn(*args))
+    grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.grad = None
+    return loss, grads
+
+
+def assert_close(a, b, rtol=1e-12):
+    """|a - b| within rtol of the largest entry of b."""
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+class TestReconstructionLoss:
+    """The row-sliced epoch against the masked form it restricts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=30),
+        # at d = 1 a cosine is +-1: the loss is flat and its gradients are rounding
+        d=st.integers(min_value=2, max_value=9),
+        hidden_dims=st.sampled_from([(), (5,), (11,), (7, 3)]),
+        latent_dim=st.integers(min_value=1, max_value=8),
+        mask_ratio=st.floats(min_value=0.05, max_value=0.95),
+        gamma=st.sampled_from([1.0, 2.0, 3.0]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    # one kept row: floor(0.75 * 4) = 3 of 4 masked
+    @example(n=4, d=3, hidden_dims=(), latent_dim=2, mask_ratio=0.75, gamma=2.0, seed=0)
+    @example(n=4, d=3, hidden_dims=(5,), latent_dim=2, mask_ratio=0.75, gamma=2.0, seed=1)
+    @example(n=4, d=3, hidden_dims=(7, 3), latent_dim=2, mask_ratio=0.75, gamma=2.0, seed=2)
+    def test_loss_and_gradients_equal_the_masked_form(self, n, d, hidden_dims, latent_dim,
+                                                      mask_ratio, gamma, seed):
+        rng, X, operator, encoder, decoder, tokens, params = random_model(
+            n, d, hidden_dims, latent_dim, seed)
+        masked = sample_mask(n, mask_ratio, rng)
+        if masked.size == 0:
+            masked = np.array([0])
+        args = (operator, X, masked, encoder, decoder, tokens, gamma)
+        loss, grads = loss_and_grads(reconstruction_loss, params, *args)
+        ref_loss, ref_grads = loss_and_grads(masked_form_loss, params, *args)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for p, g, ref in zip(params, grads, ref_grads):
+            assert g.shape == p.value.shape
+            if ref.any():
+                assert_close(g, ref)
+            else:
+                assert np.abs(g).max() <= 1e-12
+
+    @pytest.mark.parametrize("hidden_dims", [(), (6,), (6, 5)])
+    def test_finite_differences(self, hidden_dims):
+        rng, X, operator, encoder, decoder, tokens, params = random_model(
+            8, 3, hidden_dims, 4, 5)
+        masked = sample_mask(8, 0.75, rng)
+
+        def loss_fn(_):
+            return reconstruction_loss(operator, X, masked, encoder, decoder, tokens, 2.0)
+
+        ends = encoder.layers[::len(encoder.layers) - 1 or 1]  # the first and last layer
+        checked = [p for layer in ends for p in layer.parameters()] + [
+            *decoder.parameters(), tokens.input_token, tokens.latent_token]
+        assert finite_difference_check(loss_fn, checked, 1e-6) <= 1e-4
+
+    @pytest.mark.parametrize("hidden_dims", [(), (6,), (6, 5)])
+    def test_no_full_operator_product_past_the_middle_layers(self, hidden_dims):
+        n = 12
+        rng, X, operator, encoder, decoder, tokens, params = random_model(
+            n, 3, hidden_dims, 4, 6)
+        masked = sample_mask(n, 0.75, rng)
+        loss = reconstruction_loss(operator, X, masked, encoder, decoder, tokens, 2.0)
+        nodes = tape_nodes(loss)
+        # the symmetric operator propagates once per middle layer, forward and backward
+        assert sum(t.op == "propagate" for t in nodes) == max(len(hidden_dims) - 1, 0)
+        # the operator enters the tape only as row slices: op[K, :] for the
+        # last encoder layer, op[M, K] for the decoder
+        kept = n - masked.size
+        shapes = {t.value.shape for t in nodes if t.op == "const"}
+        assert (masked.size, kept) in shapes
+        assert ((kept, n) in shapes) == bool(hidden_dims)
+        assert all(t.value.shape != (n, n) for t in nodes)
+
+
+class TestPretrainInitialState:
+    def test_zero_epochs_return_the_initialized_state_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((10, 4))
+        cfg = RunConfig(pretrain_epochs=0, hidden_dims=(6,), latent_dim=3, seed=9)
+        result = pretrain(knn_hyperedges(X, 2), X, cfg)
+        init = np.random.default_rng(9)
+        encoder = build_encoder(4, (6,), 3, init)
+        decoder = build_decoder(3, 4, init)
+        for got, want in zip(result.encoder.parameters() + result.decoder.parameters(),
+                             encoder.parameters() + decoder.parameters(), strict=True):
+            assert got.name == want.name
+            assert np.array_equal(got.value, want.value)
+        assert np.array_equal(result.mask_tokens.input_token.value, np.zeros((1, 4)))
+        assert np.array_equal(result.mask_tokens.latent_token.value, np.zeros((1, 3)))
