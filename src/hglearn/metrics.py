@@ -71,14 +71,22 @@ def evaluate_logits(logits, labels, mask) -> MetricsReport:
 
     AUC ranks the softmax probability of class 1. Each node is predicted as
     its argmax class, ties going to the lower index, so a prediction of
-    class 2 or above is a miss for either class.
+    class 2 or above is a miss for either class. Logits other than N x C
+    with C >= 2, or labels or a mask other than N long, raise `ValidationError`.
     """
+    z = np.asarray(logits, dtype=np.float64)
+    t = np.asarray(labels, dtype=np.int64).reshape(-1)
     m = np.asarray(mask, dtype=bool).reshape(-1)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValidationError(f"evaluate_logits: logits of shape {z.shape}, need 2-D with "
+                              "at least two columns")
+    if t.size != z.shape[0] or m.size != z.shape[0]:
+        raise ValidationError(f"evaluate_logits: {z.shape[0]} logit rows, {t.size} labels, "
+                              f"{m.size} mask entries")
     if not m.any():
         raise ValidationError("evaluate_logits: empty mask")
     # every step below works row by row, so the masked rows are taken first
-    z = np.asarray(logits, dtype=np.float64)[m]
-    t = np.asarray(labels, dtype=np.int64).reshape(-1)[m]
+    z, t = z[m], t[m]
     e = np.exp(z - z.max(axis=1, keepdims=True))
     # auc rejects a mask without both classes, so neither rate divides by zero
     a = auc(e[:, 1] / e.sum(axis=1), t, np.ones(t.size, dtype=bool))

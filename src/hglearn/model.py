@@ -17,6 +17,7 @@ __all__ = [
     "build_encoder",
     "build_decoder",
     "build_head",
+    "with_input_term",
     "hgnn_forward_operator",
     "classify",
 ]
@@ -147,6 +148,11 @@ def _propagated_product(operator, h: Tensor, w: Tensor) -> Tensor:
     return ad.matmul(apply(operator, h), w)
 
 
+def with_input_term(product, input_term, extra, w) -> Tensor:
+    """product + input_term (extra w): the first-layer rule op [X W1; 0] + (op L)(R W1)."""
+    return ad.add(product, ad.matmul(input_term, ad.matmul(extra, w)))
+
+
 def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = None,
                           head: HGNNLayer | None = None, last_rows=None) -> Tensor:
     """Run the stack with a precomputed propagation operator.
@@ -164,22 +170,12 @@ def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = 
     the last layer is linear and not the first, the head is folded into it:
     operator @ h @ (W_L W_head) + (b_L W_head + b_head), so that layer's
     products run over the head's columns. Otherwise the head reads the
-    output as `classify` does.
+    output as `classify` does. Shapes that do not chain raise `ShapeError`
+    from `autodiff.matmul` or `autodiff.propagate`.
     """
     layers = stack.layers
     if first is None:
-        h = ad.const(X)
-        if h.value.shape[1] != stack.input_dim:
-            raise ShapeError(
-                f"hgnn_forward_operator: input dim {h.value.shape[1]} does not match "
-                f"stack input dim {stack.input_dim}"
-            )
-        if operator.shape[0] != h.value.shape[0]:
-            raise ShapeError(
-                f"hgnn_forward_operator: operator is {operator.shape[0]}-node, features have "
-                f"{h.value.shape[0]} rows"
-            )
-        first = _propagated_product(operator, h, layers[0].weight.leaf())
+        first = _propagated_product(operator, ad.const(X), layers[0].weight.leaf())
     h = _activate(first, layers[0])
     fold = head is not None and len(layers) > 1 and layers[-1].activation == "identity"
     last_operator = operator if last_rows is None else ad.const(last_rows)
@@ -196,10 +192,4 @@ def hgnn_forward_operator(operator, X, stack: HGNNStack, first: Tensor | None = 
 
 def classify(Z, head: HGNNLayer) -> Tensor:
     """The head layer's affine logits: no propagation, no softmax."""
-    z = ad.const(Z)
-    if z.value.shape[1] != head.d_in:
-        raise ShapeError(
-            f"classify: latent dim {z.value.shape[1]} does not match head "
-            f"input dim {head.d_in}"
-        )
-    return _activate(ad.matmul(z, head.weight.leaf()), head)
+    return _activate(ad.matmul(Z, head.weight.leaf()), head)

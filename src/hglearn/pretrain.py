@@ -21,6 +21,9 @@ symmetric operator `op` and u = op 1_M (one matrix-vector product):
   and the loss reads exactly those rows.
 - A one-layer encoder's layer 1 is its last: op[K, K] X[K] W1 + u[K] (t_in W1).
 
+Each token term u (t W) is added by `model.with_input_term`, the one place
+pretraining and tuning form the rule's input term.
+
 Each of these is the full-row expression restricted to rows whose values
 the loss reads, so loss and gradients are those of the masked form (masked
 input, N-row encoder, masked latent, N-row decoder) up to rounding. `op` is
@@ -55,6 +58,7 @@ from .model import (
     build_decoder,
     build_encoder,
     hgnn_forward_operator,
+    with_input_term,
 )
 
 __all__ = [
@@ -92,14 +96,6 @@ def sample_mask(num_nodes: int, mask_ratio: float, rng) -> np.ndarray:
     return np.sort(picked.astype(np.intp))
 
 
-def _with_token(product, u_rows, token, w):
-    """product + u_rows (token w): a layer's product whose input holds `token` on rows M.
-
-    `product` covers the other input rows, and u_rows is op 1_M on the rows formed.
-    """
-    return ad.add(product, ad.matmul(ad.const(u_rows), ad.matmul(token, w)))
-
-
 def reconstruction_loss(operator, X, masked, encoder: HGNNStack, decoder: HGNNStack,
                         tokens: MaskTokens, gamma: float):
     """The scaled cosine error of one epoch's node mask, formed on the rows it reads.
@@ -120,12 +116,13 @@ def reconstruction_loss(operator, X, masked, encoder: HGNNStack, decoder: HGNNSt
         x_operator, u_in = rows[:, kept], u[kept]
     else:
         x_operator, u_in = rows.T, u
-    first = _with_token(ad.matmul(x_operator @ X[kept], w1), u_in, tokens.input_token.leaf(), w1)
+    first = with_input_term(ad.matmul(x_operator @ X[kept], w1), u_in,
+                            tokens.input_token.leaf(), w1)
     z_kept = hgnn_forward_operator(operator, None, encoder, first, last_rows=rows)
     w_d = decoder.layers[0].weight.leaf()
     product = _propagated_product(ad.const(rows.T[masked]), z_kept, w_d)  # op[M, K]
     recon = hgnn_forward_operator(
-        None, None, decoder, _with_token(product, u[masked], tokens.latent_token.leaf(), w_d))
+        None, None, decoder, with_input_term(product, u[masked], tokens.latent_token.leaf(), w_d))
     return ad.sce_loss(X[masked], recon, np.arange(masked.size), gamma)
 
 

@@ -32,7 +32,8 @@ Every strategy's encoder input is [X; 0], a zero row per prompt token, plus
 one term L R for its extra parameter R: L = 1 for `gpf`, L = softmax(X B^T)
 per row for `gpf_plus`, L = [0; I] for `phgnn` and `phgnn_no_structure`, and
 no term for `finetune` and `linear_probe`. So the first encoder layer is
-op [X W1; 0] + (op L)(R W1). Under a frozen encoder its fixed rows
+op [X W1; 0] + (op L)(R W1), formed by `model.with_input_term`, the one
+place pretraining and tuning form it. Under a frozen encoder its fixed rows
 op [X W1; 0] are formed once per operator, where the operator is built, and
 an epoch computes only (op L)(R W1), with op L the per-fold D 1, the token
 columns [u v^T; T], or op applied to the attention (`_StrategyState.encode`).
@@ -74,7 +75,7 @@ from .hypergraph import (
     knn_neighbor_lists,
 )
 from .metrics import MetricsReport, evaluate_logits
-from .model import HGNNStack, build_head, classify, hgnn_forward_operator
+from .model import HGNNStack, build_head, classify, hgnn_forward_operator, with_input_term
 
 if TYPE_CHECKING:  # config imports STRATEGIES from here
     from .config import RunConfig
@@ -377,8 +378,7 @@ class _StrategyState:
             first = ad.const(self.dxw if operator is self.data_operator else operator.fixed_rows)
             if self.extra is not None:
                 r = self.extra.leaf()
-                first = ad.add(first, ad.matmul(self.spec.extra.input_term(self, operator, r),
-                                                ad.matmul(r, w)))
+                first = with_input_term(first, self.spec.extra.input_term(self, operator, r), r, w)
         return hgnn_forward_operator(operator, None, self.encoder, first, head)
 
     def logits(self, operator):

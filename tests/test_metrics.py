@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import hglearn.metrics
 from hglearn.autodiff import ValidationError
+from hglearn.config import RunConfig
+from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.metrics import (
     MetricsReport,
     aggregate_folds,
@@ -14,6 +16,8 @@ from hglearn.metrics import (
     evaluate_logits,
     format_metric_row,
 )
+from hglearn.model import build_encoder
+from hglearn.prompt import evaluate_snapshot, tune_with_strategy
 
 from oracles import pair_count_auc
 
@@ -25,6 +29,18 @@ def one_hot(pred, classes=2):
 
 def report(sen, spe, auc_value):
     return MetricsReport(bacc=(sen + spe) / 2.0, sen=sen, spe=spe, auc=auc_value)
+
+
+def replay_with_mask(mask):
+    """`evaluate_snapshot` on `mask` of a one-epoch linear_probe run on 20 nodes."""
+    ds = generate_synthetic(20, 2, (3, 3), 3.0, 0.0, seed=0)
+    G, X = build_fused_hypergraph(ds, 3)
+    cfg = RunConfig(tune_epochs=1, seed=0)
+    encoder = build_encoder(X.shape[1], (4,), 3, np.random.default_rng(0))
+    folds = split_folds(ds.labels, 2, seed=0)
+    result = tune_with_strategy("linear_probe", G, X, ds.labels, folds.train_mask(0),
+                                folds.val_mask(0), encoder, cfg)
+    return evaluate_snapshot(result, G, X, ds.labels, mask, encoder, cfg)
 
 
 class TestConfusion:
@@ -61,6 +77,17 @@ class TestConfusion:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             evaluate_logits(one_hot([1, 0]), [1, 0], np.zeros(2, bool))
+
+    @pytest.mark.parametrize("call", [
+        lambda: evaluate_logits(one_hot([1, 0, 1]), [1, 0, 1], np.ones(2, bool)),
+        lambda: evaluate_logits(one_hot([1, 0, 1]), [1, 0], np.ones(3, bool)),
+        lambda: evaluate_logits(np.array([0.5, 1.0, 2.0]), [1, 0, 1], np.ones(3, bool)),
+        lambda: evaluate_logits(np.ones((3, 1)), [1, 0, 1], np.ones(3, bool)),
+        lambda: replay_with_mask(np.ones(19, bool)),
+    ], ids=["short-mask", "short-labels", "1d-logits", "one-column", "snapshot-short-mask"])
+    def test_malformed_shapes_rejected(self, call):
+        with pytest.raises(ValidationError, match="evaluate_logits"):
+            call()
 
     def test_argmax_ties_resolve_to_class_zero(self):
         logits = np.array([[0.5, 0.5], [1.0, 2.0]])

@@ -75,10 +75,16 @@ class TestHGNNForward:
             assert np.allclose(out_p, out[perm], atol=1e-10)
 
     def test_dimension_mismatch_rejected(self):
-        G = Hypergraph.from_incidence(np.eye(3))
+        operator = propagation_operator(Hypergraph.from_incidence(np.eye(3)))
         with pytest.raises(ShapeError):
-            hgnn_forward_operator(propagation_operator(G), np.ones((3, 5)),
-                                  HGNNStack([identity_layer(3)]))
+            hgnn_forward_operator(operator, np.ones((3, 5)), HGNNStack([identity_layer(3)]))
+        # a 3-node operator on 4 feature rows, propagated after a first weight
+        # that narrows (4 -> 2) and before one that widens (4 -> 6)
+        for d_out in (2, 6):
+            layer = HGNNLayer(Parameter(np.ones((4, d_out)), "w"),
+                              Parameter(np.zeros((1, d_out)), "b"), "identity")
+            with pytest.raises(ShapeError, match="propagate"):
+                hgnn_forward_operator(operator, np.ones((4, 4)), HGNNStack([layer]))
 
     def test_stack_dims_must_chain(self):
         with pytest.raises(ShapeError, match="chain"):

@@ -1,4 +1,4 @@
-"""sha256 of every file the commands write at four small configs.
+"""sha256 of every file the commands write at six small configs.
 
 Runs gen-data, pretrain, tune for each strategy, compare-strategies,
 ablate-prompts (--sizes 1,2,4) and ablate-modalities through
@@ -6,9 +6,11 @@ ablate-prompts (--sizes 1,2,4) and ablate-modalities through
 config under its own subdirectory of --out, and prints one
 `sha256  relpath` line per output file, sorted by path. The configs are
 the default hyperedges, pairwise hyperedges with modality dropouts,
-pairwise hyperedges with k=0, where every node degree is 0, and default
+pairwise hyperedges with k=0, where every node degree is 0, default
 hyperedges with dropouts at n=400, where each modality's ~320 present rows
-span two of the row blocks `knn_neighbor_lists` ranks at a time.
+span two of the row blocks `knn_neighbor_lists` ranks at a time, a
+one-layer encoder (pretraining's one-layer branch, tuning's unfolded
+`classify`) and a three-layer one (the middle layers).
 
     python3 tools/output_digests.py --out /tmp/digests > change.txt
 
@@ -44,6 +46,8 @@ CONFIGS = {
     "pairwise_missing": [*BASE, "--set", "pairwise=true", "--set", "missing_rate=0.2"],
     "pairwise_k0": [*BASE, "--set", "pairwise=true", "--set", "k=0"],
     "missing_blocks": [*BASE, "--set", "n=400", "--set", "missing_rate=0.2"],
+    "one_layer": [*BASE, "--set", "hidden_dims="],
+    "three_layers": [*BASE, "--set", "hidden_dims=12,10"],
 }
 
 
