@@ -281,7 +281,9 @@ def mask_rows(a, row_indices, token) -> Tensor:
 def softmax_cross_entropy(logits, labels, row_mask) -> Tensor:
     """Mean over masked rows of -log softmax(logits)[label]; scalar output.
 
-    Stabilized by per-row max subtraction.
+    Stabilized by per-row max subtraction. Forward and backward are formed
+    on the masked rows only: every other row contributes nothing and gets
+    an exact zero gradient.
     """
     logits = const(logits)
     n, c = logits.value.shape
@@ -291,27 +293,28 @@ def softmax_cross_entropy(logits, labels, row_mask) -> Tensor:
         raise ShapeError(
             f"softmax_cross_entropy: labels/mask length does not match {n} rows"
         )
-    count = int(mask.sum())
+    rows = np.flatnonzero(mask)
+    count = rows.size
     if count == 0:
         raise ValidationError("softmax_cross_entropy: mask selects no rows")
-    sel = labels[mask]
-    if sel.size and (sel.min() < 0 or sel.max() >= c):
+    sel = labels[rows]
+    if sel.min() < 0 or sel.max() >= c:
         raise ValidationError(
             f"softmax_cross_entropy: label out of range for {c} classes"
         )
-    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    z = logits.value[rows]
+    shifted = z - z.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logprobs = shifted - logsumexp
-    rows = np.flatnonzero(mask)
-    out_val = np.array([[-logprobs[rows, labels[rows]].sum() / count]])
+    picked = (np.arange(count), sel)  # each row's label entry
+    out_val = np.array([[-(shifted - logsumexp)[picked].sum() / count]])
 
-    def backward(g, logits=logits, rows=rows, labels=labels, count=count,
+    def backward(g, logits=logits, rows=rows, picked=picked, count=count,
                  shifted=shifted, logsumexp=logsumexp):
         probs = np.exp(shifted - logsumexp)
+        probs[picked] -= 1.0
         gl = np.zeros_like(logits.value)
-        gl[rows] = probs[rows]
-        gl[rows, labels[rows]] -= 1.0
-        _accum(logits, gl * (g[0, 0] / count))
+        gl[rows] = probs * (g[0, 0] / count)
+        _accum(logits, gl)
 
     return Tensor(out_val, (logits,), "softmax_cross_entropy", backward)
 
@@ -448,10 +451,16 @@ def finite_difference_check(loss_fn, params, eps=1e-6) -> float:
 
 
 class AdamWState:
-    """The step count and per-parameter AdamW moments keyed by parameter name."""
+    """The step count and per-parameter AdamW moments keyed by parameter name.
+
+    The first step binds the state to the names and shapes of its trainable
+    parameters, in order; a later step over any other set raises
+    `ValidationError`.
+    """
 
     def __init__(self):
         self.t = 0
+        self.layout = None  # ((name, shape), ...) of the bound trainable set
         self.m = {}
         self.v = {}
 
@@ -460,28 +469,36 @@ def adamw_step(params, state: AdamWState, lr: float, weight_decay: float):
     """One AdamW step with decoupled weight decay over the trainable params.
 
     The value is scaled by (1 - lr * wd) before the bias-corrected moment
-    update is applied. It uses up each trainable parameter's gradient,
-    setting `grad` back to None, so a second step needs a new backward pass.
-    Non-trainable parameters are never touched.
+    update is applied. The first step binds `state` to the trainable set,
+    and a step over another set raises `ValidationError`. It uses up each
+    trainable parameter's gradient, setting `grad` back to None, so a second
+    step needs a new backward pass. Non-trainable parameters are never
+    touched.
     """
     if lr <= 0:
         raise ValidationError(f"adamw_step: lr must be > 0, got {lr}")
     if weight_decay < 0:
         raise ValidationError(f"adamw_step: weight_decay must be >= 0, got {weight_decay}")
     trainable = [p for p in params if p.trainable]
-    names = [p.name for p in trainable]
-    if len(set(names)) != len(names):
-        raise ValidationError("adamw_step: duplicate parameter names")
     for p in trainable:
         if p.grad is None:
             raise ValidationError(f"adamw_step: gradient of {p.name!r} not populated")
+    layout = tuple((p.name, p.value.shape) for p in trainable)
+    if state.layout is None:  # the first step binds the state and allocates its moments
+        names = [name for name, _ in layout]
+        if len(set(names)) != len(names):
+            raise ValidationError("adamw_step: duplicate parameter names")
+        state.layout = layout
+        for p in trainable:
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.value), np.zeros_like(p.value)
+    elif layout != state.layout:
+        raise ValidationError(f"adamw_step: the state is bound to {list(state.layout)}, "
+                              f"got {list(layout)}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p in trainable:
-        if p.name not in state.m:  # the first step of this parameter
-            state.m[p.name], state.v[p.name] = np.zeros_like(p.value), np.zeros_like(p.value)
         m, v = state.m[p.name], state.v[p.name]
         g = p.grad
         p.value *= 1.0 - lr * weight_decay

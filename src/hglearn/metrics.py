@@ -16,6 +16,7 @@ from .autodiff import ValidationError
 __all__ = [
     "MetricsReport",
     "auc",
+    "balanced_accuracy",
     "evaluate_logits",
     "aggregate_folds",
     "format_metric_row",
@@ -66,13 +67,32 @@ def auc(scores, labels, mask) -> float:
     return u / (n_pos * n_neg)
 
 
+def balanced_accuracy(logits, labels):
+    """(BACC, SEN, SPE) of the argmax predictions of masked rows against their labels.
+
+    `logits` holds only the rows to score and `labels` their classes. Each
+    row is predicted as its argmax class, ties going to the lower index, so
+    a prediction of class 2 or above is a miss for either class. BACC is the
+    mean of SEN and SPE, each a count over its class's rows; a single class
+    raises `ValidationError`.
+    """
+    hit = np.argmax(logits, axis=1) == labels
+    pos, neg = labels == 1, labels == 0
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos == 0 or n_neg == 0:
+        raise ValidationError("BACC undefined: mask holds a single class")
+    sen = int((hit & pos).sum()) / n_pos
+    spe = int((hit & neg).sum()) / n_neg
+    return (sen + spe) / 2.0, sen, spe
+
+
 def evaluate_logits(logits, labels, mask) -> MetricsReport:
     """BACC, SEN, SPE and AUC from raw logits on the masked nodes.
 
-    AUC ranks the softmax probability of class 1. Each node is predicted as
-    its argmax class, ties going to the lower index, so a prediction of
-    class 2 or above is a miss for either class. Logits other than N x C
-    with C >= 2, or labels or a mask other than N long, raise `ValidationError`.
+    AUC ranks the softmax probability of class 1; BACC, SEN and SPE are
+    `balanced_accuracy` of the masked rows. Logits other than N x C with
+    C >= 2, labels or a mask other than N long, or a mask without both
+    classes raise `ValidationError`.
     """
     z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -88,12 +108,9 @@ def evaluate_logits(logits, labels, mask) -> MetricsReport:
     # every step below works row by row, so the masked rows are taken first
     z, t = z[m], t[m]
     e = np.exp(z - z.max(axis=1, keepdims=True))
-    # auc rejects a mask without both classes, so neither rate divides by zero
     a = auc(e[:, 1] / e.sum(axis=1), t, np.ones(t.size, dtype=bool))
-    hit = np.argmax(z, axis=1) == t
-    sen = int((hit & (t == 1)).sum()) / int((t == 1).sum())
-    spe = int((hit & (t == 0)).sum()) / int((t == 0).sum())
-    return MetricsReport(bacc=(sen + spe) / 2.0, sen=sen, spe=spe, auc=a)
+    bacc, sen, spe = balanced_accuracy(z, t)
+    return MetricsReport(bacc=bacc, sen=sen, spe=spe, auc=a)
 
 
 def aggregate_folds(reports) -> MetricsReport:

@@ -74,7 +74,7 @@ from .hypergraph import (
     knn_hyperedges,
     knn_neighbor_lists,
 )
-from .metrics import MetricsReport, evaluate_logits
+from .metrics import MetricsReport, balanced_accuracy, evaluate_logits
 from .model import HGNNStack, build_head, classify, hgnn_forward_operator, with_input_term
 
 if TYPE_CHECKING:  # config imports STRATEGIES from here
@@ -256,6 +256,9 @@ def _validate_masks(labels, train_mask, val_mask):
         raise ValidationError("validation mask selects no nodes")
     if (mt & mv).any():
         raise ValidationError("training and validation masks overlap")
+    # every epoch's BACC divides by the validation rows of each class
+    if not ((y[mv] == 0).any() and (y[mv] == 1).any()):
+        raise ValidationError("validation mask holds a single class")
     return y, mt, mv
 
 
@@ -403,12 +406,15 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
 
     Per epoch: (re)build the prompt structure where applicable, compute the
     training loss on the train mask, step AdamW over the strategy's trainable
-    set, recompute predictions with the updated parameters, evaluate on the
-    validation mask, and keep the best-validation snapshot (strictly better
-    balanced accuracy; ties keep the earlier epoch). Those predictions are
-    also the next epoch's training forward whenever its operator is the same
-    object, since no parameter changes in between. A non-finite loss or
-    updated parameter raises `ValidationError`.
+    set, recompute predictions with the updated parameters, score their
+    validation BACC (`metrics.balanced_accuracy`), and keep the
+    best-validation snapshot (strictly better BACC; ties keep the earlier
+    epoch). Only an epoch that sets a new best is evaluated in full
+    (`evaluate_logits`, with AUC, SEN and SPE), and that report is
+    `best_metrics`. Those predictions are also the next epoch's training
+    forward whenever its operator is the same object, since no parameter
+    changes in between. A validation mask without both classes, or a
+    non-finite loss or updated parameter, raises `ValidationError`.
     """
     spec = _strategy_spec(strategy)
     X = ad.as_matrix(X, "features")
@@ -429,6 +435,7 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
         best_epoch=-1,
     )
     best_bacc = -1.0
+    val_rows, y_val = np.flatnonzero(mv), y[mv]
     logits, logits_operator = None, None
     # a diverging epoch is reported by check_finite, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -448,12 +455,12 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
             check_finite("tune", epoch, result.train_losses[-1], params)
             # post-update predictions on the same structure, per the tuning loop
             logits, logits_operator = run.logits(operator), operator
-            report = evaluate_logits(logits.value[:n], y, mv)
-            result.val_bacc.append(report.bacc)
-            if report.bacc > best_bacc:
-                best_bacc = report.bacc
+            bacc = balanced_accuracy(logits.value[val_rows], y_val)[0]
+            result.val_bacc.append(bacc)
+            if bacc > best_bacc:
+                best_bacc = bacc
                 result.best_epoch = epoch
-                result.best_metrics = report
+                result.best_metrics = evaluate_logits(logits.value[:n], y, mv)
                 result.snapshot = _snapshot_params(params)
                 result.prompt_structure = G_p  # read-only, so kept without a copy
     return result

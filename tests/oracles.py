@@ -84,3 +84,25 @@ def pair_count_auc(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def all_rows_cross_entropy(logits, labels, mask):
+    """(loss, gradient) of the masked mean cross-entropy, formed on every row.
+
+    The all-rows form `softmax_cross_entropy` must match bit for bit: every
+    row's log-softmax is computed, the masked rows' label entries are summed,
+    and the gradient is softmax minus one-hot on the masked rows, zero on the
+    rest, scaled by 1/count on every row.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    rows = np.flatnonzero(np.asarray(mask, dtype=bool))
+    shifted = z - z.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logprobs = shifted - logsumexp
+    loss = -logprobs[rows, labels[rows]].sum() / rows.size
+    probs = np.exp(shifted - logsumexp)
+    grad = np.zeros_like(z)
+    grad[rows] = probs[rows]
+    grad[rows, labels[rows]] -= 1.0
+    return loss, grad * (1.0 / rows.size)

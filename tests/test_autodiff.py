@@ -18,7 +18,13 @@ from hglearn.autodiff import (
     finite_difference_check,
     forward_backward,
 )
+from oracles import all_rows_cross_entropy
 from tape_ops import mul, row_l2_normalize, sum_all, tape_nodes
+
+
+def _bits(a) -> bytes:
+    """The bytes of a float64 array or scalar: equal only when bit for bit equal."""
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
 def test_annihilation_gives_zero_loss_and_grad():
@@ -323,6 +329,41 @@ def test_determinism_bit_identical_losses_and_grads():
     assert np.array_equal(g1, g2)
 
 
+# ties, logits far apart, and logits whose shifted values are near float64's range
+_LOGIT_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e300, -1e300]) | st.floats(-50.0, 50.0)
+
+
+class TestCrossEntropyRows:
+    """The loss is formed on the masked rows only, with the all-rows form's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_all_rows_form_bitwise(self, data):
+        n, c = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 4))
+        logits = np.array(data.draw(st.lists(_LOGIT_ENTRIES, min_size=n * c, max_size=n * c)))
+        logits = logits.reshape(n, c)
+        labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        mask[data.draw(st.integers(0, n - 1))] = True
+        p = Parameter(logits, "logits")
+        loss = forward_backward(ad.softmax_cross_entropy(p.leaf(), labels, mask))
+        expected_loss, expected_grad = all_rows_cross_entropy(logits, labels, mask)
+        assert _bits(loss) == _bits(expected_loss)
+        assert _bits(p.grad) == _bits(expected_grad)
+        assert not p.grad[~mask].any()
+
+    def test_unmasked_rows_are_never_read(self):
+        # a non-finite unmasked row would poison an all-rows max or exp
+        logits = np.array([[1.0, 2.0], [np.nan, np.inf], [0.5, -0.5]])
+        p = Parameter(logits, "logits")
+        mask = np.array([True, False, True])
+        loss = forward_backward(ad.softmax_cross_entropy(p.leaf(), [1, 0, 0], mask))
+        expected_loss, expected_grad = all_rows_cross_entropy(logits[mask], [1, 0], [True, True])
+        assert loss == expected_loss
+        assert np.array_equal(p.grad[mask], expected_grad)
+        assert np.array_equal(p.grad[1], [0.0, 0.0])
+
+
 def _random_stack(leaves, ops):
     """Apply (op, i, j) to a pool that starts as `leaves`; a scalar loss on the last node.
 
@@ -460,6 +501,32 @@ class TestAdamW:
             adamw_step([p], state, 0.01, 0.0)
         assert len(made) == 2  # m and v, once
         assert state.m["p"].shape == state.v["p"].shape == (1, 2)
+        assert state.layout == (("p", (1, 2)),)
+
+    @pytest.mark.parametrize("change", ["new name", "changed shape", "dropped parameter"])
+    def test_state_bound_to_one_trainable_set(self, change):
+        a, b = Parameter(np.ones((2, 2)), "a"), Parameter(np.ones((1, 3)), "b")
+        state = AdamWState()
+        a.grad, b.grad = np.ones((2, 2)), np.ones((1, 3))
+        adamw_step([a, b], state, 0.1, 0.0)
+        later = {
+            "new name": [a, Parameter(np.ones((1, 3)), "c")],
+            "changed shape": [a, Parameter(np.ones((3, 1)), "b")],
+            "dropped parameter": [a],
+        }[change]
+        for p in later:
+            p.grad = np.ones(p.value.shape)
+        before = [p.value.copy() for p in later]
+        with pytest.raises(ValidationError, match="bound to"):
+            adamw_step(later, state, 0.1, 0.0)
+        assert state.t == 1
+        assert all(np.array_equal(p.value, v) for p, v in zip(later, before))
+
+    def test_duplicate_names_rejected(self):
+        a, b = Parameter([[1.0]], "p"), Parameter([[2.0]], "p")
+        a.grad, b.grad = np.ones((1, 1)), np.ones((1, 1))
+        with pytest.raises(ValidationError, match="duplicate"):
+            adamw_step([a, b], AdamWState(), 0.1, 0.0)
 
     def test_non_trainable_bit_identical_across_steps(self):
         frozen = Parameter([[0.1, 0.2], [0.3, 0.4]], "frozen", trainable=False)

@@ -564,6 +564,21 @@ class TestPromptTune:
             tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
                                folds.train_mask(0), encoder, small_config())
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_single_class_validation_mask_rejected_before_an_epoch(self, tuning_setup, strategy,
+                                                                   monkeypatch):
+        ds, G, X, encoder, folds = tuning_setup
+        epochs = []
+        monkeypatch.setattr(hglearn.prompt, "forward_backward",
+                            lambda loss: epochs.append(loss) or 0.0)
+        for label in (0, 1):
+            val_mask = folds.val_mask(0) & (ds.labels == label)
+            assert val_mask.any()
+            with pytest.raises(ValidationError, match="single class"):
+                tune_with_strategy(strategy, G, X, ds.labels, folds.train_mask(0), val_mask,
+                                   encoder, small_config(strategy=strategy))
+        assert epochs == []
+
     def test_learns_separable_data(self, tuning_setup):
         ds, G, X, encoder, folds = tuning_setup
         result = tune_with_strategy("phgnn", G, X, ds.labels, folds.train_mask(0),
@@ -778,14 +793,14 @@ def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg)
     n, p_rows = X.shape[0], run.prompt_rows
     y_pad = np.concatenate([labels, np.zeros(p_rows, dtype=np.int64)])
     mt_pad = np.concatenate([train_mask, np.zeros(p_rows, dtype=bool)])
-    state, losses, baccs = AdamWState(), [], []
+    state, losses, reports = AdamWState(), [], []
     for _ in range(cfg.tune_epochs):
         _, operator = run.epoch_structure()
         losses.append(forward_backward(
             ad.softmax_cross_entropy(forward(operator), y_pad, mt_pad)))
         adamw_step(run.params, state, cfg.tune_lr, cfg.tune_weight_decay)
-        baccs.append(evaluate_logits(forward(operator).value[:n], labels, val_mask).bacc)
-    return losses, baccs
+        reports.append(evaluate_logits(forward(operator).value[:n], labels, val_mask))
+    return losses, reports
 
 
 class TestEpochForwards:
@@ -796,9 +811,34 @@ class TestEpochForwards:
         cfg = small_config(tune_epochs=15, strategy=strategy, tune_lr=0.05)
         args = (G, X, ds.labels, folds.train_mask(0), folds.val_mask(0), encoder, cfg)
         result = tune_with_strategy(strategy, *args)
-        losses, baccs = two_forward_tune(strategy, *args)
+        losses, reports = two_forward_tune(strategy, *args)
         assert result.train_losses == losses
-        assert result.val_bacc == baccs
+        # every epoch's BACC is the full report's, and the best epoch's report is kept whole
+        assert result.val_bacc == [r.bacc for r in reports]
+        best = max(range(len(reports)), key=lambda e: (reports[e].bacc, -e))
+        assert result.best_epoch == best
+        assert result.best_metrics == reports[best]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_full_evaluation_only_at_new_best_epochs(self, tuning_setup, strategy, monkeypatch):
+        ds, G, X, encoder, folds = tuning_setup
+        evaluated = []
+        evaluate = hglearn.prompt.evaluate_logits
+
+        def counted(*args):
+            evaluated.append(evaluate(*args))
+            return evaluated[-1]
+        monkeypatch.setattr(hglearn.prompt, "evaluate_logits", counted)
+        # on this fold every strategy's validation BACC improves several times
+        args = (G, X, ds.labels, folds.train_mask(4), folds.val_mask(4), encoder,
+                small_config(tune_epochs=20, strategy=strategy))
+        result = tune_with_strategy(strategy, *args)
+        _, reports = two_forward_tune(strategy, *args)
+        new_best = [e for e, r in enumerate(reports)
+                    if all(r.bacc > earlier.bacc for earlier in reports[:e])]
+        assert len(new_best) > 1
+        assert evaluated == [reports[e] for e in new_best]
+        assert evaluated[-1] is result.best_metrics and new_best[-1] == result.best_epoch
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forwards_per_fold(self, tuning_setup, strategy, monkeypatch):
