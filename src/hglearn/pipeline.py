@@ -29,10 +29,6 @@ MODALITY_SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 def run_tune(G, X, labels, encoder: HGNNStack, cfg: RunConfig) -> dict:
     """Tune `cfg.strategy` over every fold of (G, X); aggregate validation metrics."""
-    if X.shape[1] != encoder.input_dim:
-        raise ValidationError(
-            f"checkpoint expects {encoder.input_dim} fused features, dataset has {X.shape[1]}"
-        )
     folds = split_folds(labels, cfg.k_folds, cfg.seed)
     fold_results = [
         tune_with_strategy(cfg.strategy, G, X, labels,
@@ -49,7 +45,7 @@ def run_tune(G, X, labels, encoder: HGNNStack, cfg: RunConfig) -> dict:
     }
 
 
-def run_ablate_prompts(G, X, labels, encoder, cfg: RunConfig, sizes=(8, 16, 32, 64)) -> list:
+def run_ablate_prompts(G, X, labels, encoder, cfg: RunConfig, sizes) -> list:
     """One phgnn tuning sweep per prompt-set size; AUC is the headline column."""
     rows = []
     for p in sizes:

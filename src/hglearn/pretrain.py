@@ -54,6 +54,7 @@ from .config import RunConfig
 from .hypergraph import Hypergraph, propagation_operator
 from .model import (
     HGNNStack,
+    _activate,
     _propagated_product,
     build_decoder,
     build_encoder,
@@ -103,8 +104,12 @@ def reconstruction_loss(operator, X, masked, encoder: HGNNStack, decoder: HGNNSt
     `operator` is the symmetric N x N propagation matrix, `X` the N x d
     features and `masked` the sorted masked rows, at least one, that leave
     at least one row kept. See the module docstring for the rows each layer
-    forms.
+    forms. The decoder must be one layer (`model.build_decoder`); any other
+    raises `ValidationError`.
     """
+    if len(decoder.layers) != 1:
+        raise ValidationError(
+            f"reconstruction_loss: the decoder has {len(decoder.layers)} layers, needs 1")
     n = X.shape[0]
     keep = np.ones(n, dtype=bool)
     keep[masked] = False
@@ -119,10 +124,10 @@ def reconstruction_loss(operator, X, masked, encoder: HGNNStack, decoder: HGNNSt
     first = with_input_term(ad.matmul(x_operator @ X[kept], w1), u_in,
                             tokens.input_token.leaf(), w1)
     z_kept = hgnn_forward_operator(operator, None, encoder, first, last_rows=rows)
-    w_d = decoder.layers[0].weight.leaf()
+    layer = decoder.layers[0]
+    w_d = layer.weight.leaf()
     product = _propagated_product(ad.const(rows.T[masked]), z_kept, w_d)  # op[M, K]
-    recon = hgnn_forward_operator(
-        None, None, decoder, with_input_term(product, u[masked], tokens.latent_token.leaf(), w_d))
+    recon = _activate(with_input_term(product, u[masked], tokens.latent_token.leaf(), w_d), layer)
     return ad.sce_loss(X[masked], recon, np.arange(masked.size), gamma)
 
 

@@ -101,16 +101,8 @@ class _ExtraParam:
     count_key: str  # its entry in the reported parameter counts
     name: str  # parameter and snapshot name
     rows: str | None  # RunConfig field holding the row count; None is one row
-    init: Callable  # (rng, shape) -> initial value
+    init_std: float  # R starts at normal(0, init_std) draws; 0 gives exact +0.0
     input_term: Callable  # (state, operator, R's leaf) -> op L
-
-
-def _small_normal(rng, shape):
-    return rng.normal(0.0, 0.02, size=shape)
-
-
-def _zeros(rng, shape):
-    return np.zeros(shape)
 
 
 def _token_columns(run, operator, tokens):
@@ -136,17 +128,16 @@ class _Strategy:
     structured: bool = False
 
 
-_TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", _small_normal,
-                      _token_columns)
+_TOKENS = _ExtraParam("prompt_tokens", "prompt.tokens", "num_prompts", 0.02, _token_columns)
 
 _STRATEGY_TABLE = {
     "finetune": _Strategy(trains_encoder=True),
     "linear_probe": _Strategy(),
     "phgnn": _Strategy(extra=_TOKENS, structured=True),
     "phgnn_no_structure": _Strategy(extra=_TOKENS),
-    "gpf": _Strategy(extra=_ExtraParam("prompt_vector", "gpf.vector", None, _zeros, _row_sums)),
-    "gpf_plus": _Strategy(extra=_ExtraParam("prompt_basis", "gpf.basis", "gpf_basis",
-                                          _small_normal, _propagated_attention)),
+    "gpf": _Strategy(extra=_ExtraParam("prompt_vector", "gpf.vector", None, 0.0, _row_sums)),
+    "gpf_plus": _Strategy(extra=_ExtraParam("prompt_basis", "gpf.basis", "gpf_basis", 0.02,
+                                          _propagated_attention)),
 }
 
 STRATEGIES = tuple(_STRATEGY_TABLE)
@@ -207,18 +198,6 @@ def build_prompt_structure(tokens, k_p: int) -> Hypergraph:
     return knn_hyperedges(t, k_p)
 
 
-def _check_prompt(feature_dim, tokens, G_p: Hypergraph):
-    """The shape checks of attaching the tokens and their structure G_p."""
-    if tokens.shape[1] != feature_dim:
-        raise ValidationError(
-            f"token dim {tokens.shape[1]} does not match feature dim {feature_dim}"
-        )
-    if G_p.num_nodes != tokens.shape[0]:
-        raise ValidationError(
-            f"prompt structure covers {G_p.num_nodes} tokens, got {tokens.shape[0]}"
-        )
-
-
 def insert_prompt(G: Hypergraph, X, G_p: Hypergraph, tokens):
     """Attach the prompt sub-hypergraph to the data hypergraph.
 
@@ -233,7 +212,10 @@ def insert_prompt(G: Hypergraph, X, G_p: Hypergraph, tokens):
     p = t.shape[0]
     if p == 0:
         return G, X
-    _check_prompt(d, t, G_p)
+    if t.shape[1] != d:
+        raise ValidationError(f"token dim {t.shape[1]} does not match feature dim {d}")
+    if G_p.num_nodes != p:
+        raise ValidationError(f"prompt structure covers {G_p.num_nodes} tokens, got {p}")
     e, e_p = G.num_edges, G_p.num_edges
     # token j's insertion hyperedge holds every data node, then node n + j
     inserted = np.column_stack([np.tile(np.arange(n), (p, 1)), n + np.arange(p)])
@@ -291,22 +273,31 @@ class _PromptedOperator:
 class _StrategyState:
     """One strategy's encoder, head, extra parameter, and forward pass on a fixed graph.
 
+    The one check site of every tuning entry point: it resolves the strategy
+    name, coerces `X`, and raises `ValidationError` unless `X` has a row per
+    node of `G` and a column per input of `pretrained`.
+
     The encoder is a copy of the caller's, trainable exactly when the strategy
     table says so, so tuning never touches the caller's parameters. The head
     starts at zero; only the extra parameter draws from `default_rng(cfg.seed)`.
     """
 
-    def __init__(self, spec: _Strategy, G, X, pretrained: HGNNStack, cfg: RunConfig):
-        self.spec = spec
-        self.X = X
+    def __init__(self, strategy, G, X, pretrained: HGNNStack, cfg: RunConfig):
+        self.spec = spec = _strategy_spec(strategy)
+        self.X = X = ad.as_matrix(X, "features")
+        if X.shape[0] != G.num_nodes:
+            raise ValidationError("labels/features do not match the hypergraph node count")
+        if X.shape[1] != pretrained.input_dim:
+            raise ValidationError(f"checkpoint expects {pretrained.input_dim} fused features, "
+                                  f"dataset has {X.shape[1]}")
         self.encoder = encoder = pretrained.copy(trainable=spec.trains_encoder)
         self.prompt_k = cfg.prompt_k
         self.head = build_head(encoder.output_dim, _NUM_CLASSES)
         self.extra = None
         if spec.extra is not None:
-            rows = _extra_rows(spec.extra, cfg)
+            shape = (_extra_rows(spec.extra, cfg), X.shape[1])
             self.extra = Parameter(
-                spec.extra.init(np.random.default_rng(cfg.seed), (rows, X.shape[1])),
+                np.random.default_rng(cfg.seed).normal(0.0, spec.extra.init_std, shape),
                 spec.extra.name,
             )
         self.params = ((encoder.parameters() if spec.trains_encoder else [])
@@ -341,11 +332,10 @@ class _StrategyState:
 
         Equals `propagation_operator(insert_prompt(G, X, G_p, tokens)[0])`,
         applied as blocks around the fixed data block (see the module
-        docstring).
+        docstring). G_p fits the tokens: built from them, or checked by `evaluate_snapshot`.
         """
         if G_p is None:
             return self.data_operator
-        _check_prompt(self.X.shape[1], self.extra.value, G_p)
         # each token's own insertion hyperedge: degree + 1, diagonal + 1/(N+1)
         s_tok, tok_block = _normalized_gram(G_p, 1, np.eye(G_p.num_nodes) / (self.X.shape[0] + 1))
         return _PromptedOperator(self.data_operator, self.border, s_tok[:, None], tok_block,
@@ -413,17 +403,16 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     (`evaluate_logits`, with AUC, SEN and SPE), and that report is
     `best_metrics`. Those predictions are also the next epoch's training
     forward whenever its operator is the same object, since no parameter
-    changes in between. A validation mask without both classes, or a
-    non-finite loss or updated parameter, raises `ValidationError`.
+    changes in between. `_StrategyState` checks the strategy name and `X`,
+    this function the labels and masks: a bad one of these, or a non-finite
+    loss or updated parameter, raises `ValidationError`.
     """
-    spec = _strategy_spec(strategy)
-    X = ad.as_matrix(X, "features")
+    run = _StrategyState(strategy, G, X, pretrained, cfg)
     y, mt, mv = _validate_masks(labels, train_mask, val_mask)
-    if y.shape[0] != G.num_nodes or X.shape[0] != G.num_nodes:
+    if y.shape[0] != G.num_nodes:
         raise ValidationError("labels/features do not match the hypergraph node count")
-    run = _StrategyState(spec, G, X, pretrained, cfg)
     params = run.params
-    n, p_rows = X.shape[0], run.prompt_rows
+    n, p_rows = G.num_nodes, run.prompt_rows
     y_pad = np.concatenate([y, np.zeros(p_rows, dtype=np.int64)])
     mt_pad = np.concatenate([mt, np.zeros(p_rows, dtype=bool)])
     state = AdamWState()
@@ -470,17 +459,16 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
                       pretrained: HGNNStack, cfg: RunConfig) -> MetricsReport:
     """Re-evaluate a stored snapshot on a mask, reproducing its metrics.
 
-    The snapshot must hold exactly the strategy's trainable parameters, each
-    in the shape `cfg` and `pretrained` give it, and a prompt structure
-    exactly when the strategy attaches tokens, with one hyperedge per token
-    for `phgnn` and none for `phgnn_no_structure`; anything else raises
-    `ValidationError`. The structure is reused as-is (the epoch loop
-    evaluates post-update token values under the structure built from the
-    pre-update ones, so the structure is part of the snapshot).
+    `_StrategyState` checks the strategy name and `X` as for tuning. The
+    snapshot must hold exactly the strategy's trainable parameters, each in
+    the shape `cfg` and `pretrained` give it, and a prompt structure exactly
+    when the strategy attaches tokens, with a node per token and one
+    hyperedge per token for `phgnn`, none for `phgnn_no_structure`; anything
+    else raises `ValidationError`. The structure is reused as-is (the epoch
+    loop evaluates post-update token values under the structure built from
+    the pre-update ones, so the structure is part of the snapshot).
     """
-    spec = _strategy_spec(result.strategy)
-    X = ad.as_matrix(X, "features")
-    run = _StrategyState(spec, G, X, pretrained, cfg)
+    run = _StrategyState(result.strategy, G, X, pretrained, cfg)
     trained = {p.name: p for p in run.params}
     missing = sorted(trained.keys() - result.snapshot.keys())
     unexpected = sorted(result.snapshot.keys() - trained.keys())
@@ -494,12 +482,15 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
                                   f"{result.strategy} needs {p.value.shape}")
         p.value[:] = value
     G_p = result.prompt_structure
-    if (G_p is not None) != (spec.extra is _TOKENS):
+    if (G_p is not None) != (run.prompt_rows > 0):
         raise ValidationError(f"snapshot: {result.strategy} needs "
-                              f"{'a' if spec.extra is _TOKENS else 'no'} prompt structure")
+                              f"{'a' if run.prompt_rows else 'no'} prompt structure")
     # one k-NN hyperedge per token when structured, none otherwise
-    expected = run.prompt_rows if spec.structured else 0
+    expected = run.prompt_rows if run.spec.structured else 0
     if G_p is not None and G_p.num_edges != expected:
         raise ValidationError(f"snapshot: {result.strategy} needs {expected} prompt "
                               f"hyperedges, the structure has {G_p.num_edges}")
-    return evaluate_logits(run.logits(run.operator(G_p)).value[: X.shape[0]], labels, mask)
+    if G_p is not None and G_p.num_nodes != run.prompt_rows:
+        raise ValidationError(f"prompt structure covers {G_p.num_nodes} tokens, "
+                              f"got {run.prompt_rows}")
+    return evaluate_logits(run.logits(run.operator(G_p)).value[: G.num_nodes], labels, mask)

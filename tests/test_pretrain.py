@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hglearn.pretrain
 from hglearn.autodiff import (
     Parameter,
     ValidationError,
@@ -15,7 +16,13 @@ from hglearn.autodiff import (
 )
 from hglearn.config import RunConfig
 from hglearn.hypergraph import knn_hyperedges, propagation_operator
-from hglearn.model import build_decoder, build_encoder, hgnn_forward_operator
+from hglearn.model import (
+    HGNNStack,
+    build_decoder,
+    build_encoder,
+    hgnn_forward_operator,
+    init_layer,
+)
 from hglearn.pretrain import MaskTokens, pretrain, reconstruction_loss, sample_mask
 from tape_ops import tape_nodes
 
@@ -257,11 +264,6 @@ def loss_and_grads(loss_fn, params, *args):
     return loss, grads
 
 
-def assert_close(a, b, rtol=1e-12):
-    """|a - b| within rtol of the largest entry of b."""
-    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
-
-
 class TestReconstructionLoss:
     """The row-sliced epoch against the masked form it restricts."""
 
@@ -280,6 +282,8 @@ class TestReconstructionLoss:
     @example(n=4, d=3, hidden_dims=(), latent_dim=2, mask_ratio=0.75, gamma=2.0, seed=0)
     @example(n=4, d=3, hidden_dims=(5,), latent_dim=2, mask_ratio=0.75, gamma=2.0, seed=1)
     @example(n=4, d=3, hidden_dims=(7, 3), latent_dim=2, mask_ratio=0.75, gamma=2.0, seed=2)
+    # a one-wide latent: the encoder and token gradients cancel to ~1e-6
+    @example(n=4, d=2, hidden_dims=(7, 3), latent_dim=1, mask_ratio=0.75, gamma=1.0, seed=46)
     def test_loss_and_gradients_equal_the_masked_form(self, n, d, hidden_dims, latent_dim,
                                                       mask_ratio, gamma, seed):
         rng, X, operator, encoder, decoder, tokens, params = random_model(
@@ -291,12 +295,12 @@ class TestReconstructionLoss:
         loss, grads = loss_and_grads(reconstruction_loss, params, *args)
         ref_loss, ref_grads = loss_and_grads(masked_form_loss, params, *args)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        # a gradient can cancel to far below the terms it sums, so each is
+        # compared at the scale of the largest one, not at its own
+        scale = max(np.abs(ref).max() for ref in ref_grads)
         for p, g, ref in zip(params, grads, ref_grads):
             assert g.shape == p.value.shape
-            if ref.any():
-                assert_close(g, ref)
-            else:
-                assert np.abs(g).max() <= 1e-12
+            assert np.abs(g - ref).max() <= 1e-12 * scale, p.name
 
     @pytest.mark.parametrize("hidden_dims", [(), (6,), (6, 5)])
     def test_finite_differences(self, hidden_dims):
@@ -329,6 +333,37 @@ class TestReconstructionLoss:
         assert (masked.size, kept) in shapes
         assert ((kept, n) in shapes) == bool(hidden_dims)
         assert all(t.value.shape != (n, n) for t in nodes)
+
+
+class TestDecoder:
+    def test_a_decoder_of_more_than_one_layer_rejected(self):
+        rng, X, operator, encoder, _, tokens, _ = random_model(8, 3, (6,), 4, 5)
+        decoder = HGNNStack([init_layer(4, 5, "relu", rng, "decoder.layer0"),
+                             init_layer(5, 3, "identity", rng, "decoder.layer1")])
+        with pytest.raises(ValidationError, match="the decoder has 2 layers, needs 1"):
+            reconstruction_loss(operator, X, np.array([0, 3]), encoder, decoder, tokens, 2.0)
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_the_decoder_layer_is_applied_without_a_forward(self, monkeypatch, activation):
+        rng, X, operator, encoder, decoder, tokens, params = random_model(8, 3, (6,), 4, 5)
+        decoder.layers[0].activation = activation
+        masked = np.array([0, 3, 5])
+        ref_loss, ref_grads = loss_and_grads(masked_form_loss, params, operator, X, masked,
+                                             encoder, decoder, tokens, 2.0)
+        forward = hglearn.pretrain.hgnn_forward_operator
+        stacks = []
+
+        def counted(operator, X, stack, *args, **kwargs):
+            stacks.append(stack)
+            return forward(operator, X, stack, *args, **kwargs)
+        monkeypatch.setattr(hglearn.pretrain, "hgnn_forward_operator", counted)
+        loss, grads = loss_and_grads(reconstruction_loss, params, operator, X, masked,
+                                     encoder, decoder, tokens, 2.0)
+        assert stacks == [encoder]
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        scale = max(np.abs(ref).max() for ref in ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * scale
 
 
 class TestPretrainInitialState:

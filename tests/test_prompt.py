@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hglearn.prompt
@@ -23,10 +23,12 @@ from hglearn.data import build_fused_hypergraph, generate_synthetic, split_folds
 from hglearn.hypergraph import Hypergraph, knn_hyperedges, propagation_operator
 from hglearn.metrics import evaluate_logits
 from hglearn.model import build_encoder, classify, hgnn_forward_operator
+from hglearn.pipeline import run_tune
 from hglearn.pretrain import pretrain
 from hglearn.prompt import (
     _STRATEGY_TABLE,
     STRATEGIES,
+    TuneResult,
     _StrategyState,
     build_prompt_structure,
     count_tunable_params,
@@ -154,8 +156,15 @@ class TestInsertPrompt:
         assert np.array_equal(self.X, x_before)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="dim"):
+        with pytest.raises(ValidationError, match="token dim 5 does not match feature dim 4"):
             insert_prompt(self.G, self.X, self.G_p, np.ones((2, 5)))
+
+    def test_structure_of_another_size_rejected(self):
+        # the block operator checks neither size: its tokens are its own, and
+        # a replayed structure is checked by `evaluate_snapshot`
+        with pytest.raises(ValidationError, match="prompt structure covers 3 tokens, got 2"):
+            insert_prompt(self.G, self.X, build_prompt_structure(np.ones((3, 4)), 1),
+                          self.tokens)
 
     def test_prompt_block_holds_structure(self):
         G_m, _ = insert_prompt(self.G, self.X, self.G_p, self.tokens)
@@ -172,7 +181,7 @@ def prompt_state(strategy, G, X, tokens):
     """A prompt strategy's per-fold state on (G, X), its tokens set to `tokens`."""
     cfg = RunConfig(num_prompts=tokens.shape[0], hidden_dims=(4,), latent_dim=8)
     encoder = build_encoder(X.shape[1], (4,), 8, np.random.default_rng(0))
-    run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
+    run = _StrategyState(strategy, G, X, encoder, cfg)
     run.extra.value[:] = tokens
     return run
 
@@ -246,20 +255,6 @@ class TestBlockOperator:
         w_m = np.concatenate([w, np.ones(4)])
         np.testing.assert_allclose(as_dense(run.operator(G_p)), brute_force_operator(H_m, w_m),
                                    rtol=0, atol=1e-12)
-
-    def test_shape_checks_match_insert_prompt(self):
-        G = Hypergraph.from_incidence(np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], float))
-        X = np.random.default_rng(2).standard_normal((3, 4))
-        tokens = np.random.default_rng(3).standard_normal((2, 4))
-        run = prompt_state("phgnn", G, X, tokens)
-        for bad_tokens, G_p in ((np.ones((2, 5)), build_prompt_structure(tokens, 1)),
-                                (tokens, build_prompt_structure(np.ones((3, 4)), 1))):
-            with pytest.raises(ValidationError) as dense:
-                insert_prompt(G, X, G_p, bad_tokens)
-            run.extra = Parameter(bad_tokens, run.extra.name)
-            with pytest.raises(ValidationError) as blocks:
-                run.operator(G_p)
-            assert str(blocks.value) == str(dense.value)
 
     @pytest.mark.parametrize("strategy", ["phgnn", "phgnn_no_structure"])
     def test_operator_builds_do_not_grow_with_epochs(self, tuning_setup, strategy,
@@ -367,7 +362,7 @@ def random_state(strategy, n=20, d=6, hidden_dims=(8,), latent_dim=4, num_prompt
         layer.bias.value[:] = rng.normal(0.0, 0.5, layer.bias.value.shape)
     cfg = RunConfig(num_prompts=num_prompts, prompt_k=2, gpf_basis=3,
                     hidden_dims=hidden_dims, latent_dim=latent_dim, seed=0)
-    run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
+    run = _StrategyState(strategy, G, X, encoder, cfg)
     run.head.weight.value[:] = rng.normal(0.0, 0.5, run.head.weight.value.shape)
     run.head.bias.value[:] = rng.normal(0.0, 0.5, run.head.bias.value.shape)
     if run.extra is not None:
@@ -708,8 +703,13 @@ class TestTuneWithStrategy:
         ("gpf", lambda params: params.update({"prompt.incidence": [[1.0]],
                                               "prompt.edge_weights": [[1.0]]}),
          "gpf needs no prompt structure"),
+        ("phgnn", lambda params: params["prompt.incidence"].pop(),
+         "prompt structure covers 3 tokens, got 4"),
+        ("phgnn_no_structure", lambda params: params["prompt.incidence"].pop(),
+         "prompt structure covers 3 tokens, got 4"),
     ], ids=["missing-head", "foreign-param", "broadcastable-head", "short-tokens",
-            "no-structure", "structure-without-tokens"])
+            "no-structure", "structure-without-tokens", "structure-missing-a-token",
+            "unstructured-missing-a-token"])
     def test_replay_rejects_a_mismatched_snapshot(self, tuning_setup, tmp_path, strategy,
                                                   edit, message):
         ds, G, X, encoder, folds = tuning_setup
@@ -780,13 +780,51 @@ class TestTuneWithStrategy:
         assert result.val_bacc[0] != 0.5 or result.best_metrics.auc != 0.5
 
 
+class TestCheckSite:
+    """Every tuning entry point checks the strategy name and X in `_StrategyState`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=st.sampled_from(STRATEGIES),
+           extra_rows=st.integers(min_value=-3, max_value=3),
+           extra_cols=st.integers(min_value=-3, max_value=3))
+    # narrower features at tuning, extra rows at replay: numpy alone rejects each as ValueError
+    @example(strategy="linear_probe", extra_rows=0, extra_cols=-1)
+    @example(strategy="gpf_plus", extra_rows=2, extra_cols=0)
+    def test_mismatched_features_raise_the_same_error_everywhere(self, tuning_setup, strategy,
+                                                                 extra_rows, extra_cols):
+        assume((extra_rows, extra_cols) != (0, 0))
+        ds, G, X, encoder, folds = tuning_setup
+        n, d = X.shape
+        rng = np.random.default_rng(0)
+        bad = X[:n + extra_rows, :d + extra_cols]
+        bad = np.vstack([bad, rng.standard_normal((max(extra_rows, 0), bad.shape[1]))])
+        bad = np.hstack([bad, rng.standard_normal((bad.shape[0], max(extra_cols, 0)))])
+        expected = ("labels/features do not match the hypergraph node count" if extra_rows
+                    else f"checkpoint expects {d} fused features, dataset has {d + extra_cols}")
+        cfg = small_config(tune_epochs=1, strategy=strategy)
+        result = TuneResult(strategy, {}, None, None, -1)
+        calls = {
+            "tune_with_strategy": lambda: tune_with_strategy(
+                strategy, G, bad, ds.labels, folds.train_mask(0), folds.val_mask(0), encoder,
+                cfg),
+            "evaluate_snapshot": lambda: evaluate_snapshot(
+                result, G, bad, ds.labels, folds.val_mask(0), encoder, cfg),
+            "run_tune": lambda: run_tune(G, bad, ds.labels, encoder, cfg),
+        }
+        for name, call in calls.items():
+            # numpy's own ValueError is not a ValidationError, so it would escape here
+            with pytest.raises(ValidationError) as raised:
+                call()
+            assert str(raised.value) == expected, name
+
+
 def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg):
     """The tuning loop with a fresh training forward every epoch and no cached Z.
 
     `linear_probe`'s fresh forward is the unfolded `classify(encode(op), head)`,
     the Z its cache stands for; every other strategy's is its own `logits`.
     """
-    run = _StrategyState(_STRATEGY_TABLE[strategy], G, X, encoder, cfg)
+    run = _StrategyState(strategy, G, X, encoder, cfg)
     forward = run.logits
     if strategy == "linear_probe":
         forward = lambda operator: classify(run.encode(operator), run.head)  # noqa: E731

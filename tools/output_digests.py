@@ -16,6 +16,12 @@ one-layer encoder (pretraining's one-layer branch, tuning's unfolded
 
 The listing does not depend on --out. Each command replaces its own
 subdirectory of --out (--force), so one --out can be reused.
+
+After the listing, every `fold_<f>_snapshot.json` a `tune` wrote is loaded
+with `load_snapshot` and replayed with `evaluate_snapshot` on fold f's
+validation mask, under the config its `fold_<f>.json` records. A replay
+whose report differs from that file's `best_metrics` is named on stderr,
+and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -75,6 +82,30 @@ def commands(out: Path, strategies):
     yield ["ablate-modalities", "--data", data, "--out", str(out / "ablate_modalities")]
 
 
+def replay_mismatches(out: Path) -> list:
+    """The snapshots under `out` whose replayed report differs from their fold's best_metrics."""
+    from hglearn.checkpoint import load_checkpoint, load_snapshot
+    from hglearn.config import RunConfig
+    from hglearn.data import build_fused_hypergraph, load_dataset, split_folds
+    from hglearn.prompt import evaluate_snapshot
+
+    mismatched = []
+    for path in sorted(out.glob("*/tune_*/fold_*_snapshot.json")):
+        record = json.loads(path.with_name(path.name.replace("_snapshot", "")).read_text())
+        cfg = RunConfig(**record["config"])
+        prefix = path.parent.parent
+        dataset = load_dataset(prefix / "data")
+        encoder, _ = load_checkpoint(prefix / "pre" / "encoder.json")
+        G, X = build_fused_hypergraph(dataset, cfg.k, pairwise=cfg.pairwise)
+        fold = int(path.name.split("_")[1])
+        mask = split_folds(dataset.labels, cfg.k_folds, cfg.seed).val_mask(fold)
+        result, _ = load_snapshot(path)
+        report = evaluate_snapshot(result, G, X, dataset.labels, mask, encoder, cfg)
+        if report.as_dict() != record["best_metrics"]:
+            mismatched.append(path.relative_to(out).as_posix())
+    return mismatched
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="directory for every command's output")
@@ -96,7 +127,10 @@ def main(argv=None) -> int:
              for d in written for p in d.rglob("*") if p.is_file()}
     for rel in sorted(files):
         print(f"{hashlib.sha256(files[rel].read_bytes()).hexdigest()}  {rel}")
-    return 0
+    mismatched = replay_mismatches(out)
+    for rel in mismatched:
+        sys.stderr.write(f"error: {rel}: replay differs from best_metrics\n")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
