@@ -136,7 +136,8 @@ def generate_synthetic(n, m, dims, class_sep, missing_rate, noise_std=1.0, seed=
 
 
 def _write_float_csv(path: Path, matrix: np.ndarray):
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
+    # row by row, so that only one row of Python floats is alive at a time
+    lines = [",".join(map(repr, row.tolist())) for row in matrix]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -180,13 +181,55 @@ def _read_rows(path: Path, n: int) -> list:
     return rows
 
 
+_FLAGS = {"0": False, "1": True}
+
+
 def _read_flags(path: Path, n: int) -> np.ndarray:
     """A one-column 0/1 file as booleans."""
-    cells = [line.strip() for line in _read_rows(path, n)]
-    for r, cell in enumerate(cells):
-        if cell not in ("0", "1"):
-            raise ValidationError(f"{path}: row {r} must be 0 or 1")
-    return np.array([cell == "1" for cell in cells], dtype=bool)
+    rows = _read_rows(path, n)
+    try:
+        return np.array([_FLAGS[line.strip()] for line in rows], dtype=bool)
+    except KeyError:  # name the first row that is neither
+        r = next(r for r, line in enumerate(rows) if line.strip() not in _FLAGS)
+        raise ValidationError(f"{path}: row {r} must be 0 or 1") from None
+
+
+# rows per cast: a block's cell strings are the only ones alive at a time,
+# which keeps them from raising peak memory, and 32 casts as fast as one
+_PARSE_ROWS = 32
+
+
+def _read_floats(path: Path, n: int, width: int) -> np.ndarray:
+    """A CSV of n rows of `width` finite decimals, as an n x width matrix.
+
+    Each block of rows is parsed by one cast, numpy's str -> float64, which
+    is Python's `float()` on each cell, and the matrix is checked finite
+    once. When the rows are ragged, a cell does not parse or a value is not
+    finite, the row loop names the first bad row. The matrix is built from
+    rows already read, so neither n nor width sizes an allocation before the
+    file confirms it.
+    """
+    lines = _read_rows(path, n)
+    try:
+        feats = np.concatenate([
+            np.array([line.split(",") for line in lines[a:a + _PARSE_ROWS]], dtype=np.float64)
+            for a in range(0, n, _PARSE_ROWS)])
+    except ValueError:  # ragged rows or a non-numeric cell
+        feats = None
+    if feats is not None and feats.shape == (n, width) and np.isfinite(feats).all():
+        return feats
+    rows = []
+    for r, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValidationError(f"{path}: row {r} has {len(cells)} values, expected {width}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValidationError(f"{path}: row {r} has a non-numeric value") from None
+        if not np.isfinite(rows[r]).all():
+            raise ValidationError(f"{path}: row {r} has a non-finite value")
+    return np.array(rows)
 
 
 def load_dataset(path) -> MultimodalDataset:
@@ -219,23 +262,8 @@ def load_dataset(path) -> MultimodalDataset:
         raise ValidationError(f"{meta_path}: dims must list {m} positive sizes, got {dims}")
     modalities = []
     for i in range(m):
-        feat_path = root / f"modality_{i}.csv"
-        # the matrix is built from rows already read and checked, so neither
-        # n nor dims sizes an allocation before the file confirms it
-        feats = []
-        for r, line in enumerate(_read_rows(feat_path, n)):
-            cells = line.split(",")
-            if len(cells) != dims[i]:
-                raise ValidationError(
-                    f"{feat_path}: row {r} has {len(cells)} values, expected {dims[i]}"
-                )
-            try:
-                feats.append([float(c) for c in cells])
-            except ValueError:
-                raise ValidationError(f"{feat_path}: row {r} has a non-numeric value") from None
-            if not np.isfinite(feats[r]).all():
-                raise ValidationError(f"{feat_path}: row {r} has a non-finite value")
-        modalities.append(Modality(np.array(feats), _read_flags(root / f"present_{i}.csv", n)))
+        feats = _read_floats(root / f"modality_{i}.csv", n, dims[i])
+        modalities.append(Modality(feats, _read_flags(root / f"present_{i}.csv", n)))
     labels = _read_flags(root / "labels.csv", n).astype(np.int64)
     return MultimodalDataset(modalities, labels, name=name, generation=generation)
 

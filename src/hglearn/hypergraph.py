@@ -105,17 +105,20 @@ class Hypergraph:
         stay within a few N x N arrays whatever the hyperedge sizes. A
         hyperedge that would fill a call alone (c^2 > N^2 / 2) is added as one
         dense block instead: its c member rows, each plus w_e / c on the
-        member columns.
+        member columns. The first `bincount` result is the gram the later
+        calls add into: every share is positive, so it equals 0.0 plus it.
         """
         n, nodes, w = self.num_nodes, self.nodes, self.edge_weights
         sizes = np.bincount(self.edges, minlength=w.size)  # each >= 1: D_e > 0
         first = np.cumsum(sizes) - sizes  # each hyperedge's first pair
         share = w / sizes
-        gram = np.zeros(n * n)
+        gram = None
         for c in np.unique(sizes):
             group = np.flatnonzero(sizes == c)
             per_call = n * n // (c * c)  # c <= n, so at least one hyperedge
             if per_call == 1:
+                if gram is None:
+                    gram = np.zeros(n * n)
                 square = gram.reshape(n, n)
                 for e in group:
                     m = nodes[first[e]:first[e] + c]
@@ -127,8 +130,9 @@ class Hypergraph:
                 g = group[a:a + per_call]
                 members = nodes[first[g][:, None] + np.arange(c)]
                 pairs = members[:, :, None] * n + members[:, None, :]
-                gram += np.bincount(pairs.ravel(), np.repeat(share[g], c * c), minlength=n * n)
-        gram = gram.reshape(n, n)
+                part = np.bincount(pairs.ravel(), np.repeat(share[g], c * c), minlength=n * n)
+                gram = part if gram is None else np.add(gram, part, out=gram)
+        gram = np.zeros((n, n)) if gram is None else gram.reshape(n, n)
         dv = np.bincount(nodes, w[self.edges], minlength=n)
         gram.flags.writeable = dv.flags.writeable = False
         return gram, dv
@@ -211,14 +215,20 @@ def knn_neighbor_lists(features: np.ndarray, k: int) -> np.ndarray:
         g += sq
         np.fill_diagonal(g[:, start:], np.inf)  # the row itself
         kth = np.partition(g, k - 1, axis=1)[:, k - 1]
-        local, cols = np.nonzero(g <= (kth + margin[block])[:, None])
+        # row-major, as np.nonzero gives them: by row, then ascending column
+        local, cols = np.divmod(np.flatnonzero(g <= (kth + margin[block])[:, None]), n)
         rows = local + start
         dist = np.concatenate([np.square(X[rows[a:a + step]] - X[cols[a:a + step]]).sum(axis=1)
                                for a in range(0, rows.size, step)])
-        order = np.lexsort((cols, dist, local))
         counts = np.bincount(local, minlength=g.shape[0])  # each >= k
         first = np.cumsum(counts) - counts
-        neighbors[block] = cols[order][first[:, None] + np.arange(k)]
+        # each row's candidates in its own row of a block padded with +inf,
+        # which sorts after every finite distance; the stable sort keeps the
+        # ascending columns of a tie in order
+        ranked = np.full((counts.size, counts.max()), np.inf)
+        ranked[local, np.arange(local.size) - first[local]] = dist
+        order = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+        neighbors[block] = cols[first[:, None] + order]
     return neighbors
 
 

@@ -13,7 +13,7 @@ from .data import _present_subjects, build_fused_hypergraph, split_folds
 from .metrics import aggregate_folds
 from .model import HGNNStack
 from .pretrain import pretrain
-from .prompt import STRATEGIES, count_tunable_params, tune_with_strategy
+from .prompt import STRATEGIES, _tune_fold, _TuningRun, count_tunable_params
 
 __all__ = [
     "run_tune",
@@ -28,13 +28,15 @@ MODALITY_SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
 def run_tune(G, X, labels, encoder: HGNNStack, cfg: RunConfig) -> dict:
-    """Tune `cfg.strategy` over every fold of (G, X); aggregate validation metrics."""
+    """Tune `cfg.strategy` over every fold of (G, X); aggregate validation metrics.
+
+    Each fold is `prompt.tune_with_strategy` on that fold's masks, with the
+    fold-independent part of the run built once for all of them.
+    """
     folds = split_folds(labels, cfg.k_folds, cfg.seed)
-    fold_results = [
-        tune_with_strategy(cfg.strategy, G, X, labels,
-                           folds.train_mask(f), folds.val_mask(f), encoder, cfg)
-        for f in range(cfg.k_folds)
-    ]
+    run = _TuningRun(cfg.strategy, G, X, encoder, cfg)
+    fold_results = [_tune_fold(run, labels, folds.train_mask(f), folds.val_mask(f))
+                    for f in range(cfg.k_folds)]
     counts, total = count_tunable_params(cfg.strategy, encoder, cfg)
     return {
         "strategy": cfg.strategy,

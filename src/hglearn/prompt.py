@@ -20,11 +20,11 @@ scales rows and columns):
     token x token   T = s_t (H_p W_p D_e,p^{-1} H_p^T + I/(N+1)) s_t^T
 
 and the operator maps [Y_d; Y_t] to [D Y_d + u (v^T Y_t); v (u^T Y_d) + T Y_t],
-so no (N+P) x (N+P) array is formed. D is built once per fold from the data
-hypergraph's gram, which the `Hypergraph` computes once; the token columns
+so no (N+P) x (N+P) array is formed. D is built once per tuning run from the
+data hypergraph's gram, which the `Hypergraph` computes once; the token columns
 [u v^T; T] only when the tokens' k-NN lists change. `hypergraph._normalized_gram`
 builds D and T and knows nothing of prompts: the insertion constants above
-(+P, +1, P/(N+1), I/(N+1), 1/(N+1)) live in `_StrategyState` alone.
+(+P, +1, P/(N+1), I/(N+1), 1/(N+1)) live in `_TuningRun` alone.
 `insert_prompt` builds the whole manipulated hypergraph by concatenating
 member pairs; the tests use its operator as the oracle for the blocks.
 
@@ -35,15 +35,20 @@ no term for `finetune` and `linear_probe`. So the first encoder layer is
 op [X W1; 0] + (op L)(R W1), formed by `model.with_input_term`, the one
 place pretraining and tuning form it. Under a frozen encoder its fixed rows
 op [X W1; 0] are formed once per operator, where the operator is built, and
-an epoch computes only (op L)(R W1), with op L the per-fold D 1, the token
-columns [u v^T; T], or op applied to the attention (`_StrategyState.encode`).
+an epoch computes only (op L)(R W1), with op L the run's D 1, the token
+columns [u v^T; T], or op applied to the attention (`_FoldState.encode`).
 `finetune` trains W1 and forms (D X) W1.
 
 Every strategy whose encoder runs each epoch (all but `linear_probe`, whose
-encoder output is one constant per fold) reads its logits with the head
+encoder output is one constant per run) reads its logits with the head
 folded into the encoder's last layer, op h (W2 W_head) + (b2 W_head +
 b_head), so that layer's N x N products run over the head's two columns
 (`model.hgnn_forward_operator`).
+
+A tuning run is split in two: `_TuningRun` holds what every fold shares (the
+strategy, X, D and the other constants above) and is built once per
+`pipeline.run_tune`; `_FoldState` holds what a fold trains (the encoder copy,
+the head, the extra parameter) and `phgnn`'s latest token structure.
 
 The same epoch loop also drives the baselines: full fine-tuning, a linear
 probe, and the additive feature-prompt baselines (a single shared vector, or
@@ -62,6 +67,7 @@ from . import autodiff as ad
 from .autodiff import (
     AdamWState,
     Parameter,
+    ShapeError,
     ValidationError,
     adamw_step,
     check_finite,
@@ -102,7 +108,7 @@ class _ExtraParam:
     name: str  # parameter and snapshot name
     rows: str | None  # RunConfig field holding the row count; None is one row
     init_std: float  # R starts at normal(0, init_std) draws; 0 gives exact +0.0
-    input_term: Callable  # (state, operator, R's leaf) -> op L
+    input_term: Callable  # (run, operator, R's leaf) -> op L
 
 
 def _token_columns(run, operator, tokens):
@@ -111,7 +117,7 @@ def _token_columns(run, operator, tokens):
 
 
 def _row_sums(run, operator, vector):
-    """L = 1: the per-fold D 1."""
+    """L = 1: the run's D 1."""
     return run.d_ones
 
 
@@ -270,62 +276,68 @@ class _PromptedOperator:
         return out
 
 
-class _StrategyState:
-    """One strategy's encoder, head, extra parameter, and forward pass on a fixed graph.
+class _TuningRun:
+    """A tuning run's fold-independent part: the strategy, `X`, and every constant they fix.
 
-    The one check site of every tuning entry point: it resolves the strategy
-    name, coerces `X`, and raises `ValidationError` unless `X` has a row per
-    node of `G` and a column per input of `pretrained`.
+    Built once per `run_tune`, `tune_with_strategy` or `evaluate_snapshot`
+    call, and shared by its folds; nothing in it changes during tuning. It is
+    the one check site of those entry points: it resolves the strategy name,
+    coerces `X`, and raises `ValidationError` unless `X` is a finite matrix
+    with a row per node of `G` and a column per input of `pretrained`.
 
-    The encoder is a copy of the caller's, trainable exactly when the strategy
-    table says so, so tuning never touches the caller's parameters. The head
-    starts at zero; only the extra parameter draws from `default_rng(cfg.seed)`.
+    It holds the data block D and u of `_PromptedOperator`, the first layer's
+    constants under the pretrained W1 (see `_FoldState.encode`), the operator
+    of a structure that never changes (`phgnn_no_structure`'s), the encoder
+    output when nothing below the head trains (`linear_probe`'s Z), and the
+    extra parameter's initial value, drawn from `default_rng(cfg.seed)`.
     """
 
     def __init__(self, strategy, G, X, pretrained: HGNNStack, cfg: RunConfig):
+        self.strategy = strategy
         self.spec = spec = _strategy_spec(strategy)
-        self.X = X = ad.as_matrix(X, "features")
+        try:
+            X = ad.as_matrix(X, "features")
+        except ShapeError as e:  # neither 1-D nor 2-D
+            raise ValidationError(str(e)) from None
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"features: not numeric ({e})") from None
         if X.shape[0] != G.num_nodes:
             raise ValidationError("labels/features do not match the hypergraph node count")
         if X.shape[1] != pretrained.input_dim:
             raise ValidationError(f"checkpoint expects {pretrained.input_dim} fused features, "
                                   f"dataset has {X.shape[1]}")
-        self.encoder = encoder = pretrained.copy(trainable=spec.trains_encoder)
-        self.prompt_k = cfg.prompt_k
-        self.head = build_head(encoder.output_dim, _NUM_CLASSES)
-        self.extra = None
+        if not np.isfinite(X).all():
+            raise ValidationError("features contain non-finite values")
+        self.X, self.pretrained, self.cfg = X, pretrained, cfg
+        self.extra_init = None
         if spec.extra is not None:
             shape = (_extra_rows(spec.extra, cfg), X.shape[1])
-            self.extra = Parameter(
-                np.random.default_rng(cfg.seed).normal(0.0, spec.extra.init_std, shape),
-                spec.extra.name,
-            )
-        self.params = ((encoder.parameters() if spec.trains_encoder else [])
-                       + ([] if self.extra is None else [self.extra])
-                       + self.head.parameters())
-        p = self.prompt_rows = self.extra.value.shape[0] if spec.extra is _TOKENS else 0
+            self.extra_init = np.random.default_rng(cfg.seed).normal(
+                0.0, spec.extra.init_std, shape)
+        p = self.prompt_rows = self.extra_init.shape[0] if spec.extra is _TOKENS else 0
         n = G.num_nodes
         # P insertion hyperedges of N+1 members: every degree + P, gram + P/(N+1)
         s_data, self.data_operator = _normalized_gram(G, p, p / (n + 1))
         self.border = s_data[:, None] / (n + 1)  # u of `_PromptedOperator`
-        # the first layer's per-fold constants (see `encode`): D X, D 1, and,
-        # read while W1 is frozen, D X W1 and u^T X W1
-        w1 = encoder.layers[0].weight.value
+        # the first layer's constants: D X, D 1, and, read while W1 is
+        # frozen, D X W1 and u^T X W1
+        w1 = pretrained.layers[0].weight.value
         self.dx = self.data_operator @ X
         self.d_ones = self.data_operator.sum(axis=1, keepdims=True)
         self.dxw = self.dx @ w1
         self.uxw = self.border.T @ X @ w1
-        # (token k-NN lists, G_p, operator) of the latest structure
+        # (token k-NN lists, G_p, operator) of the structure each fold starts from
         self.structure = (None, None, self.data_operator)
         if spec.extra is _TOKENS and not spec.structured:
             G_p = Hypergraph(p, [], [])
             self.structure = (None, G_p, self.operator(G_p))
         # nothing below the head trains (linear_probe): the encoder output is
-        # one constant per fold, so the encoder runs once and only its value
+        # one constant per run, so the encoder runs once and only its value
         # stays on the tape
         self.frozen_z = None
         if not spec.trains_encoder and spec.extra is None:
-            self.frozen_z = ad.const(self.encode(self.data_operator).value)
+            self.frozen_z = ad.const(hgnn_forward_operator(
+                self.data_operator, None, pretrained, ad.const(self.dxw)).value)
 
     def operator(self, G_p):
         """Propagation operator with the prompt structure G_p attached, if any.
@@ -341,21 +353,46 @@ class _StrategyState:
         return _PromptedOperator(self.data_operator, self.border, s_tok[:, None], tok_block,
                                  self.dxw, self.uxw)
 
+
+class _FoldState:
+    """One fold's encoder, head and extra parameter, and their forward pass on the run's graph.
+
+    The encoder is a copy of the run's pretrained one, trainable exactly when
+    the strategy table says so, so tuning never touches the caller's
+    parameters. The head starts at zero and the extra parameter at the run's
+    initial value. Under `phgnn` it also keeps the latest token structure.
+    """
+
+    def __init__(self, run: _TuningRun):
+        self.run = run
+        spec = run.spec
+        self.encoder = encoder = run.pretrained.copy(trainable=spec.trains_encoder)
+        self.head = build_head(encoder.output_dim, _NUM_CLASSES)
+        self.extra = None
+        if spec.extra is not None:
+            self.extra = Parameter(run.extra_init.copy(), spec.extra.name)
+        self.params = ((encoder.parameters() if spec.trains_encoder else [])
+                       + ([] if self.extra is None else [self.extra])
+                       + self.head.parameters())
+        self.structure = run.structure
+
     def epoch_structure(self):
         """The prompt structure for the latest token values, and its operator.
 
         Under `phgnn` both are rebuilt when a token's set of k nearest
-        neighbours changes and kept otherwise; every other strategy's are fixed
-        per fold.
+        neighbours changes and kept otherwise; every other strategy's are the
+        run's.
         """
-        if self.spec.structured:
+        run = self.run
+        if run.spec.structured:
             # P tokens have at most P - 1 neighbours each; sorted, a row is the
             # member set of its token's hyperedge, whatever the distance order
             lists = np.sort(knn_neighbor_lists(self.extra.value,
-                                               min(self.prompt_k, self.prompt_rows - 1)), axis=1)
+                                               min(run.cfg.prompt_k, run.prompt_rows - 1)),
+                            axis=1)
             if not np.array_equal(lists, self.structure[0]):
-                G_p = Hypergraph(self.prompt_rows, *_knn_members(lists, False)[:2])
-                self.structure = (lists, G_p, self.operator(G_p))
+                G_p = Hypergraph(run.prompt_rows, *_knn_members(lists, False)[:2])
+                self.structure = (lists, G_p, run.operator(G_p))
         return self.structure[1:]
 
     def encode(self, operator, head=None):
@@ -364,20 +401,21 @@ class _StrategyState:
         Its first layer is op [X W1; 0] + (op L)(R W1), or (D X) W1 when W1
         trains. A `head` is folded into the last layer (`hgnn_forward_operator`).
         """
+        run, spec = self.run, self.run.spec
         w = self.encoder.layers[0].weight.leaf()
-        if self.spec.trains_encoder:
-            first = ad.matmul(self.dx, w)
+        if spec.trains_encoder:
+            first = ad.matmul(run.dx, w)
         else:
-            first = ad.const(self.dxw if operator is self.data_operator else operator.fixed_rows)
+            first = ad.const(run.dxw if operator is run.data_operator else operator.fixed_rows)
             if self.extra is not None:
                 r = self.extra.leaf()
-                first = with_input_term(first, self.spec.extra.input_term(self, operator, r), r, w)
+                first = with_input_term(first, spec.extra.input_term(run, operator, r), r, w)
         return hgnn_forward_operator(operator, None, self.encoder, first, head)
 
     def logits(self, operator):
         """Head logits; a frozen encoder output is reused, its operator the fixed one."""
-        if self.frozen_z is not None:
-            return classify(self.frozen_z, self.head)
+        if self.run.frozen_z is not None:
+            return classify(self.run.frozen_z, self.head)
         return self.encode(operator, self.head)
 
 
@@ -403,21 +441,27 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     (`evaluate_logits`, with AUC, SEN and SPE), and that report is
     `best_metrics`. Those predictions are also the next epoch's training
     forward whenever its operator is the same object, since no parameter
-    changes in between. `_StrategyState` checks the strategy name and `X`,
-    this function the labels and masks: a bad one of these, or a non-finite
-    loss or updated parameter, raises `ValidationError`.
+    changes in between. `_TuningRun` checks the strategy name and `X`, this
+    function the labels and masks: a bad one of these, or a non-finite loss
+    or updated parameter, raises `ValidationError`. It is one fold of a run:
+    `pipeline.run_tune` builds the `_TuningRun` once for all its folds.
     """
-    run = _StrategyState(strategy, G, X, pretrained, cfg)
+    return _tune_fold(_TuningRun(strategy, G, X, pretrained, cfg), labels, train_mask, val_mask)
+
+
+def _tune_fold(run: _TuningRun, labels, train_mask, val_mask) -> TuneResult:
+    """`tune_with_strategy`'s epoch loop on one fold of a run."""
     y, mt, mv = _validate_masks(labels, train_mask, val_mask)
-    if y.shape[0] != G.num_nodes:
+    n, p_rows, cfg = run.X.shape[0], run.prompt_rows, run.cfg
+    if y.shape[0] != n:
         raise ValidationError("labels/features do not match the hypergraph node count")
-    params = run.params
-    n, p_rows = G.num_nodes, run.prompt_rows
+    fold = _FoldState(run)
+    params = fold.params
     y_pad = np.concatenate([y, np.zeros(p_rows, dtype=np.int64)])
     mt_pad = np.concatenate([mt, np.zeros(p_rows, dtype=bool)])
     state = AdamWState()
     result = TuneResult(
-        strategy=strategy,
+        strategy=run.strategy,
         snapshot=_snapshot_params(params),
         prompt_structure=None,
         best_metrics=None,
@@ -430,20 +474,20 @@ def tune_with_strategy(strategy, G, X, labels, train_mask, val_mask,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.tune_epochs):
             try:
-                G_p, operator = run.epoch_structure()
+                G_p, operator = fold.epoch_structure()
             except ValidationError as e:  # token distances past float64, its only cause
                 raise ValidationError(
                     f"tune diverged: prompt token distances non-finite at epoch {epoch}"
                 ) from e
             if operator is not logits_operator:
-                logits = run.logits(operator)
+                logits = fold.logits(operator)
             # no name keeps the loss, so at most two graphs are alive at once
             result.train_losses.append(
                 forward_backward(ad.softmax_cross_entropy(logits, y_pad, mt_pad)))
             adamw_step(params, state, cfg.tune_lr, cfg.tune_weight_decay)
             check_finite("tune", epoch, result.train_losses[-1], params)
             # post-update predictions on the same structure, per the tuning loop
-            logits, logits_operator = run.logits(operator), operator
+            logits, logits_operator = fold.logits(operator), operator
             bacc = balanced_accuracy(logits.value[val_rows], y_val)[0]
             result.val_bacc.append(bacc)
             if bacc > best_bacc:
@@ -459,7 +503,7 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
                       pretrained: HGNNStack, cfg: RunConfig) -> MetricsReport:
     """Re-evaluate a stored snapshot on a mask, reproducing its metrics.
 
-    `_StrategyState` checks the strategy name and `X` as for tuning. The
+    `_TuningRun` checks the strategy name and `X` as for tuning. The
     snapshot must hold exactly the strategy's trainable parameters, each in
     the shape `cfg` and `pretrained` give it, and a prompt structure exactly
     when the strategy attaches tokens, with a node per token and one
@@ -468,8 +512,9 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
     loop evaluates post-update token values under the structure built from
     the pre-update ones, so the structure is part of the snapshot).
     """
-    run = _StrategyState(result.strategy, G, X, pretrained, cfg)
-    trained = {p.name: p for p in run.params}
+    run = _TuningRun(result.strategy, G, X, pretrained, cfg)
+    fold = _FoldState(run)
+    trained = {p.name: p for p in fold.params}
     missing = sorted(trained.keys() - result.snapshot.keys())
     unexpected = sorted(result.snapshot.keys() - trained.keys())
     if missing or unexpected:
@@ -493,4 +538,4 @@ def evaluate_snapshot(result: TuneResult, G, X, labels, mask,
     if G_p is not None and G_p.num_nodes != run.prompt_rows:
         raise ValidationError(f"prompt structure covers {G_p.num_nodes} tokens, "
                               f"got {run.prompt_rows}")
-    return evaluate_logits(run.logits(run.operator(G_p)).value[: G.num_nodes], labels, mask)
+    return evaluate_logits(fold.logits(run.operator(G_p)).value[: G.num_nodes], labels, mask)

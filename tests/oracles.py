@@ -106,3 +106,59 @@ def all_rows_cross_entropy(logits, labels, mask):
     grad[rows] = probs[rows]
     grad[rows, labels[rows]] -= 1.0
     return loss, grad * (1.0 / rows.size)
+
+
+def row_loop_floats(path, n, width):
+    """A float CSV read row by row with `float()`, as `load_dataset` read one.
+
+    Returns the n x width float64 matrix, or raises `ValidationError` naming
+    the first bad row: ragged, non-numeric, or non-finite, checked in that
+    order within each row.
+    """
+    from hglearn.autodiff import ValidationError
+
+    rows = path.read_text().splitlines()
+    if len(rows) != n:
+        raise ValidationError(f"{path}: expected {n} rows, found {len(rows)}")
+    feats = []
+    for r, line in enumerate(rows):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValidationError(f"{path}: row {r} has {len(cells)} values, expected {width}")
+        try:
+            feats.append([float(c) for c in cells])
+        except ValueError:
+            raise ValidationError(f"{path}: row {r} has a non-numeric value") from None
+        if not all(math.isfinite(v) for v in feats[r]):
+            raise ValidationError(f"{path}: row {r} has a non-finite value")
+    return np.array(feats)
+
+
+def zero_start_edge_gram(G):
+    """`Hypergraph.edge_gram`'s gram as first written: every `bincount` added into zeros.
+
+    The same calls with the same pairs in the same order, so each entry sums
+    the same terms in the same grouping, after a leading 0.0.
+    """
+    n, nodes, w = G.num_nodes, G.nodes, G.edge_weights
+    sizes = np.bincount(G.edges, minlength=w.size)
+    first = np.cumsum(sizes) - sizes
+    share = w / sizes
+    gram = np.zeros(n * n)
+    for c in np.unique(sizes):
+        group = np.flatnonzero(sizes == c)
+        per_call = n * n // (c * c)
+        if per_call == 1:
+            square = gram.reshape(n, n)
+            for e in group:
+                m = nodes[first[e]:first[e] + c]
+                row = np.zeros(n)
+                row[m] = share[e]
+                square[m] += row
+            continue
+        for a in range(0, group.size, per_call):
+            g = group[a:a + per_call]
+            members = nodes[first[g][:, None] + np.arange(c)]
+            pairs = members[:, :, None] * n + members[:, None, :]
+            gram += np.bincount(pairs.ravel(), np.repeat(share[g], c * c), minlength=n * n)
+    return gram.reshape(n, n)

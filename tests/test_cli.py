@@ -18,7 +18,7 @@ from hglearn.data import build_fused_hypergraph
 from hglearn.hypergraph import Hypergraph
 from hglearn.pipeline import MODALITY_SUBSETS
 from hglearn.pretrain import pretrain
-from hglearn.prompt import STRATEGIES, tune_with_strategy
+from hglearn.prompt import STRATEGIES, _tune_fold, _TuningRun
 
 FAST = [
     "--set", "n=36", "--set", "m=3", "--set", "dims=4,4,4", "--set", "k=3",
@@ -390,8 +390,8 @@ class TestAblatePrompts:
 
         def counted(*args):
             tuned.append(args)
-            return tune_with_strategy(*args)
-        monkeypatch.setattr(hglearn.pipeline, "tune_with_strategy", counted)
+            return _tune_fold(*args)
+        monkeypatch.setattr(hglearn.pipeline, "_tune_fold", counted)
         out = tmp_path / "ap"
         assert run("ablate-prompts", "--data", str(dataset_dir),
                    "--checkpoint", str(checkpoint_dir / "encoder.json"),
@@ -753,8 +753,8 @@ class TestArgumentHandling:
                 return fn(*args)
             return wrapper
         monkeypatch.setattr(hglearn.pipeline, "pretrain", counted(pretrain))
-        monkeypatch.setattr(hglearn.pipeline, "tune_with_strategy",
-                            counted(tune_with_strategy))
+        monkeypatch.setattr(hglearn.pipeline, "_TuningRun", counted(_TuningRun))
+        monkeypatch.setattr(hglearn.pipeline, "_tune_fold", counted(_tune_fold))
         labels = dataset_dir / "labels.csv"
         labels.write_text("1\n" * len(labels.read_text().splitlines()))
         checkpoint = ([] if command == "ablate-modalities"

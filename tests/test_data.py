@@ -1,12 +1,14 @@
 """Synthetic generation, dataset disk format, fusion with dropouts, folds."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hglearn.data
 from hglearn.autodiff import ValidationError
 from hglearn.data import (
     Modality,
@@ -19,6 +21,7 @@ from hglearn.data import (
 )
 from hglearn.hypergraph import Hypergraph, knn_hyperedges
 from hglearn.metrics import auc
+from oracles import row_loop_floats
 
 
 class TestGenerateSynthetic:
@@ -220,6 +223,84 @@ class TestDiskFormat:
         present[3] = False
         with pytest.raises(ValidationError, match="subject 3"):
             MultimodalDataset([Modality(feats, present)], np.zeros(12, int))
+
+
+# cells where a numeric parse could part from `float()`: underscores, spaces,
+# spellings of nan and inf, overflow, underflow, hex, empty, other scripts' digits
+_ODD_CELLS = ["1_0", " 1 ", "nan", "inf", "-infinity", "1e400", "0x10", "", "1__0",
+              "\u0661\u0662", "-0", "1e-400", "\t2 ", "+.5", ".", "1_", "NaN", "-nan"]
+# any text that stays one cell of one line
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e"
+                                                        "\x85\u2028\u2029"), max_size=4)
+
+
+@st.composite
+def float_files(draw):
+    """(n, width, lines) of a modality file: repr'd floats, some cells odd, maybe a ragged row."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [[draw(finite) for _ in range(width)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        rows[r][c] = draw(st.sampled_from(_ODD_CELLS) | _CELL_TEXT | st.floats().map(repr))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        rows[r] = rows[r][:-1] if width > 1 and draw(st.booleans()) else rows[r] + ["0.5"]
+    return n, width, [",".join(row) for row in rows]
+
+
+def write_one_modality(root, n, width, lines, labels=None):
+    """A one-modality dataset directory with the given feature lines, every subject present."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "meta").write_text(json.dumps({"n": n, "m": 1, "dims": [width]}))
+    (root / "modality_0.csv").write_text("\n".join(lines) + "\n")
+    (root / "present_0.csv").write_text("1\n" * n)
+    labels = [str(r % 2) for r in range(n)] if labels is None else labels
+    (root / "labels.csv").write_text("\n".join(labels) + "\n")
+
+
+class TestWholeFileParse:
+    """`load_dataset` parses a file in one cast and names bad rows as the row loop does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=float_files(), block=st.integers(1, 6))
+    @example(file=(2, 2, ["1_0, 1 ", "\u0661\u0662,-infinity"]), block=6)
+    @example(file=(2, 1, ["1e400", "0x10"]), block=6)
+    @example(file=(3, 2, ["0.1,0.2", "0.3", "nan,1"]), block=6)
+    # every block is rectangular, but the second is narrower
+    @example(file=(4, 2, ["0.1,0.2", "0.3,0.4", "0.5", "0.6"]), block=2)
+    def test_same_matrix_or_same_message_as_the_row_loop(self, tmp_path_factory, file, block):
+        n, width, lines = file
+        root = tmp_path_factory.getbasetemp() / "whole_file_parse"
+        write_one_modality(root, n, width, lines)
+        try:
+            expected = row_loop_floats(root / "modality_0.csv", n, width)
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as raised, \
+                    mock.patch.object(hglearn.data, "_PARSE_ROWS", block):
+                load_dataset(root)
+            assert str(raised.value) == str(e)
+        else:
+            with mock.patch.object(hglearn.data, "_PARSE_ROWS", block):
+                got = load_dataset(root).modalities[0].features
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(flags=st.lists(st.sampled_from(["0", "1", " 1", "0\t", "2", "", "yes", "\u0661",
+                                           "01", "1.0"]), min_size=1, max_size=6))
+    def test_flag_rows_named_as_the_row_loop_does(self, tmp_path_factory, flags):
+        root = tmp_path_factory.getbasetemp() / "flag_parse"
+        write_one_modality(root, len(flags), 1, ["0.5"] * len(flags), labels=flags)
+        bad = [r for r, cell in enumerate(flags) if cell.strip() not in ("0", "1")]
+        if bad:
+            with pytest.raises(ValidationError) as raised:
+                load_dataset(root)
+            assert str(raised.value) == f"{root / 'labels.csv'}: row {bad[0]} must be 0 or 1"
+        else:
+            labels = load_dataset(root).labels
+            assert labels.tolist() == [int(cell.strip()) for cell in flags]
 
 
 class TestBuildFusedHypergraph:

@@ -17,7 +17,13 @@ from hglearn.hypergraph import (
     propagation_operator,
 )
 
-from oracles import brute_force_knn, brute_force_operator, dense_edge_gram, loop_knn
+from oracles import (
+    brute_force_knn,
+    brute_force_operator,
+    dense_edge_gram,
+    loop_knn,
+    zero_start_edge_gram,
+)
 
 
 class TestKnnHyperedges:
@@ -260,6 +266,17 @@ class TestMemberPairs:
             assert np.abs(got - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(
                 initial=0.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(graph=member_sets(), seed=st.integers(0, 2**32 - 1))
+    @example(graph=_SEVERAL_CALLS, seed=0)
+    @example(graph=_INSERTED, seed=1)
+    def test_edge_gram_equals_the_zero_started_sum_bit_for_bit(self, graph, seed):
+        n, members, weights = graph
+        G = Hypergraph(n, *member_pairs(members, seed), weights)
+        gram, _ = G.edge_gram
+        expected = zero_start_edge_gram(G)
+        assert gram.shape == expected.shape and gram.tobytes() == expected.tobytes()
+
     def test_edge_gram_spans_several_bincount_calls(self, monkeypatch):
         n, members, _ = _SEVERAL_CALLS
         calls = []
@@ -400,6 +417,18 @@ def test_knn_lists_equal_the_loop_across_row_blocks(rounded):
     if rounded:
         X = np.round(X, 1)
     for k in (1, 30, 699):
+        assert np.array_equal(knn_neighbor_lists(X, k), loop_knn(X, k))
+
+
+@pytest.mark.parametrize("pool", [1, 5, 200])
+def test_knn_lists_equal_the_loop_on_duplicated_rows_across_row_blocks(pool):
+    # 600 rows drawn from `pool` distinct points: every row ties at distance 0
+    # with its copies, so many rows have more than k candidates, on either
+    # side of each of the two block boundaries (one point: n - 1 each)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((pool, 3))[rng.integers(0, pool, 600)]
+    assert 600 * 600 * 3 > hglearn.hypergraph._RERANK_ENTRIES  # the ranked path
+    for k in (1, 7, 30, 599):
         assert np.array_equal(knn_neighbor_lists(X, k), loop_knn(X, k))
 
 

@@ -29,7 +29,8 @@ from hglearn.prompt import (
     _STRATEGY_TABLE,
     STRATEGIES,
     TuneResult,
-    _StrategyState,
+    _FoldState,
+    _TuningRun,
     build_prompt_structure,
     count_tunable_params,
     evaluate_snapshot,
@@ -181,9 +182,9 @@ def prompt_state(strategy, G, X, tokens):
     """A prompt strategy's per-fold state on (G, X), its tokens set to `tokens`."""
     cfg = RunConfig(num_prompts=tokens.shape[0], hidden_dims=(4,), latent_dim=8)
     encoder = build_encoder(X.shape[1], (4,), 8, np.random.default_rng(0))
-    run = _StrategyState(strategy, G, X, encoder, cfg)
-    run.extra.value[:] = tokens
-    return run
+    fold = _FoldState(_TuningRun(strategy, G, X, encoder, cfg))
+    fold.extra.value[:] = tokens
+    return fold
 
 
 class TestBlockOperator:
@@ -209,34 +210,34 @@ class TestBlockOperator:
         if weighted:
             G = Hypergraph(n, G.nodes, G.edges, rng.uniform(0.5, 2.0, G.num_edges))
         strategy = "phgnn" if structured else "phgnn_no_structure"
-        run = prompt_state(strategy, G, X, rng.standard_normal((p, 5)))
+        fold = prompt_state(strategy, G, X, rng.standard_normal((p, 5)))
         built = []
         for k_p in range(p):
             tokens = rng.standard_normal((p, 5))
-            run.extra.value[:] = tokens
+            fold.extra.value[:] = tokens
             G_p = build_prompt_structure(tokens, k_p) if structured else Hypergraph(p, [], [])
             dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
-            np.testing.assert_allclose(as_dense(run.operator(G_p)), dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(as_dense(fold.run.operator(G_p)), dense, rtol=0, atol=1e-12)
             built.append((G_p, dense))
         # the first structure again, after the state has moved on from it
         G_p, dense = built[0]
-        np.testing.assert_allclose(as_dense(run.operator(G_p)), dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(as_dense(fold.run.operator(G_p)), dense, rtol=0, atol=1e-12)
 
     def test_structure_rebuilt_only_when_a_neighbour_set_changes(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((12, 5))
         tokens = rng.standard_normal((6, 5))
-        run = prompt_state("phgnn", knn_hyperedges(X, 3), X, tokens)
-        first = run.epoch_structure()
-        expected = build_prompt_structure(tokens, run.prompt_k)
+        fold = prompt_state("phgnn", knn_hyperedges(X, 3), X, tokens)
+        first = fold.epoch_structure()
+        expected = build_prompt_structure(tokens, fold.run.cfg.prompt_k)
         for name in ("nodes", "edges", "edge_weights"):
             assert np.array_equal(getattr(first[0], name), getattr(expected, name))
         # the same neighbour sets in another order: the same graph and operator
         knn = hglearn.prompt.knn_neighbor_lists
         monkeypatch.setattr(hglearn.prompt, "knn_neighbor_lists", lambda *a: knn(*a)[:, ::-1])
-        assert run.epoch_structure() == first
-        run.extra.value[:] = rng.standard_normal((6, 5))
-        moved = run.epoch_structure()
+        assert fold.epoch_structure() == first
+        fold.extra.value[:] = rng.standard_normal((6, 5))
+        moved = fold.epoch_structure()
         assert moved[0] != first[0] and moved[1] is not first[1]
 
     def test_tiny_case_matches_brute_force(self):
@@ -246,15 +247,15 @@ class TestBlockOperator:
         X = np.random.default_rng(2).standard_normal((3, 4))
         tokens = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 2.0]])
         G_p = build_prompt_structure(tokens, 1)
-        run = prompt_state("phgnn", Hypergraph.from_incidence(H, w), X, tokens)
+        fold = prompt_state("phgnn", Hypergraph.from_incidence(H, w), X, tokens)
         H_m = np.zeros((5, 3 + 2 + 2))
         H_m[:3, :3] = H
         H_m[3:, 3:5] = 1.0  # each token's k-NN edge holds both tokens
         H_m[:3, 5:] = 1.0
         H_m[3, 5] = H_m[4, 6] = 1.0
         w_m = np.concatenate([w, np.ones(4)])
-        np.testing.assert_allclose(as_dense(run.operator(G_p)), brute_force_operator(H_m, w_m),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(as_dense(fold.run.operator(G_p)),
+                                   brute_force_operator(H_m, w_m), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("strategy", ["phgnn", "phgnn_no_structure"])
     def test_operator_builds_do_not_grow_with_epochs(self, tuning_setup, strategy,
@@ -307,8 +308,8 @@ class TestBlockPropagation:
         G_p = (build_prompt_structure(tokens, min(2, p - 1)) if structured
                else Hypergraph(p, [], []))
         dense = propagation_operator(insert_prompt(G, X, G_p, tokens)[0])
-        run = prompt_state("phgnn" if structured else "phgnn_no_structure", G, X, tokens)
-        op = run.operator(G_p)
+        fold = prompt_state("phgnn" if structured else "phgnn_no_structure", G, X, tokens)
+        op = fold.run.operator(G_p)
         Y = Parameter(rng.standard_normal((n + p, cols)), "Y")
         R = rng.standard_normal((n + p, cols))
         out = ad.propagate(op, Y.leaf())
@@ -317,7 +318,7 @@ class TestBlockPropagation:
         np.testing.assert_allclose(Y.grad, dense.T @ R, rtol=0, atol=1e-12)
         # the first layer: the operator's fixed rows for [X W1; 0], plus the
         # token columns applied to T W1, the only part on the tape
-        W = run.encoder.layers[0].weight.value
+        W = fold.encoder.layers[0].weight.value
         T = Parameter(tokens, "T")
         R = rng.standard_normal((n + p, W.shape[1]))
         first = ad.add(ad.const(op.fixed_rows),
@@ -328,9 +329,9 @@ class TestBlockPropagation:
         np.testing.assert_allclose(T.grad, (dense.T @ R)[n:] @ W.T, rtol=0, atol=1e-12)
 
 
-def dense_logits(strategy, run, G, G_p):
+def dense_logits(strategy, fold, G, G_p):
     """A strategy's logits the plain way: its whole input through a dense operator."""
-    X, extra = run.X, None if run.extra is None else run.extra.value
+    X, extra = fold.run.X, None if fold.extra is None else fold.extra.value
     if G_p is not None:
         G, x = insert_prompt(G, X, G_p, extra)
     elif strategy == "gpf":
@@ -341,8 +342,8 @@ def dense_logits(strategy, run, G, G_p):
         x = X + attn / attn.sum(axis=1, keepdims=True) @ extra
     else:
         x = X
-    return classify(hgnn_forward_operator(propagation_operator(G), x, run.encoder),
-                    run.head).value
+    return classify(hgnn_forward_operator(propagation_operator(G), x, fold.encoder),
+                    fold.head).value
 
 
 # each strategy that trains below the head, and the parameter it trains there
@@ -362,12 +363,12 @@ def random_state(strategy, n=20, d=6, hidden_dims=(8,), latent_dim=4, num_prompt
         layer.bias.value[:] = rng.normal(0.0, 0.5, layer.bias.value.shape)
     cfg = RunConfig(num_prompts=num_prompts, prompt_k=2, gpf_basis=3,
                     hidden_dims=hidden_dims, latent_dim=latent_dim, seed=0)
-    run = _StrategyState(strategy, G, X, encoder, cfg)
-    run.head.weight.value[:] = rng.normal(0.0, 0.5, run.head.weight.value.shape)
-    run.head.bias.value[:] = rng.normal(0.0, 0.5, run.head.bias.value.shape)
-    if run.extra is not None:
-        run.extra.value[:] = rng.normal(0.0, 0.5, run.extra.value.shape)
-    return run, G, rng.integers(0, 2, n)
+    fold = _FoldState(_TuningRun(strategy, G, X, encoder, cfg))
+    fold.head.weight.value[:] = rng.normal(0.0, 0.5, fold.head.weight.value.shape)
+    fold.head.bias.value[:] = rng.normal(0.0, 0.5, fold.head.bias.value.shape)
+    if fold.extra is not None:
+        fold.extra.value[:] = rng.normal(0.0, 0.5, fold.extra.value.shape)
+    return fold, G, rng.integers(0, 2, n)
 
 
 class TestFirstLayer:
@@ -379,22 +380,22 @@ class TestFirstLayer:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_logits_match_the_plain_forward(self, strategy):
-        run, G, _ = self.state(strategy)
-        G_p, operator = run.epoch_structure()
-        expected = dense_logits(strategy, run, G, G_p)
-        got = run.logits(operator).value
+        fold, G, _ = self.state(strategy)
+        G_p, operator = fold.epoch_structure()
+        expected = dense_logits(strategy, fold, G, G_p)
+        got = fold.logits(operator).value
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("strategy", sorted(_BELOW_HEAD))
     def test_finite_differences_through_the_logits(self, strategy):
-        run, _, labels = self.state(strategy)
-        _, operator = run.epoch_structure()
-        param = {p.name: p for p in run.params}[_BELOW_HEAD[strategy]]
-        y = np.concatenate([labels, np.zeros(run.prompt_rows, np.int64)])
-        mask = np.concatenate([np.ones(20, bool), np.zeros(run.prompt_rows, bool)])
+        fold, _, labels = self.state(strategy)
+        _, operator = fold.epoch_structure()
+        param = {p.name: p for p in fold.params}[_BELOW_HEAD[strategy]]
+        y = np.concatenate([labels, np.zeros(fold.run.prompt_rows, np.int64)])
+        mask = np.concatenate([np.ones(20, bool), np.zeros(fold.run.prompt_rows, bool)])
 
         def loss(params):
-            return ad.softmax_cross_entropy(run.logits(operator), y, mask)
+            return ad.softmax_cross_entropy(fold.logits(operator), y, mask)
 
         # criterion 01's limit
         assert finite_difference_check(loss, [param], 1e-6) <= 1e-4
@@ -404,15 +405,15 @@ class TestFirstLayer:
     def test_no_product_with_w1_runs_over_the_data_rows(self, strategy):
         # under a frozen W1, D X W1 is a per-fold constant: the only product
         # with W1 on a forward's tape is the extra parameter's R W1
-        run, _, _ = self.state(strategy)
-        _, operator = run.epoch_structure()
-        tape, stack = {}, [run.logits(operator)]
+        fold, _, _ = self.state(strategy)
+        _, operator = fold.epoch_structure()
+        tape, stack = {}, [fold.logits(operator)]
         while stack:
             t = stack.pop()
             if t._id not in tape:
                 tape[t._id] = t
                 stack.extend(t.parents)
-        w1 = run.encoder.layers[0].weight
+        w1 = fold.encoder.layers[0].weight
         lefts = [t.parents[0] for t in tape.values()
                  if t.op == "matmul" and t.parents[1].param is w1]
         assert all(a.value.shape[0] < 20 for a in lefts), [a.value.shape for a in lefts]
@@ -437,12 +438,12 @@ class TestHeadFold:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_folded_logits_match_classify(self, strategy):
-        run, _, _ = random_state(strategy)
-        _, operator = run.epoch_structure()
+        fold, _, _ = random_state(strategy)
+        _, operator = fold.epoch_structure()
         # the data operator, or the prompted one of the token strategies
-        assert isinstance(operator, np.ndarray) != (run.prompt_rows > 0)
-        expected = classify(run.encode(operator), run.head).value
-        for got in (run.encode(operator, run.head), run.logits(operator)):
+        assert isinstance(operator, np.ndarray) != (fold.run.prompt_rows > 0)
+        expected = classify(fold.encode(operator), fold.head).value
+        for got in (fold.encode(operator, fold.head), fold.logits(operator)):
             assert relative_error(got.value, expected) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -457,28 +458,28 @@ class TestHeadFold:
     )
     def test_folded_logits_match_classify_on_random_shapes(self, strategy, n, d, hidden_dims,
                                                            latent_dim, num_prompts, seed):
-        run, _, _ = random_state(strategy, n, d, tuple(hidden_dims), latent_dim, num_prompts,
+        fold, _, _ = random_state(strategy, n, d, tuple(hidden_dims), latent_dim, num_prompts,
                                  seed)
-        _, operator = run.epoch_structure()
-        expected = classify(run.encode(operator), run.head).value
-        got = run.encode(operator, run.head).value
+        _, operator = fold.epoch_structure()
+        expected = classify(fold.encode(operator), fold.head).value
+        got = fold.encode(operator, fold.head).value
         assert relative_error(got, expected) <= 1e-12
 
     @pytest.mark.parametrize("encoder", ["relu-last", "one-layer"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_unfoldable_encoders_keep_the_classify_path(self, strategy, encoder):
         if encoder == "one-layer":
-            run, _, _ = random_state(strategy, hidden_dims=())
+            fold, _, _ = random_state(strategy, hidden_dims=())
         else:
-            run, _, _ = random_state(strategy)
-            run.encoder.layers[-1].activation = "relu"  # as a checkpoint may say
-        _, operator = run.epoch_structure()
-        logits = run.encode(operator, run.head)
-        expected = classify(run.encode(operator), run.head).value
+            fold, _, _ = random_state(strategy)
+            fold.encoder.layers[-1].activation = "relu"  # as a checkpoint may say
+        _, operator = fold.epoch_structure()
+        logits = fold.encode(operator, fold.head)
+        expected = classify(fold.encode(operator), fold.head).value
         assert np.array_equal(logits.value, expected)
         # the head weight is read once, by Z @ W_head
         z, w_head = logits.parents[0].parents
-        assert w_head.param is run.head.weight and z.value.shape[1] == run.head.d_in
+        assert w_head.param is fold.head.weight and z.value.shape[1] == fold.head.d_in
 
     @pytest.mark.parametrize("strategy, names", [
         ("finetune", ["encoder.layer1.weight", "encoder.layer1.bias", "head.weight",
@@ -486,29 +487,29 @@ class TestHeadFold:
         ("phgnn", ["prompt.tokens", "head.weight"]),
     ])
     def test_finite_differences_through_the_fold(self, strategy, names):
-        run, _, labels = random_state(strategy)
-        _, operator = run.epoch_structure()
-        params = {p.name: p for p in run.params}
-        y = np.concatenate([labels, np.zeros(run.prompt_rows, np.int64)])
-        mask = np.concatenate([np.ones(20, bool), np.zeros(run.prompt_rows, bool)])
+        fold, _, labels = random_state(strategy)
+        _, operator = fold.epoch_structure()
+        params = {p.name: p for p in fold.params}
+        y = np.concatenate([labels, np.zeros(fold.run.prompt_rows, np.int64)])
+        mask = np.concatenate([np.ones(20, bool), np.zeros(fold.run.prompt_rows, bool)])
 
         def loss(params):
-            return ad.softmax_cross_entropy(run.logits(operator), y, mask)
+            return ad.softmax_cross_entropy(fold.logits(operator), y, mask)
 
         # criterion 01's limit
         assert finite_difference_check(loss, [params[name] for name in names], 1e-6) <= 1e-4
 
     @pytest.mark.parametrize("strategy", _FOLDED)
     def test_propagations_after_the_first_layer_have_the_head_width(self, strategy):
-        run, _, labels = random_state(strategy, hidden_dims=(8,), latent_dim=6)
-        _, operator = run.epoch_structure()
-        logits = run.logits(operator)
+        fold, _, labels = random_state(strategy, hidden_dims=(8,), latent_dim=6)
+        _, operator = fold.epoch_structure()
+        logits = fold.logits(operator)
         propagations = tape_propagations(logits)
         assert propagations
         assert {t.value.shape[1] for t in propagations} == {2}
         # the backward applies the operator to gradients of the same width
-        y = np.concatenate([labels, np.zeros(run.prompt_rows, np.int64)])
-        mask = np.concatenate([np.ones(20, bool), np.zeros(run.prompt_rows, bool)])
+        y = np.concatenate([labels, np.zeros(fold.run.prompt_rows, np.int64)])
+        mask = np.concatenate([np.ones(20, bool), np.zeros(fold.run.prompt_rows, bool)])
         forward_backward(ad.softmax_cross_entropy(logits, y, mask))
         assert all(t.grad.shape[1] == 2 for t in propagations)
 
@@ -781,7 +782,7 @@ class TestTuneWithStrategy:
 
 
 class TestCheckSite:
-    """Every tuning entry point checks the strategy name and X in `_StrategyState`."""
+    """Every tuning entry point checks the strategy name and X in `_TuningRun`."""
 
     @settings(max_examples=40, deadline=None)
     @given(strategy=st.sampled_from(STRATEGIES),
@@ -818,25 +819,57 @@ class TestCheckSite:
             assert str(raised.value) == expected, name
 
 
+    @pytest.mark.parametrize("strategy", ["linear_probe", "phgnn"])
+    @pytest.mark.parametrize("fault", ["three-d", "nan", "inf", "not-numeric"])
+    def test_malformed_features_rejected_before_any_epoch(self, tuning_setup, strategy, fault,
+                                                          monkeypatch):
+        ds, G, X, encoder, folds = tuning_setup
+        bad, expected = X.copy(), "features contain non-finite values"
+        if fault == "three-d":  # autodiff's ShapeError, not a ValidationError, at the parent
+            bad, expected = X[None], "features: expected 2-D data, got ndim=3"
+        elif fault == "not-numeric":
+            bad = np.full(X.shape, "x", dtype=object)
+            expected = "features: not numeric (could not convert string to float: 'x')"
+        else:  # reported as divergence at epoch 0 by the parent
+            bad[7, 3] = np.nan if fault == "nan" else -np.inf
+        epochs = []
+        monkeypatch.setattr(hglearn.prompt, "forward_backward", epochs.append)
+        cfg = small_config(tune_epochs=1, strategy=strategy)
+        result = TuneResult(strategy, {}, None, None, -1)
+        calls = {
+            "tune_with_strategy": lambda: tune_with_strategy(
+                strategy, G, bad, ds.labels, folds.train_mask(0), folds.val_mask(0), encoder,
+                cfg),
+            "evaluate_snapshot": lambda: evaluate_snapshot(
+                result, G, bad, ds.labels, folds.val_mask(0), encoder, cfg),
+            "run_tune": lambda: run_tune(G, bad, ds.labels, encoder, cfg),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValidationError) as raised:
+                call()
+            assert str(raised.value) == expected, name
+        assert epochs == []
+
+
 def two_forward_tune(strategy, G, X, labels, train_mask, val_mask, encoder, cfg):
     """The tuning loop with a fresh training forward every epoch and no cached Z.
 
     `linear_probe`'s fresh forward is the unfolded `classify(encode(op), head)`,
     the Z its cache stands for; every other strategy's is its own `logits`.
     """
-    run = _StrategyState(strategy, G, X, encoder, cfg)
-    forward = run.logits
+    fold = _FoldState(_TuningRun(strategy, G, X, encoder, cfg))
+    forward = fold.logits
     if strategy == "linear_probe":
-        forward = lambda operator: classify(run.encode(operator), run.head)  # noqa: E731
-    n, p_rows = X.shape[0], run.prompt_rows
+        forward = lambda operator: classify(fold.encode(operator), fold.head)  # noqa: E731
+    n, p_rows = X.shape[0], fold.run.prompt_rows
     y_pad = np.concatenate([labels, np.zeros(p_rows, dtype=np.int64)])
     mt_pad = np.concatenate([train_mask, np.zeros(p_rows, dtype=bool)])
     state, losses, reports = AdamWState(), [], []
     for _ in range(cfg.tune_epochs):
-        _, operator = run.epoch_structure()
+        _, operator = fold.epoch_structure()
         losses.append(forward_backward(
             ad.softmax_cross_entropy(forward(operator), y_pad, mt_pad)))
-        adamw_step(run.params, state, cfg.tune_lr, cfg.tune_weight_decay)
+        adamw_step(fold.params, state, cfg.tune_lr, cfg.tune_weight_decay)
         reports.append(evaluate_logits(forward(operator).value[:n], labels, val_mask))
     return losses, reports
 
